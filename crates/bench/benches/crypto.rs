@@ -1,9 +1,9 @@
 //! Microbenchmarks of the cryptographic primitives — the per-operation
 //! costs that Tables 1–2 and Figure 5 are built from.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use psguard_crypto::{
-    cbc_decrypt, cbc_encrypt, hmac_sha1, prf, prf_verify, Aes128, DeriveKey, Md5, Sha1,
+    cbc_decrypt, cbc_encrypt, hmac_sha1, prf, prf_verify, Aes128, DeriveKey, Md5, ProbeTable, Sha1,
 };
 
 fn bench_hashes(c: &mut Criterion) {
@@ -48,6 +48,27 @@ fn bench_tokenization(c: &mut Criterion) {
     c.bench_function("token_match_prf_verify", |b| {
         b.iter(|| prf_verify(black_box(&token), black_box(b"nonce-bytes-0123"), &tag))
     });
+
+    // What a broker pays per event: every live token probed against one
+    // tag, as one sweep over prepared pad states. Elements are probes, so
+    // the rate compares directly with the one-shot row above.
+    let mut group = c.benchmark_group("token_probe_sweep");
+    for n in [16u32, 64, 256, 1024] {
+        let mut table = ProbeTable::new();
+        for slot in 0..n {
+            table.set(slot, &prf(b"master", &slot.to_be_bytes()));
+        }
+        let mut hits = Vec::new();
+        group.throughput(Throughput::Elements(u64::from(n)));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &table, |b, table| {
+            b.iter(|| {
+                hits.clear();
+                table.sweep(black_box(b"nonce-bytes-0123"), black_box(&tag), &mut hits);
+                hits.len()
+            })
+        });
+    }
+    group.finish();
 }
 
 criterion_group!(

@@ -1,19 +1,16 @@
 //! Million-subscriber end-to-end macro-bench: publisher encrypt →
 //! `ShardedPipeline` match → wire fan-out, under adversarial workloads.
 //!
-//! Three sections, all landing in `BENCH_e2e.json`:
+//! Two sections, both landing in `BENCH_e2e.json`:
 //!
 //! * **sizes** — the e2e trajectory over {10k, 100k, 1M} subscriptions:
 //!   each measured pass AES-CBC-encrypts the payload, PRF-tags the
-//!   topic, batches events through the sharded pipeline (the PR1/PR4
-//!   token fast paths: `RoutableTag` probes against prepared
-//!   `PrfContext`s), then encodes each delivered event once into a
+//!   topic, batches events through the sharded pipeline (one
+//!   `ProbeTable` sweep per shard per event), then encodes each
+//!   delivered event once into a
 //!   pooled wire frame and charges its bytes per recipient.
 //! * **scenarios** — every [`ScenarioKind`] replayed end-to-end with
 //!   churn and revocations applied at their pinned positions.
-//! * **index_rework** — the arena `MatchIndex` against the frozen
-//!   pre-rework `LegacyMatchIndex` on identical tables, match-for-match
-//!   equality checked, with the ≥2x floor asserted at 1M entries.
 //!
 //! `--smoke` shrinks every axis to CI seconds and swaps the perf floors
 //! for the correctness floors (equality + positive rates) — perf floors
@@ -24,11 +21,9 @@ use std::time::Instant;
 use psguard_analysis::{ChurnKind, ScenarioConfig, ScenarioKind, ScenarioTrace};
 use psguard_bench::support::{assert_floor, measure, write_bench_json, Json};
 use psguard_crypto::{cbc_encrypt, kh, prf, Aes128, Token};
-use psguard_model::{Constraint, Event, Filter, IntRange, Op};
+use psguard_model::{Constraint, Event, IntRange, Op};
 use psguard_routing::{RoutableTag, SecureEvent, SecureFilter};
-use psguard_siena::{
-    BatchDeliveries, FramePool, LegacyMatchIndex, MatchIndex, Message, Peer, ShardedPipeline,
-};
+use psguard_siena::{BatchDeliveries, FramePool, Message, Peer, ShardedPipeline};
 
 /// Distinct topics (Zipf ranks = live tokens probed per event).
 const TOPICS: usize = 256;
@@ -306,79 +301,6 @@ fn run_scenario(kind: ScenarioKind, subs: u32, events: usize, tokens: &[Token]) 
     }
 }
 
-/// Plain-filter table mirroring matching_scaling's shape, for the
-/// arena-vs-legacy index comparison.
-fn index_filter(i: usize) -> (Peer, Filter) {
-    let lo = (i % 50) as i64;
-    let filter = Filter::for_topic(format!("topic{:03}", i % TOPICS)).with(Constraint::new(
-        "x",
-        Op::InRange(IntRange::new(lo, lo + 30).expect("valid range")),
-    ));
-    (Peer::Local(i as u32), filter)
-}
-
-fn index_events() -> Vec<Event> {
-    (0..TOPICS)
-        .map(|t| {
-            Event::builder(format!("topic{t:03}"))
-                .attr("x", (t % 60) as i64)
-                .build()
-        })
-        .collect()
-}
-
-struct IndexRow {
-    entries: usize,
-    arena_qps: f64,
-    arena_iters: usize,
-    legacy_qps: f64,
-    legacy_iters: usize,
-}
-
-/// Builds the same table into both index layouts, checks them
-/// match-for-match, and measures query throughput on each.
-fn run_index_rework(entries: usize, min_ms: u128) -> IndexRow {
-    let mut arena: MatchIndex<Filter> = MatchIndex::new();
-    arena.reserve(entries);
-    let mut legacy: LegacyMatchIndex<Filter> = LegacyMatchIndex::new();
-    for i in 0..entries {
-        let (peer, filter) = index_filter(i);
-        arena.insert(peer, filter.clone());
-        legacy.insert(peer, filter);
-    }
-    let evs = index_events();
-
-    // Correctness floor: identical matches on every probe event.
-    for e in &evs {
-        let mut a = arena.query(e);
-        let mut l = legacy.query(e);
-        a.sort_unstable();
-        l.sort_unstable();
-        assert_eq!(a, l, "arena and legacy disagree at {entries} entries");
-    }
-
-    let mut peers = Vec::new();
-    let a = measure(64, 256, min_ms, |i| {
-        arena.query_into(&evs[i % evs.len()], &mut peers);
-        std::hint::black_box(peers.len());
-    });
-    let l = measure(8, 32, min_ms, |i| {
-        legacy.query_into(&evs[i % evs.len()], &mut peers);
-        std::hint::black_box(peers.len());
-    });
-    println!(
-        "index n={entries:>8}  arena {:>11.0} q/s ({} iters)  legacy {:>11.0} q/s ({} iters)  speedup {:.2}x",
-        a.per_sec, a.iters, l.per_sec, l.iters, a.per_sec / l.per_sec
-    );
-    IndexRow {
-        entries,
-        arena_qps: a.per_sec,
-        arena_iters: a.iters,
-        legacy_qps: l.per_sec,
-        legacy_iters: l.iters,
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (sizes, events, min_ms): (&[usize], usize, u128) = if smoke {
@@ -387,7 +309,6 @@ fn main() {
         (&[10_000, 100_000, 1_000_000], 2_048, 400)
     };
     let (scenario_subs, scenario_events) = if smoke { (500, 256) } else { (10_000, 4_096) };
-    let index_entries = if smoke { 10_000 } else { 1_000_000 };
 
     let tokens: Vec<Token> = (0..TOPICS as u32).map(topic_token).collect();
 
@@ -400,9 +321,6 @@ fn main() {
         .iter()
         .map(|&k| run_scenario(k, scenario_subs, scenario_events, &tokens))
         .collect();
-
-    let index = run_index_rework(index_entries, if smoke { 50 } else { 600 });
-    let index_speedup = index.arena_qps / index.legacy_qps;
 
     let doc = Json::obj()
         .field("bench", Json::str("e2e_scaling"))
@@ -444,16 +362,6 @@ fn main() {
                     })
                     .collect(),
             ),
-        )
-        .field(
-            "index_rework",
-            Json::obj()
-                .field("entries", Json::Int(index.entries as u64))
-                .field("arena_qps", Json::f1(index.arena_qps))
-                .field("arena_iters", Json::Int(index.arena_iters as u64))
-                .field("legacy_qps", Json::f1(index.legacy_qps))
-                .field("legacy_iters", Json::Int(index.legacy_iters as u64))
-                .field("speedup", Json::f2(index_speedup)),
         );
     write_bench_json("BENCH_e2e.json", &doc);
 
@@ -478,12 +386,9 @@ fn main() {
         return;
     }
 
-    // Perf floors (full mode, the acceptance gates):
-    // 1. the arena layout must be >= 2x the frozen pre-rework layout at
-    //    1M entries, measured in this very run;
-    assert_floor("arena vs legacy MatchIndex at 1M", index_speedup, 2.0);
-    // 2. scaling 10x subscribers (100k → 1M) may cost at most 15x in
-    //    e2e throughput — the trajectory stays sublinear in fanout.
+    // Perf floor (full mode, the acceptance gate): scaling 10x
+    // subscribers (100k → 1M) may cost at most 15x in e2e throughput —
+    // the trajectory stays sublinear in fanout.
     let at_100k = rows
         .iter()
         .find(|r| r.subscriptions == 100_000)

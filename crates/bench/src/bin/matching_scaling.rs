@@ -4,9 +4,7 @@
 //! and `matching_peers_linear` (the original O(n) reference) over tables
 //! of {100, 1k, 10k, 100k, 1M} subscriptions, reports events/second for
 //! both, and writes machine-readable results to `BENCH_matching.json`
-//! in the current directory. The arena-vs-legacy *layout* comparison at
-//! 1M lives in `e2e_scaling` (`index_rework` section); this bin tracks
-//! the indexed-vs-linear algorithmic gap.
+//! in the current directory.
 
 use psguard_bench::support::{measure, write_bench_json, Json};
 use psguard_model::{Constraint, Event, Filter, IntRange, Op};

@@ -26,39 +26,8 @@ use psguard_model::{Event, Filter};
 use psguard_siena::wire::{Message, Wire};
 use psguard_siena::{write_frames, FramePool, SharedFrame};
 
-/// The allocation counter: a delegating global allocator that counts
-/// every heap allocation and reallocation. Confined to this module; the
-/// workspace-wide `forbid(unsafe_code)` is relaxed to `deny` for this
-/// crate only to admit it (see crates/bench/Cargo.toml).
-#[allow(unsafe_code)]
-mod alloc_counter {
-    #![deny(unsafe_op_in_unsafe_fn)]
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Heap allocations (+ reallocations) observed since process start.
-    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    pub struct Counting;
-
-    /// SAFETY: every method delegates directly to [`System`] with the
-    /// caller's layout unchanged; the only addition is a relaxed counter
-    /// increment, which allocates nothing.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-}
+#[path = "../alloc_counter.rs"]
+mod alloc_counter;
 
 #[global_allocator]
 static GLOBAL: alloc_counter::Counting = alloc_counter::Counting;

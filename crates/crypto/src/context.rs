@@ -3,20 +3,25 @@
 //! The one-shot APIs (`prf`, `hmac_sha1`, `Aes128::new` + `cbc_encrypt`)
 //! redo key setup on every call: HMAC hashes the padded key block twice
 //! (two compression-function calls) before touching the message, and AES
-//! expands the full round-key schedule. On the broker's hot path the *same*
-//! key is used for thousands of events — a subscription token probes every
-//! event in a batch, a publisher encrypts a stream of events under the same
-//! content key. The contexts here precompute the keyed state once:
+//! expands the full round-key schedule. On the hot paths the *same* key is
+//! used for thousands of events — a subscription token probes every event
+//! a broker routes, a publisher tags and encrypts a stream of events under
+//! the same topic token and content key. The contexts here precompute the
+//! keyed state once:
 //!
 //! * [`HmacContext`] — keyed inner/outer digest states per RFC 2104,
 //!   cloned per MAC instead of re-deriving the pads;
 //! * [`PrfContext`] — the same idea specialized to the tokenization PRF
-//!   `F` (HMAC-SHA1), with an allocation-free verify path: two SHA-1
-//!   compressions per probe instead of four, and zero heap traffic;
+//!   `F` (HMAC-SHA1), allocation-free: two SHA-1 compressions per call
+//!   instead of four, and zero heap traffic;
+//! * [`ProbeTable`] — the broker's per-event form of the same idea: the
+//!   pad states of every live subscription token in one dense table,
+//!   swept against an event tag with the nonce block's message schedule
+//!   expanded once and shared by all tokens;
 //! * [`AesContext`] — an expanded AES-128 round-key schedule reused across
 //!   CBC calls.
 //!
-//! All three hold key-equivalent material (pad-absorbed digest states are
+//! All of them hold key-equivalent material (pad-absorbed digest states are
 //! as good as the key for forging MACs; round keys invert to the AES key),
 //! so they wipe themselves on drop, print redacted `Debug` forms, and are
 //! on the psguard-xtask secret-hygiene taint list.
@@ -26,8 +31,9 @@ use crate::ct::ct_eq;
 use crate::digest::Digest;
 use crate::hmac::{keyed_pads, Hmac};
 use crate::modes::{cbc_decrypt, cbc_encrypt, CipherError};
-use crate::prf::Token;
-use crate::sha1::Sha1;
+use crate::prf::{Token, TOKEN_LEN};
+use crate::sha1::{compress, compress_expanded, expand, load_be, Sha1};
+use crate::zeroize::zeroize_u32;
 use crate::BLOCK_SIZE;
 
 /// A reusable HMAC key context: the inner/outer digest states with the
@@ -90,11 +96,12 @@ impl<D: Digest> Drop for HmacContext<D> {
 /// A reusable context for the tokenization PRF `F` (HMAC-SHA1), keyed by a
 /// subscription token or PRF key.
 ///
-/// This is the broker's matching hot path: with `n` subscriptions sharing a
-/// token, every event probe recomputes `F_tok(r)`. The context holds the
-/// pad-absorbed SHA-1 states, cutting each probe from four compression
-/// calls (two pads + nonce block + outer block) to two, and the
-/// [`Sha1::finalize_fixed`] path keeps the probe entirely allocation-free.
+/// A publisher tags a stream of events under one topic token, a KDC
+/// derives many keys under one parent: the context holds the pad-absorbed
+/// SHA-1 states, cutting each call from four compressions (two pads +
+/// message block + outer block) to two, and the
+/// [`Sha1::finalize_fixed`] path keeps it entirely allocation-free. (The
+/// broker side, many tokens against one tag, is [`ProbeTable`].)
 ///
 /// Output is byte-identical to the one-shot [`crate::prf`] /
 /// [`crate::prf_verify`] for every input (asserted against the RFC 2202
@@ -158,6 +165,157 @@ impl Drop for PrfContext {
         // The pad-absorbed states are key-equivalent: wipe them.
         self.inner.wipe();
         self.outer.wipe();
+    }
+}
+
+/// Bit length of the inner hash input: the ipad block plus a 16-byte nonce.
+const INNER_BITS: u32 = 8 * (64 + BLOCK_SIZE as u32);
+/// Bit length of the outer hash input: the opad block plus the inner digest.
+const OUTER_BITS: u32 = 8 * (64 + TOKEN_LEN as u32);
+
+/// The HMAC-SHA1 chaining states of one token after its ipad / opad block:
+/// everything a probe needs of the token, and as good as the token itself.
+#[derive(Clone)]
+struct PadState {
+    inner: [u32; 5],
+    outer: [u32; 5],
+}
+
+impl PadState {
+    fn wipe(&mut self) {
+        zeroize_u32(&mut self.inner);
+        zeroize_u32(&mut self.outer);
+    }
+}
+
+/// The broker's token-probe kernel: the pad states of every live
+/// subscription token, swept against one event tag `⟨r, F_{T(w)}(r)⟩` per
+/// call (the paper's §4.1 test `F_tok(r) = match`, once per token).
+///
+/// Slots are addressed by the caller (the match index keeps one per
+/// bucket), may be cleared and set again, and are wiped when cleared or
+/// dropped. A [`sweep`](Self::sweep) expands the message schedule of the
+/// nonce block once — it is the same block for every token — and then
+/// spends exactly two compressions per live token, on the stack: the
+/// inner one replays the shared schedule from the token's ipad state, the
+/// outer one hashes the fixed-layout digest block from its opad state.
+/// Every live token is probed whether or not an earlier one matched, and
+/// digests are compared by OR-folding word differences, so the time of a
+/// sweep depends on the number of live tokens alone.
+///
+/// Hits are byte-identical to [`crate::prf_verify`] per token.
+///
+/// # Example
+///
+/// ```
+/// use psguard_crypto::{prf, ProbeTable};
+///
+/// let tokens = [prf(b"rk(KDC)", b"cancerTrail"), prf(b"rk(KDC)", b"weather")];
+/// let mut table = ProbeTable::new();
+/// for (slot, token) in tokens.iter().enumerate() {
+///     table.set(slot as u32, token);
+/// }
+/// let nonce = [7u8; 16];
+/// let tag = prf(tokens[1].as_bytes(), &nonce);
+/// let mut hits = Vec::new();
+/// table.sweep(&nonce, &tag, &mut hits);
+/// assert_eq!(hits, [1]);
+/// ```
+#[derive(Clone, Default)]
+pub struct ProbeTable {
+    slots: Vec<Option<PadState>>,
+    live: usize,
+}
+
+impl std::fmt::Debug for ProbeTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProbeTable")
+            .field("live", &self.live)
+            .finish_non_exhaustive()
+    }
+}
+
+impl ProbeTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of live slots: the probes one [`sweep`](Self::sweep) performs.
+    pub fn len(&self) -> usize {
+        self.live
+    }
+
+    /// Whether no slot is live.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Keys `slot` with `token` (two compressions), growing the table as
+    /// needed and replacing whatever the slot held.
+    pub fn set(&mut self, slot: u32, token: &Token) {
+        let slot = slot as usize;
+        if slot >= self.slots.len() {
+            self.slots.resize(slot + 1, None);
+        }
+        let ctx = PrfContext::for_token(token);
+        let pads = PadState {
+            inner: ctx.inner.chaining_state(),
+            outer: ctx.outer.chaining_state(),
+        };
+        match self.slots[slot].replace(pads) {
+            Some(mut old) => old.wipe(),
+            None => self.live += 1,
+        }
+    }
+
+    /// Wipes `slot`; later sweeps skip it. Clearing a dead or unknown
+    /// slot is a no-op.
+    pub fn clear(&mut self, slot: u32) {
+        if let Some(entry) = self.slots.get_mut(slot as usize) {
+            if let Some(pads) = entry {
+                pads.wipe();
+                self.live -= 1;
+            }
+            *entry = None;
+        }
+    }
+
+    /// Appends to `hits` the slot of every live token `tok` with
+    /// `F_tok(nonce) == tag`, in slot order.
+    pub fn sweep(&self, nonce: &[u8; BLOCK_SIZE], tag: &Token, hits: &mut Vec<u32>) {
+        // Inner message block, the same for every token:
+        // nonce ‖ 0x80 ‖ 0… ‖ bit length.
+        let mut block = [0u32; 16];
+        load_be(&mut block, nonce);
+        block[4] = 0x8000_0000;
+        block[15] = INNER_BITS;
+        let schedule = expand(block);
+
+        let mut want = [0u32; 5];
+        load_be(&mut want, tag.as_bytes());
+
+        for (slot, pads) in self.slots.iter().enumerate() {
+            let Some(pads) = pads else { continue };
+            // Outer message block: inner digest ‖ 0x80 ‖ 0… ‖ bit length.
+            let mut outer = [0u32; 16];
+            outer[..5].copy_from_slice(&compress_expanded(&pads.inner, &schedule));
+            outer[5] = 0x8000_0000;
+            outer[15] = OUTER_BITS;
+            let got = compress(&pads.outer, outer);
+            let diff = got.iter().zip(&want).fold(0, |acc, (g, w)| acc | (g ^ w));
+            if diff == 0 {
+                hits.push(slot as u32);
+            }
+        }
+    }
+}
+
+impl Drop for ProbeTable {
+    fn drop(&mut self) {
+        for pads in self.slots.iter_mut().flatten() {
+            pads.wipe();
+        }
     }
 }
 
@@ -252,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn prf_context_matches_oneshot_on_rfc2202_vectors() {
+    fn prf_context_equals_oneshot_on_rfc2202_vectors() {
         for (i, (key, data)) in rfc2202_sha1_cases().into_iter().enumerate() {
             let ctx = PrfContext::new(&key);
             assert_eq!(ctx.prf(&data), prf(&key, &data), "case {}", i + 1);
@@ -274,6 +432,36 @@ mod tests {
     }
 
     #[test]
+    fn probe_table_slots_follow_set_and_clear() {
+        let tokens = [prf(b"rk(KDC)", b"a"), prf(b"rk(KDC)", b"b")];
+        let nonce = [5u8; 16];
+        let tags = tokens.map(|t| prf(t.as_bytes(), &nonce));
+        let sweep = |table: &ProbeTable, tag: &Token| {
+            let mut hits = Vec::new();
+            table.sweep(&nonce, tag, &mut hits);
+            hits
+        };
+        let mut table = ProbeTable::new();
+        assert!(table.is_empty());
+        // Slots need not be contiguous; the gap stays dead.
+        table.set(4, &tokens[0]);
+        table.set(1, &tokens[1]);
+        assert_eq!(table.len(), 2);
+        assert_eq!(sweep(&table, &tags[0]), [4]);
+        assert_eq!(sweep(&table, &tags[1]), [1]);
+        table.clear(4);
+        table.clear(4); // idempotent
+        table.clear(99); // unknown slot
+        assert_eq!(table.len(), 1);
+        assert!(sweep(&table, &tags[0]).is_empty());
+        // Re-keying a live slot replaces its token.
+        table.set(1, &tokens[0]);
+        assert_eq!(table.len(), 1);
+        assert_eq!(sweep(&table, &tags[0]), [1]);
+        assert!(sweep(&table, &tags[1]).is_empty());
+    }
+
+    #[test]
     fn prf_context_reuse_across_many_inputs() {
         let ctx = PrfContext::new(b"key");
         for i in 0..200u32 {
@@ -283,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn hmac_context_matches_oneshot_sha1_and_md5() {
+    fn hmac_context_equals_oneshot_sha1_and_md5() {
         for (key, data) in rfc2202_sha1_cases() {
             let ctx = HmacContext::<Sha1>::new(&key);
             assert_eq!(ctx.mac(&data), hmac_sha1(&key, &data).to_vec());
@@ -302,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn aes_context_matches_fresh_schedule() {
+    fn aes_context_equals_fresh_schedule() {
         let key = [0x2bu8; 16];
         let iv = [0x01u8; 16];
         let pt = b"the quick brown fox jumps over the lazy dog";
@@ -320,6 +508,9 @@ mod tests {
         assert_eq!(format!("{h:?}"), "HmacContext { .. }");
         let a = AesContext::new(&[3u8; 16]);
         assert_eq!(format!("{a:?}"), "AesContext { .. }");
+        let mut t = ProbeTable::new();
+        t.set(3, &prf(b"rk(KDC)", b"stockQuote"));
+        assert_eq!(format!("{t:?}"), "ProbeTable { live: 1, .. }");
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod sha1;
 mod zeroize;
 
 pub use aes::{Aes128, BLOCK_SIZE};
-pub use context::{AesContext, HmacContext, PrfContext};
+pub use context::{AesContext, HmacContext, PrfContext, ProbeTable};
 pub use ct::ct_eq;
 pub use digest::Digest;
 pub use hmac::{hmac, hmac_md5, hmac_sha1, Hmac};

@@ -46,6 +46,120 @@ impl Default for Sha1 {
 
 const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
+/// One block's fully expanded message schedule. [`ProbeTable`] expands the
+/// shared nonce block once per event and replays it against every token's
+/// pad state through [`compress_expanded`].
+///
+/// [`ProbeTable`]: crate::ProbeTable
+pub(crate) type Schedule = [u32; 80];
+
+fn ch(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+fn parity(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+fn maj(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (d & (b ^ c))
+}
+
+/// The 80 rounds of the compression function over `state`, plus the final
+/// feed-forward. `w(t)` supplies schedule word `t` and is called exactly
+/// once per round, in order — so the caller decides whether the schedule
+/// is rolled on the fly or read from a prepared [`Schedule`].
+///
+/// Each round group is written out with the roles of `a..e` rotating by
+/// name: no value moves between registers and every `t` is a constant
+/// after inlining.
+#[inline(always)]
+fn rounds(state: &[u32; 5], mut w: impl FnMut(usize) -> u32) -> [u32; 5] {
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+    macro_rules! round {
+        ($f:ident, $k:literal, $t:expr, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident) => {
+            $e = $e
+                .wrapping_add($a.rotate_left(5))
+                .wrapping_add($f($b, $c, $d))
+                .wrapping_add($k)
+                .wrapping_add(w($t));
+            $b = $b.rotate_left(30);
+        };
+    }
+    macro_rules! five {
+        ($f:ident, $k:literal, $t:expr) => {
+            round!($f, $k, $t, a, b, c, d, e);
+            round!($f, $k, $t + 1, e, a, b, c, d);
+            round!($f, $k, $t + 2, d, e, a, b, c);
+            round!($f, $k, $t + 3, c, d, e, a, b);
+            round!($f, $k, $t + 4, b, c, d, e, a);
+        };
+    }
+    macro_rules! group {
+        ($f:ident, $k:literal, $t:expr) => {
+            five!($f, $k, $t);
+            five!($f, $k, $t + 5);
+            five!($f, $k, $t + 10);
+            five!($f, $k, $t + 15);
+        };
+    }
+    group!(ch, 0x5A827999u32, 0);
+    group!(parity, 0x6ED9EBA1u32, 20);
+    group!(maj, 0x8F1BBCDCu32, 40);
+    group!(parity, 0xCA62C1D6u32, 60);
+    [
+        state[0].wrapping_add(a),
+        state[1].wrapping_add(b),
+        state[2].wrapping_add(c),
+        state[3].wrapping_add(d),
+        state[4].wrapping_add(e),
+    ]
+}
+
+/// Reads `bytes` as big-endian words into the front of `words`.
+pub(crate) fn load_be(words: &mut [u32], bytes: &[u8]) {
+    for (w, chunk) in words.iter_mut().zip(bytes.chunks_exact(4)) {
+        *w = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+}
+
+/// Word `t >= 16` of the schedule rolled in place over a 16-word window.
+#[inline(always)]
+fn roll(w: &mut [u32; 16], t: usize) -> u32 {
+    let v = (w[(t - 3) & 15] ^ w[(t - 8) & 15] ^ w[(t - 14) & 15] ^ w[t & 15]).rotate_left(1);
+    w[t & 15] = v;
+    v
+}
+
+/// The SHA-1 compression function over one block of sixteen big-endian
+/// words, rolling the schedule through a 16-word window.
+#[inline]
+pub(crate) fn compress(state: &[u32; 5], mut block: [u32; 16]) -> [u32; 5] {
+    rounds(state, |t| {
+        if t < 16 {
+            block[t]
+        } else {
+            roll(&mut block, t)
+        }
+    })
+}
+
+/// Expands `block` into its full schedule, for [`compress_expanded`].
+pub(crate) fn expand(mut block: [u32; 16]) -> Schedule {
+    let mut w = [0u32; 80];
+    w[..16].copy_from_slice(&block);
+    for (t, slot) in w.iter_mut().enumerate().skip(16) {
+        *slot = roll(&mut block, t);
+    }
+    w
+}
+
+/// [`compress`] over a block whose schedule was already expanded: the
+/// rounds alone, with no schedule arithmetic.
+pub(crate) fn compress_expanded(state: &[u32; 5], w: &Schedule) -> [u32; 5] {
+    rounds(state, |t| w[t])
+}
+
 impl Sha1 {
     /// One-shot SHA-1 digest returning a fixed-size array.
     pub fn digest(data: &[u8]) -> [u8; 20] {
@@ -77,41 +191,18 @@ impl Sha1 {
         out
     }
 
+    /// The chaining state after the whole blocks absorbed so far — for
+    /// [`crate::ProbeTable`], which resumes from pad-absorbed states
+    /// without carrying the streaming buffer along.
+    pub(crate) fn chaining_state(&self) -> [u32; 5] {
+        debug_assert_eq!(self.buffer_len, 0, "mid-block state is not resumable");
+        self.state
+    }
+
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for t in 16..80 {
-            w[t] = (w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]).rotate_left(1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (t, &wt) in w.iter().enumerate() {
-            let (f, k) = match t {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999u32),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wt);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        let mut words = [0u32; 16];
+        load_be(&mut words, block);
+        self.state = compress(&self.state, words);
     }
 
     fn absorb(&mut self, mut data: &[u8]) {
@@ -205,6 +296,29 @@ mod tests {
             hex(&Sha1::digest(&data)),
             "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
         );
+    }
+
+    #[test]
+    fn rfc3174_eighty_repeats() {
+        let data = b"01234567".repeat(80);
+        assert_eq!(
+            hex(&Sha1::digest(&data)),
+            "dea356a2cddd90c7a7ecedc5ebb563934f460452"
+        );
+    }
+
+    #[test]
+    fn expanded_schedule_replays_to_the_same_state() {
+        // The sweep kernel's split (expand once, replay per state) must be
+        // the compression function itself, from any chaining state.
+        let mut state = H0;
+        for seed in 0u32..64 {
+            let block: [u32; 16] =
+                std::array::from_fn(|i| (seed + 1).wrapping_mul(0x9E37_79B9).rotate_left(i as u32));
+            let next = compress(&state, block);
+            assert_eq!(compress_expanded(&state, &expand(block)), next);
+            state = next;
+        }
     }
 
     #[test]

@@ -2,9 +2,19 @@
 
 use proptest::prelude::*;
 use psguard_crypto::{
-    cbc_decrypt, cbc_encrypt, ct_eq, hmac_md5, hmac_sha1, mod_exp, mod_mul, Aes128, DeriveKey,
-    Digest, Md5, Sha1,
+    cbc_decrypt, cbc_encrypt, ct_eq, hmac_md5, hmac_sha1, mod_exp, mod_mul, prf, prf_verify,
+    Aes128, DeriveKey, Digest, Md5, ProbeTable, Sha1, Token,
 };
+
+/// Slots whose token verifies `tag` under `nonce`, one `prf_verify` each.
+fn oracle(mirror: &[Option<Token>], nonce: &[u8; 16], tag: &Token) -> Vec<u32> {
+    mirror
+        .iter()
+        .enumerate()
+        .filter(|(_, tok)| tok.is_some_and(|tok| prf_verify(&tok, nonce, tag)))
+        .map(|(slot, _)| slot as u32)
+        .collect()
+}
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -113,6 +123,63 @@ proptest! {
         // Not a cryptographic proof — a regression guard against key
         // handling bugs (e.g. ignoring part of the key).
         prop_assert_ne!(hmac_sha1(&k1, &msg), hmac_sha1(&k2, &msg));
+    }
+
+    /// One sweep decides exactly like `prf_verify` run per live token,
+    /// across set / clear / re-set churn of the slots.
+    #[test]
+    fn probe_sweep_equals_per_token_prf_verify(
+        stored in 0usize..=70,
+        clears in prop::collection::vec(any::<u16>(), 0..40),
+        reuses in prop::collection::vec(any::<u16>(), 0..20),
+        nonce: [u8; 16],
+        pick in any::<u16>(),
+    ) {
+        // Distinct tokens throughout, so a tag has at most one owner.
+        let token = |id: usize| prf(b"rk(KDC)", &(id as u64).to_be_bytes());
+        let mut table = ProbeTable::new();
+        let mut mirror: Vec<Option<Token>> = (0..stored).map(|id| Some(token(id))).collect();
+        for (slot, tok) in mirror.iter().flatten().enumerate() {
+            table.set(slot as u32, tok);
+        }
+        if stored > 0 {
+            for c in clears {
+                let slot = c as usize % stored;
+                table.clear(slot as u32);
+                mirror[slot] = None;
+            }
+            for (n, r) in reuses.into_iter().enumerate() {
+                let slot = r as usize % stored;
+                let tok = token(1000 + n);
+                table.set(slot as u32, &tok);
+                mirror[slot] = Some(tok);
+            }
+        }
+        let live: Vec<u32> = (0..stored as u32)
+            .filter(|&s| mirror[s as usize].is_some())
+            .collect();
+        prop_assert_eq!(table.len(), live.len());
+
+        // The sweep appends: what `hits` already holds stays.
+        let mut hits = vec![u32::MAX];
+        let foreign = prf(token(usize::MAX).as_bytes(), &nonce);
+        table.sweep(&nonce, &foreign, &mut hits);
+        prop_assert_eq!(&hits, &[u32::MAX]);
+        prop_assert!(oracle(&mirror, &nonce, &foreign).is_empty());
+
+        if !live.is_empty() {
+            let owner = live[pick as usize % live.len()];
+            let tag = prf(mirror[owner as usize].expect("live").as_bytes(), &nonce);
+            table.sweep(&nonce, &tag, &mut hits);
+            prop_assert_eq!(&hits, &[u32::MAX, owner]);
+            prop_assert_eq!(oracle(&mirror, &nonce, &tag), vec![owner]);
+            // A tag is bound to its nonce.
+            let mut other = nonce;
+            other[0] ^= 1;
+            hits.clear();
+            table.sweep(&other, &tag, &mut hits);
+            prop_assert_eq!(hits, oracle(&mirror, &other, &tag));
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Event {
 
     /// Looks up a routable attribute by name.
     pub fn attr(&self, name: impl AsRef<str>) -> Option<&AttrValue> {
-        self.attrs.get(&AttrName::new(name.as_ref()))
+        self.attrs.get(name.as_ref())
     }
 
     /// Iterates over all routable attributes in name order.

@@ -46,6 +46,15 @@ impl AsRef<str> for AttrName {
     }
 }
 
+/// Lets maps keyed by [`AttrName`] be probed with a plain `&str` (no
+/// allocation per lookup); sound because the derived `Eq`/`Ord`/`Hash`
+/// are those of the one `String` field.
+impl std::borrow::Borrow<str> for AttrName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl std::fmt::Display for AttrName {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.0)

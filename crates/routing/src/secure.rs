@@ -14,7 +14,7 @@
 //! (e.g. a numeric `age`) stay visible for in-network range matching; the
 //! secret payload is AES-encrypted under the hierarchy key.
 
-use psguard_crypto::{prf, prf_verify, PrfContext, Token};
+use psguard_crypto::{prf, prf_verify, ProbeTable, Token};
 use psguard_model::{AttrName, AttrValue, Constraint, Event, Filter};
 use psguard_siena::{FilterSemantics, IndexableFilter, KeyQuery};
 use rand::RngCore;
@@ -125,8 +125,8 @@ impl FilterSemantics for SecureFilter {
 /// the [`MatchIndex`](psguard_siena::MatchIndex) stores each distinct
 /// token **once** no matter how many subscribers share it (token
 /// interning) and performs a single PRF verification per distinct live
-/// token per event — memoized on the event's nonce, so a re-published
-/// envelope costs no PRF at all.
+/// token per event, all of them in one [`ProbeTable`] sweep — memoized on
+/// the event's nonce, so a re-published envelope costs no PRF at all.
 impl IndexableFilter for SecureFilter {
     type Key = Token;
 
@@ -148,22 +148,12 @@ impl IndexableFilter for SecureFilter {
         KeyQuery::Probe
     }
 
-    fn key_matches(key: &Token, event: &SecureEvent) -> bool {
-        event.tag.matches(key)
+    fn probe_token(key: &Token) -> Option<&Token> {
+        Some(key)
     }
 
-    /// Prepared-probe fast path: a [`PrfContext`] keyed by the bucket's
-    /// subscription token. Probing an event tag then costs two SHA-1
-    /// compressions (nonce + outer block) instead of four, with no heap
-    /// traffic — the decisive per-event cost at pipeline scale.
-    type ProbeContext = PrfContext;
-
-    fn probe_context(key: &Token) -> Option<PrfContext> {
-        Some(PrfContext::for_token(key))
-    }
-
-    fn context_matches(ctx: &PrfContext, event: &SecureEvent) -> bool {
-        ctx.verify(&event.tag.nonce, &event.tag.tag)
+    fn probe_sweep(table: &ProbeTable, event: &SecureEvent, hits: &mut Vec<u32>) {
+        table.sweep(&event.tag.nonce, &event.tag.tag, hits);
     }
 
     fn probe_memo_key(event: &SecureEvent) -> Option<u128> {

@@ -4,6 +4,8 @@
 //! `SecureFilter`, while performing one PRF verification per *distinct*
 //! token (not per subscription).
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 use psguard_crypto::{prf, Token};
 use psguard_model::{AttrValue, Constraint, Event, Op};
@@ -74,6 +76,54 @@ proptest! {
             let fast = table.matching_peers(event);
             let reference = table.matching_peers_linear(event);
             prop_assert_eq!(fast, reference);
+        }
+    }
+
+    /// Subscribe / unsubscribe churn: the sweep table follows the live
+    /// buckets, so an emptied bucket is skipped (and revived when its
+    /// token is subscribed again) and every sweep probes exactly the
+    /// distinct tokens that still have a subscription.
+    #[test]
+    fn churn_probes_exactly_the_live_distinct_tokens(
+        ops in prop::collection::vec((any::<bool>(), 0u32..4, filter_strategy()), 1..48),
+        events in prop::collection::vec(event_strategy(), 1..4),
+    ) {
+        let mut table: SubscriptionTable<SecureFilter> = SubscriptionTable::new();
+        for (subscribe, peer, filter) in ops {
+            let peer = Peer::Local(peer);
+            if subscribe {
+                table.insert(peer, filter);
+            } else {
+                // Half the leaves hit a live registration of this peer.
+                let target = table
+                    .entries()
+                    .iter()
+                    .find(|(p, f)| *p == peer && f.token == filter.token)
+                    .map_or(filter, |(_, f)| f.clone());
+                table.remove(peer, &target);
+            }
+            let live_tokens: HashSet<Token> =
+                table.entries().iter().map(|(_, f)| f.token).collect();
+            for event in &events {
+                let fast = table.matching_peers(event);
+                prop_assert_eq!(fast, table.matching_peers_linear(event));
+                let stats = table.last_match_stats();
+                // A no-op leave keeps the memo; everything else sweeps.
+                if stats.memo_hits == 0 {
+                    prop_assert_eq!(stats.key_probes, live_tokens.len() as u64);
+                } else {
+                    prop_assert_eq!(stats.key_probes, 0);
+                }
+            }
+        }
+        // Drain: every bucket empties and nothing is probed any more.
+        for peer in 0..4 {
+            table.remove_peer(Peer::Local(peer));
+        }
+        prop_assert!(table.is_empty());
+        for event in &events {
+            prop_assert!(table.matching_peers(event).is_empty());
+            prop_assert_eq!(table.last_match_stats().key_probes, 0);
         }
     }
 

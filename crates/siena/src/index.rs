@@ -15,7 +15,8 @@
 //!   secure filters this doubles as a **token interning table**: a
 //!   thousand subscribers of one topic store a single bucket key, and the
 //!   broker performs **one** PRF verification per *distinct* token per
-//!   event instead of one per subscription.
+//!   event instead of one per subscription — all of them in a single
+//!   [`ProbeTable`] sweep over pad states kept parallel to the buckets.
 //! * **Distinct-predicate evaluation.** Within a bucket, syntactically
 //!   identical constraints are interned once. Numeric constraints are
 //!   laid out per attribute in a boundary range sorted by lower bound, so
@@ -65,10 +66,6 @@
 //!   nothing and [`reserve`](MatchIndex::reserve) lets the sharded
 //!   pipeline size each shard's arenas once up front.
 //!
-//! The pre-rework layout is preserved verbatim as
-//! [`crate::LegacyMatchIndex`] so `e2e_scaling` can measure this rework
-//! against it at 1M entries and the property tests can cross-check both.
-//!
 //! The index reports its actual work per query ([`MatchStats`]), which
 //! the broker and the overlay engine use as the matching-cost input to
 //! the performance model — replacing the old `table.len()` proxy.
@@ -76,6 +73,7 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
 
+use psguard_crypto::{ProbeTable, Token};
 use psguard_model::{AttrName, AttrValue, Constraint, Op};
 
 use crate::semantics::FilterSemantics;
@@ -88,7 +86,7 @@ pub enum KeyQuery<K> {
     /// filters, where an event's topic is visible.
     Direct(Vec<K>),
     /// Candidate keys cannot be read off the event; every live bucket
-    /// key must be probed with [`IndexableFilter::key_matches`]: secure
+    /// key is probed in one [`IndexableFilter::probe_sweep`]: secure
     /// filters, where only a PRF test links a tag to a token.
     Probe,
 }
@@ -99,7 +97,7 @@ pub enum KeyQuery<K> {
 /// Implementations must satisfy, for every filter `f` and event `e`:
 /// `f.matches(e)` ⇔ *the event reaches `f`'s bucket* (per
 /// [`candidate_keys`](Self::candidate_keys) /
-/// [`key_matches`](Self::key_matches)) *and every constraint in
+/// [`probe_sweep`](Self::probe_sweep)) *and every constraint in
 /// [`indexed_constraints`](Self::indexed_constraints) holds on the
 /// attributes exposed by [`event_attr`](Self::event_attr)*. The
 /// index-vs-linear property tests in `tests/` pin this equivalence.
@@ -121,39 +119,20 @@ pub trait IndexableFilter: FilterSemantics + Hash {
     /// The buckets this event could match.
     fn candidate_keys(event: &Self::Event) -> KeyQuery<Self::Key>;
 
-    /// Probe-mode test: does the event's tag match this bucket key? Only
-    /// called when [`candidate_keys`](Self::candidate_keys) returns
-    /// [`KeyQuery::Probe`]; the default (for direct-keyed filters) is
-    /// never invoked.
-    fn key_matches(_key: &Self::Key, _event: &Self::Event) -> bool {
-        false
-    }
-
-    /// Reusable per-key probe state, e.g. a keyed PRF context with its
-    /// pad states precomputed ([`psguard_crypto::PrfContext`] for secure
-    /// filters). `()` for direct-keyed families that never probe.
-    type ProbeContext: Clone + Send + std::fmt::Debug + 'static;
-
-    /// Builds the reusable probe context for `key`. `None` (the default)
-    /// means the family has no prepared-probe fast path and
-    /// [`key_matches`](Self::key_matches) is always used.
-    ///
-    /// Only consulted by indexes created with
-    /// [`MatchIndex::with_prepared_probes`]: preparing a context keeps
-    /// key-equivalent digest state resident for the bucket's lifetime,
-    /// which is a deliberate memory/secrecy-vs-throughput trade the
-    /// caller opts into (see DESIGN.md §13).
-    fn probe_context(_key: &Self::Key) -> Option<Self::ProbeContext> {
+    /// Probe-mode families: the token that stands for `key` in the
+    /// index's [`ProbeTable`]. The index keys slot `b` with it while
+    /// bucket `b` is live and clears the slot when the bucket empties.
+    /// `None` (the default) for direct-keyed families, which never probe.
+    fn probe_token(_key: &Self::Key) -> Option<&Token> {
         None
     }
 
-    /// Probe-mode test via a prepared context. Must decide exactly like
-    /// [`key_matches`](Self::key_matches) for the key the context was
-    /// built from; the default (never called without a context) is
-    /// unreachable in practice.
-    fn context_matches(_ctx: &Self::ProbeContext, _event: &Self::Event) -> bool {
-        false
-    }
+    /// Probe-mode batch test, called once per event when
+    /// [`candidate_keys`](Self::candidate_keys) returns
+    /// [`KeyQuery::Probe`]: appends to `hits` the slot of every live
+    /// token in `table` that the event's tag matches. The default (for
+    /// direct-keyed filters) is never invoked.
+    fn probe_sweep(_table: &ProbeTable, _event: &Self::Event, _hits: &mut Vec<u32>) {}
 
     /// A stable per-event identity for memoizing probe results (the
     /// nonce of a secure tag). `None` disables the memo.
@@ -171,7 +150,6 @@ pub trait IndexableFilter: FilterSemantics + Hash {
 
 impl IndexableFilter for psguard_model::Filter {
     type Key = Option<String>;
-    type ProbeContext = ();
 
     fn routing_key(&self) -> Option<String> {
         self.topic().map(str::to_owned)
@@ -486,17 +464,17 @@ impl ChunkArena {
         }
     }
 
-    /// Whether `f` holds for any id in `list` (early exit).
-    fn any<G: FnMut(EntryId) -> bool>(&self, list: ChunkList, mut f: G) -> bool {
+    /// The first id in `list` for which `f` holds (early exit).
+    fn find<G: FnMut(EntryId) -> bool>(&self, list: ChunkList, mut f: G) -> Option<EntryId> {
         let mut cur = list.head;
         while cur != NIL {
             let ch = &self.chunks[cur as usize];
-            if ch.ids[..ch.len as usize].iter().any(|&id| f(id)) {
-                return true;
+            if let Some(&id) = ch.ids[..ch.len as usize].iter().find(|&&id| f(id)) {
+                return Some(id);
             }
             cur = ch.next;
         }
-        false
+        None
     }
 }
 
@@ -691,9 +669,8 @@ impl AttrSlot {
 /// All filters sharing one routing key. Everything variable-sized hangs
 /// off the shared arenas; the bucket itself only stores list handles
 /// and the interning map into the global pid space.
-#[derive(Debug, Clone)]
-struct Bucket<K> {
-    key: K,
+#[derive(Debug, Clone, Default)]
+struct Bucket {
     /// All live entries (kept strictly in sync by insert/remove); also
     /// the bucket-emptiness test via `entries.len`.
     entries: ChunkList,
@@ -705,17 +682,7 @@ struct Bucket<K> {
     pred_of: FxHashMap<Constraint, u32>,
 }
 
-impl<K> Bucket<K> {
-    fn new(key: K) -> Self {
-        Bucket {
-            key,
-            entries: ChunkList::default(),
-            unconstrained: ChunkList::default(),
-            attrs: Vec::new(),
-            pred_of: FxHashMap::default(),
-        }
-    }
-
+impl Bucket {
     fn attr_slot_mut(&mut self, name: &AttrName) -> &mut AttrSlot {
         let pos = match self.attrs.iter().position(|(n, _)| n == name) {
             Some(pos) => pos,
@@ -849,7 +816,7 @@ const PROBE_MEMO_CAP: usize = 1024;
 #[derive(Debug, Clone)]
 pub struct MatchIndex<F: IndexableFilter> {
     keys: FxHashMap<F::Key, u32>,
-    buckets: Vec<Bucket<F::Key>>,
+    buckets: Vec<Bucket>,
     store: PredStore,
     /// Hot per-entry records, indexed by [`EntryId`].
     hot: Vec<HotEntry>,
@@ -867,12 +834,10 @@ pub struct MatchIndex<F: IndexableFilter> {
     memo: FxHashMap<u128, (u32, u32)>,
     memo_slab: Vec<u32>,
     last_stats: MatchStats,
-    /// Whether buckets carry prepared probe contexts
-    /// ([`IndexableFilter::probe_context`]).
-    prepared: bool,
-    /// Per-bucket prepared probe context (parallel to `buckets`); `None`
-    /// when unprepared or the family has no context.
-    probe_ctxs: Vec<Option<F::ProbeContext>>,
+    /// Probe-mode families: slot `b` holds bucket `b`'s token pad states
+    /// while the bucket is live, so one sweep probes exactly the live
+    /// buckets. Stays empty for direct-keyed families.
+    probes: ProbeTable,
     /// `(seq, peer)` pairs of the query in flight, reused across
     /// queries. Carrying the pair (not the entry id) means the final
     /// sort-by-seq and the dedup pass never touch the entry arrays.
@@ -898,8 +863,7 @@ impl<F: IndexableFilter> Default for MatchIndex<F> {
             memo: FxHashMap::default(),
             memo_slab: Vec::new(),
             last_stats: MatchStats::default(),
-            prepared: false,
-            probe_ctxs: Vec::new(),
+            probes: ProbeTable::new(),
             matched_scratch: Vec::new(),
             cand_scratch: Vec::new(),
             seen_scratch: FxHashSet::default(),
@@ -911,17 +875,6 @@ impl<F: IndexableFilter> MatchIndex<F> {
     /// An empty index.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty index that builds a reusable probe context per bucket
-    /// ([`IndexableFilter::probe_context`]), amortizing keyed-PRF setup
-    /// across every probe of that key. Used by the sharded pipeline; the
-    /// default serial index keeps the one-shot probe path.
-    pub fn with_prepared_probes() -> Self {
-        MatchIndex {
-            prepared: true,
-            ..Self::default()
-        }
     }
 
     /// Live registrations.
@@ -975,16 +928,16 @@ impl<F: IndexableFilter> MatchIndex<F> {
             Some(&b) => b,
             None => {
                 let b = self.buckets.len() as u32;
-                self.probe_ctxs.push(if self.prepared {
-                    F::probe_context(&key)
-                } else {
-                    None
-                });
-                self.buckets.push(Bucket::new(key.clone()));
-                self.keys.insert(key, b);
+                self.buckets.push(Bucket::default());
+                self.keys.insert(key.clone(), b);
                 b
             }
         };
+        if self.buckets[bid as usize].entries.len == 0 {
+            if let Some(token) = F::probe_token(&key) {
+                self.probes.set(bid, token);
+            }
+        }
         let required = filter.indexed_constraints().len() as u32;
         self.next_seq = self.next_seq.max(seq.saturating_add(1));
         let id = match self.free_entries.pop() {
@@ -1037,23 +990,29 @@ impl<F: IndexableFilter> MatchIndex<F> {
             let constraints = cold[idx].filter.indexed_constraints();
             buckets[bid as usize].remove_entry(store, id, constraints);
         }
+        if self.buckets[bid as usize].entries.len == 0 {
+            self.probes.clear(bid);
+        }
         self.cold[idx].live = false;
         self.free_entries.push(id);
         self.live -= 1;
     }
 
-    /// Whether an identical `(peer, filter)` registration is live. Only
-    /// the filter's own bucket is scanned.
-    pub fn contains(&self, peer: Peer, filter: &F) -> bool {
-        let Some(&bid) = self.keys.get(&filter.routing_key()) else {
-            return false;
-        };
+    /// The entry id of the live `(peer, filter)` registration, if any.
+    /// Only the filter's own bucket is scanned.
+    pub fn find(&self, peer: Peer, filter: &F) -> Option<EntryId> {
+        let &bid = self.keys.get(&filter.routing_key())?;
         self.store
             .chunks
-            .any(self.buckets[bid as usize].entries, |id| {
+            .find(self.buckets[bid as usize].entries, |id| {
                 let idx = id as usize;
                 self.hot[idx].peer == peer && self.cold[idx].filter == *filter
             })
+    }
+
+    /// Whether an identical `(peer, filter)` registration is live.
+    pub fn contains(&self, peer: Peer, filter: &F) -> bool {
+        self.find(peer, filter).is_some()
     }
 
     /// Whether any live filter covers `filter`. Only buckets named by
@@ -1063,9 +1022,10 @@ impl<F: IndexableFilter> MatchIndex<F> {
             self.keys.get(key).is_some_and(|&bid| {
                 self.store
                     .chunks
-                    .any(self.buckets[bid as usize].entries, |id| {
+                    .find(self.buckets[bid as usize].entries, |id| {
                         self.cold[id as usize].filter.covers(filter)
                     })
+                    .is_some()
             })
         })
     }
@@ -1177,8 +1137,8 @@ impl<F: IndexableFilter> MatchIndex<F> {
         self.last_stats = stats;
     }
 
-    /// Probe mode: one key test per live bucket, memoized per event
-    /// nonce. Matching bucket ids are appended to `out`.
+    /// Probe mode: one sweep over the live buckets' tokens, memoized per
+    /// event nonce. Matching bucket ids are appended to `out`.
     fn probe_buckets(&mut self, event: &F::Event, stats: &mut MatchStats, out: &mut Vec<u32>) {
         let memo_key = F::probe_memo_key(event);
         if let Some(k) = memo_key {
@@ -1189,19 +1149,8 @@ impl<F: IndexableFilter> MatchIndex<F> {
             }
         }
         let start = out.len();
-        for (bid, bucket) in self.buckets.iter().enumerate() {
-            if bucket.entries.len == 0 {
-                continue;
-            }
-            stats.key_probes += 1;
-            let hit = match self.probe_ctxs.get(bid).and_then(Option::as_ref) {
-                Some(ctx) => F::context_matches(ctx, event),
-                None => F::key_matches(&bucket.key, event),
-            };
-            if hit {
-                out.push(bid as u32);
-            }
-        }
+        stats.key_probes += self.probes.len() as u64;
+        F::probe_sweep(&self.probes, event, out);
         if let Some(k) = memo_key {
             if self.memo.len() >= PROBE_MEMO_CAP {
                 // The memo is a pure cache: dropping it wholesale costs
@@ -1228,7 +1177,7 @@ impl<F: IndexableFilter> MatchIndex<F> {
 /// the caller can split-borrow: `bucket`/`store` shared, `hot` counters
 /// mutable.
 fn match_bucket<F: IndexableFilter>(
-    bucket: &Bucket<F::Key>,
+    bucket: &Bucket,
     store: &PredStore,
     hot: &mut [HotEntry],
     generation: u32,

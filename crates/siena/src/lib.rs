@@ -10,9 +10,8 @@
 //!   plaintext filters and PSGuard's tokenized envelopes;
 //! * [`SubscriptionTable`] — covering-aware subscription storage;
 //! * [`ShardedPipeline`] — the batch publish path: subscriptions hash-
-//!   partitioned across worker shards, matched in parallel with reusable
-//!   probe contexts, merged back into the serial broker's exact delivery
-//!   order;
+//!   partitioned across worker shards, matched in parallel, merged back
+//!   into the serial broker's exact delivery order;
 //! * [`Engine`] — a deterministic discrete-event overlay (full binary
 //!   broker trees, GT-ITM latencies, per-node queueing) used to reproduce
 //!   the throughput/latency figures;
@@ -41,7 +40,6 @@ mod error;
 mod fault;
 mod frame;
 mod index;
-mod index_legacy;
 pub mod log;
 mod pipeline;
 pub mod reactor;
@@ -59,7 +57,6 @@ pub use fault::{
 };
 pub use frame::{write_frames, Frame, FramePool, FramePoolStats, FrameWriteCursor, SharedFrame};
 pub use index::{EntryId, IndexableFilter, KeyQuery, MatchIndex, MatchStats};
-pub use index_legacy::LegacyMatchIndex;
 pub use log::{
     Cursor, EventLog, LogConfig, LogError, LogStats, RecoveryReport, ReplayCursor, ResumeOutcome,
 };

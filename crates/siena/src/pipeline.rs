@@ -3,8 +3,8 @@
 //! [`Broker::publish`](crate::Broker::publish) routes one event at a time
 //! through one [`MatchIndex`]: at 100k subscriptions the per-event PRF
 //! probes and delivery bookkeeping collapse throughput no matter how good
-//! the index is, because everything runs on one core and redoes keyed
-//! setup per probe. [`ShardedPipeline`] is the batch counterpart:
+//! the index is, because everything runs on one core.
+//! [`ShardedPipeline`] is the batch counterpart:
 //!
 //! * **Sharding.** Registrations are partitioned across `N` shards by the
 //!   hash of their routing key (topic bucket / subscription token), so
@@ -12,10 +12,6 @@
 //!   events can be matched against all shards concurrently via
 //!   [`std::thread::scope`]. `N = 1` degenerates to the serial path — no
 //!   threads are spawned.
-//! * **Prepared probe contexts.** Every shard index is created with
-//!   [`MatchIndex::with_prepared_probes`], so probe-keyed families (the
-//!   secure filters) pay keyed-PRF setup once per *bucket* instead of
-//!   once per *probe*.
 //! * **Deterministic merge.** Each registration gets a global sequence
 //!   number at the pipeline level ([`MatchIndex::insert_with_seq`]);
 //!   shards report matches as `(seq, peer)` pairs and the merge sorts by
@@ -142,7 +138,7 @@ struct Shard<F: IndexableFilter> {
 impl<F: IndexableFilter> Shard<F> {
     fn new() -> Self {
         Shard {
-            index: MatchIndex::with_prepared_probes(),
+            index: MatchIndex::new(),
             entries: Vec::new(),
             out: Vec::new(),
             ends: Vec::new(),

@@ -115,11 +115,12 @@ impl<F: IndexableFilter> SubscriptionTable<F> {
         if self.seen.get(&h).copied().unwrap_or(0) == 0 {
             return false;
         }
-        // Insert's idempotence guarantees at most one exact occurrence.
+        // Insert's idempotence guarantees at most one exact occurrence:
+        // find it through the filter's own bucket, then its row by id.
         let Some(pos) = self
-            .entries
-            .iter()
-            .position(|(p, f)| *p == peer && f == filter)
+            .index
+            .find(peer, filter)
+            .and_then(|id| self.ids.iter().position(|&i| i == id))
         else {
             return false;
         };

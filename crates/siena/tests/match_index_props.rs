@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use psguard_model::{AttrValue, Constraint, Event, Filter, IntRange, Op};
-use psguard_siena::{LegacyMatchIndex, MatchIndex, Peer, SubscriptionTable};
+use psguard_siena::{MatchIndex, Peer, SubscriptionTable};
 
 fn op_strategy() -> BoxedStrategy<Op> {
     prop_oneof![
@@ -120,15 +120,13 @@ proptest! {
         }
     }
 
-    /// The arena layout against two oracles at once: the frozen
-    /// pre-rework `LegacyMatchIndex` (identical operation sequence, so
-    /// results must be bit-identical, order included) and a brute-force
-    /// linear scan over the live mirror. Churn + reinsertion exercises
-    /// the entry free list, chunk recycling and boundary-range reuse;
-    /// starting the generation counter near `u32::MAX` drives the stamp
-    /// wraparound sweep mid-sequence.
+    /// The arena layout against a brute-force linear scan over the live
+    /// mirror. Churn + reinsertion exercises the entry free list, chunk
+    /// recycling and boundary-range reuse; starting the generation
+    /// counter near `u32::MAX` drives the stamp wraparound sweep
+    /// mid-sequence.
     #[test]
-    fn arena_index_agrees_with_legacy_and_linear_oracle(
+    fn arena_index_agrees_with_linear_oracle(
         subs in prop::collection::vec((0u32..6, filter_strategy()), 1..40),
         removal_mask in any::<u64>(),
         near_wraparound in any::<bool>(),
@@ -139,39 +137,29 @@ proptest! {
             // Few enough queries remain that the run crosses the wrap.
             arena.set_generation_for_tests(u32::MAX - 2);
         }
-        let mut legacy: LegacyMatchIndex<Filter> = LegacyMatchIndex::new();
         // Mirror: (seq, peer, filter, live) in insertion order.
         let mut mirror: Vec<(Peer, Filter, bool)> = Vec::new();
         let mut ids = Vec::new();
         for (peer, filter) in &subs {
             let peer = Peer::Child(*peer);
-            let a = arena.insert(peer, filter.clone());
-            let l = legacy.insert(peer, filter.clone());
-            prop_assert_eq!(a, l, "entry ids must track (free lists in sync)");
-            ids.push(a);
+            ids.push(arena.insert(peer, filter.clone()));
             mirror.push((peer, filter.clone(), true));
         }
         for (i, &id) in ids.iter().enumerate() {
             if removal_mask >> (i % 64) & 1 == 1 {
                 arena.remove(id);
-                legacy.remove(id);
                 mirror[i].2 = false;
             }
         }
-        // Reinsert the removed half: both layouts must recycle their
-        // freed slots the same way.
-        for (i, (peer, filter, live)) in mirror.clone().iter().enumerate() {
-            if !live {
-                let a = arena.insert(*peer, filter.clone());
-                let l = legacy.insert(*peer, filter.clone());
-                prop_assert_eq!(a, l, "reused ids must track");
-                mirror[i].2 = true; // same filter is live again (new seq)
+        // Reinsert the removed half into the freed slots.
+        for (peer, filter, live) in &mut mirror {
+            if !*live {
+                arena.insert(*peer, filter.clone());
+                *live = true; // same filter is live again (new seq)
             }
         }
         for event in &events {
             let fast = arena.query(event);
-            let frozen = legacy.query(event);
-            prop_assert_eq!(&fast, &frozen, "arena vs frozen layout");
             // The linear oracle loses the exact seq order for reinserted
             // entries (and `query` dedups peers), so compare as sorted
             // distinct-peer sets.

@@ -27,6 +27,9 @@ pub const TAINTED_TYPES: &[&str] = &[
     "PrfContext",
     "HmacContext",
     "AesContext",
+    // crypto: the broker's sweep table holds the pad states of every
+    // live subscription token.
+    "ProbeTable",
     // keys: hierarchy roots and authorization material.
     "Kdc",
     "NaktKeySpace",
@@ -159,9 +162,9 @@ pub struct ScopedRule {
 ///   (encode once, fan out `Arc` clones), so per-call allocating
 ///   conversions are banned. See DESIGN.md §14. The arena `MatchIndex`
 ///   and the sharded pipeline (DESIGN.md §18) are in scope too: a
-///   steady-state query must reuse its scratch, not re-collect.
-///   `index_legacy.rs` is deliberately *out* of scope — it is the
-///   frozen pre-rework layout kept as the measured baseline.
+///   steady-state query must reuse its scratch, not re-collect — and
+///   so is the `ProbeTable` sweep it runs per event
+///   (`crypto/src/context.rs`), whose hits land in that scratch.
 /// * `thread-per-connection` — the reactor transport's contract is a
 ///   *fixed* thread count; an unmarked `thread::spawn` is a regression
 ///   back toward thread-per-connection. `threaded.rs` is deliberately
@@ -193,6 +196,7 @@ pub const SCOPED_RULES: &[ScopedRule] = &[
             "crates/siena/src/reactor/",
             "crates/siena/src/index.rs",
             "crates/siena/src/pipeline.rs",
+            "crates/crypto/src/context.rs",
         ],
     },
     ScopedRule {
@@ -375,7 +379,7 @@ mod tests {
         assert!(hot_path_contains("crates/siena/src/reactor/broker.rs"));
         assert!(hot_path_contains("crates/siena/src/index.rs"));
         assert!(hot_path_contains("crates/siena/src/pipeline.rs"));
-        assert!(!hot_path_contains("crates/siena/src/index_legacy.rs"));
+        assert!(hot_path_contains("crates/crypto/src/context.rs"));
         assert!(!hot_path_contains("crates/siena/src/wire.rs"));
         assert!(spawn_scope_contains("crates/siena/src/reactor/client.rs"));
         assert!(spawn_scope_contains("crates/siena/src/tcp.rs"));

@@ -86,8 +86,8 @@ fn secret_hygiene_covers_reusable_crypto_contexts() {
         .filter(|f| f.rule == Rule::SecretHygiene)
         .collect();
     // derive(Debug) on PrfContext, derive(Serialize) on HmacContext,
-    // Display on AesContext.
-    assert!(secret.len() >= 3, "{secret:#?}");
+    // Display on AesContext, derive(Debug) on ProbeTable.
+    assert!(secret.len() >= 4, "{secret:#?}");
 }
 
 #[test]

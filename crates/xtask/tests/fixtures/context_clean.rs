@@ -25,6 +25,24 @@ impl std::fmt::Debug for AesContext {
     }
 }
 
+#[derive(Clone, Default)]
+pub struct ProbeTable {
+    slots: Vec<Option<PadState>>,
+    live: usize,
+}
+
+impl std::fmt::Debug for ProbeTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ProbeTable")
+            .field("live", &self.live)
+            .finish_non_exhaustive()
+    }
+}
+
 fn probe(ctx: &PrfContext, nonce: &[u8], tag: &Token) -> bool {
     ctx.verify(nonce, tag)
+}
+
+fn sweep(table: &ProbeTable, nonce: &[u8; 16], tag: &Token, hits: &mut Vec<u32>) {
+    table.sweep(nonce, tag, hits);
 }

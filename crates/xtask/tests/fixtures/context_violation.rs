@@ -15,6 +15,12 @@ pub struct HmacContext<D> {
     outer: D,
 }
 
+#[derive(Debug, Clone, Default)]
+pub struct ProbeTable {
+    slots: Vec<Option<PadState>>,
+    live: usize,
+}
+
 impl std::fmt::Display for AesContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:?}", self.cipher)
