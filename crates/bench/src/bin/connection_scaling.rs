@@ -2,11 +2,9 @@
 //!
 //! Holds {64, 1k, 10k} concurrent subscriber connections against one
 //! reactor broker and measures what the reactor is supposed to make
-//! flat: broker-side thread count and per-connection resident memory.
-//! Fan-out throughput (every publish delivered to every subscriber) is
-//! compared against the retained thread-per-connection baseline at 64
-//! connections — the largest point where 2-threads-per-conn is still a
-//! reasonable thing to ask of the machine.
+//! flat: broker-side thread count and per-connection resident memory,
+//! plus fan-out throughput (every publish delivered to every
+//! subscriber) at each scale.
 //!
 //! Subscribers are hosted in child processes (`--herd` mode, spawned
 //! from this same binary): with a 20k fd ceiling, 10k sockets cannot
@@ -28,7 +26,7 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use psguard_model::{Event, Filter};
-use psguard_siena::{spawn_broker_with, spawn_threaded_broker_with, ClientReactor, TcpConfig};
+use psguard_siena::{spawn_broker_with, ClientReactor, TcpConfig};
 
 /// Subscriber connections per herd child (5k sockets + slack per child).
 const CONNS_PER_CHILD: usize = 5_000;
@@ -210,7 +208,6 @@ impl Herd {
 // ------------------------------------------------------------- parent
 
 struct Point {
-    transport: &'static str,
     conns: usize,
     events: usize,
     deliveries: u64,
@@ -224,16 +221,13 @@ struct Point {
 
 /// One measured cell: RSS and thread deltas while `conns` subscriber
 /// connections are held, then the wall time for `events` publishes to
-/// reach every subscriber. `addr`/`stats` abstract over the two broker
-/// transports.
-fn measure_point(
-    transport: &'static str,
-    addr: SocketAddr,
-    conns: usize,
-    events: usize,
-    cfg: TcpConfig,
-    broker_threads: usize,
-) -> Point {
+/// reach every subscriber.
+fn measure_point(conns: usize, events: usize) -> Point {
+    let cfg = base_config(events);
+    let broker = spawn_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn broker");
+    let broker_threads = broker.thread_count();
+    let addr = broker.addr();
+
     let threads0 = process_threads();
     let rss0 = rss_bytes();
 
@@ -256,8 +250,15 @@ fn measure_point(
     herd.join();
     let deliveries: u64 = got.iter().sum();
 
+    assert_eq!(
+        broker.thread_count(),
+        broker_threads,
+        "broker thread count moved under {conns} connections"
+    );
+    let dropped_frames = broker.stats().dropped_frames;
+    broker.shutdown();
+
     Point {
-        transport,
         conns,
         events,
         deliveries,
@@ -266,33 +267,8 @@ fn measure_point(
         threads_delta_held,
         per_conn_rss,
         broker_threads,
-        dropped_frames: 0,
+        dropped_frames,
     }
-}
-
-fn measure_reactor(conns: usize, events: usize) -> Point {
-    let cfg = base_config(events);
-    let broker = spawn_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn broker");
-    let broker_threads = broker.thread_count();
-    let mut p = measure_point("reactor", broker.addr(), conns, events, cfg, broker_threads);
-    assert_eq!(
-        broker.thread_count(),
-        broker_threads,
-        "broker thread count moved under {conns} connections"
-    );
-    p.dropped_frames = broker.stats().dropped_frames;
-    broker.shutdown();
-    p
-}
-
-fn measure_threaded(conns: usize, events: usize) -> Point {
-    let cfg = base_config(events);
-    let broker =
-        spawn_threaded_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn broker");
-    let mut p = measure_point("threaded", broker.addr(), conns, events, cfg, 0);
-    p.dropped_frames = broker.stats().dropped_frames;
-    broker.shutdown();
-    p
 }
 
 fn main() {
@@ -316,35 +292,16 @@ fn main() {
     } else {
         &[(64, 2_000), (1_000, 128), (10_000, 16)]
     };
-    let (baseline_conns, baseline_events) = (64usize, if smoke { 400 } else { 2_000 });
 
     let mut points = Vec::new();
     for &(conns, events) in reactor_points {
-        let p = measure_reactor(conns, events);
+        let p = measure_point(conns, events);
         println!(
             "reactor   conns={:>6}  fanout {:>10.0} ev/s  threads+{}  {:>7.0} B/conn  drops={}",
             p.conns, p.fanout_eps, p.threads_delta_held, p.per_conn_rss, p.dropped_frames
         );
         points.push(p);
     }
-    let baseline = measure_threaded(baseline_conns, baseline_events);
-    println!(
-        "threaded  conns={:>6}  fanout {:>10.0} ev/s  threads+{}  {:>7.0} B/conn  drops={}",
-        baseline.conns,
-        baseline.fanout_eps,
-        baseline.threads_delta_held,
-        baseline.per_conn_rss,
-        baseline.dropped_frames
-    );
-
-    let reactor_64 = &points[0];
-    let vs_threaded = reactor_64.fanout_eps / baseline.fanout_eps;
-    println!(
-        "reactor vs threaded at {baseline_conns} conns: {vs_threaded:.2}x \
-         (threads held: +{} vs +{})",
-        reactor_64.threads_delta_held, baseline.threads_delta_held
-    );
-
     let mut json = String::from(
         "{\n  \"bench\": \"connection_scaling\",\n  \"unit\": \"deliveries_per_second\",\n",
     );
@@ -352,16 +309,13 @@ fn main() {
         json,
         "  \"payload_bytes\": {PAYLOAD}, \"worker_threads\": {WORKERS}, \"smoke\": {smoke},"
     );
-    let _ = writeln!(json, "  \"reactor_vs_threaded_64\": {vs_threaded:.3},");
     json.push_str("  \"points\": [\n");
-    let all: Vec<&Point> = points.iter().chain(std::iter::once(&baseline)).collect();
-    for (i, p) in all.iter().enumerate() {
+    for (i, p) in points.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"transport\": \"{}\", \"conns\": {}, \"events\": {}, \"deliveries\": {}, \
+            "    {{\"transport\": \"reactor\", \"conns\": {}, \"events\": {}, \"deliveries\": {}, \
              \"elapsed_s\": {:.3}, \"fanout_eps\": {:.1}, \"broker_threads\": {}, \
              \"threads_delta_held\": {}, \"per_conn_rss_bytes\": {:.1}, \"dropped_frames\": {}}}{}",
-            p.transport,
             p.conns,
             p.events,
             p.deliveries,
@@ -371,7 +325,7 @@ fn main() {
             p.threads_delta_held,
             p.per_conn_rss,
             p.dropped_frames,
-            if i + 1 < all.len() { "," } else { "" }
+            if i + 1 < points.len() { "," } else { "" }
         );
     }
     json.push_str("  ]\n}\n");
@@ -407,13 +361,4 @@ fn main() {
             p.dropped_frames
         );
     }
-    if smoke {
-        println!("smoke mode: skipping full-scale throughput assertion");
-        return;
-    }
-    assert!(
-        vs_threaded >= 0.9,
-        "reactor fan-out must at least match the threaded baseline at \
-         {baseline_conns} conns, got {vs_threaded:.2}x"
-    );
 }

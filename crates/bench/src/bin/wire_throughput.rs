@@ -11,7 +11,8 @@
 //! * **fastpath** — `FramePool::encode` once per event (prefix written
 //!   into the same pooled buffer), an `Arc` clone per recipient, and
 //!   per-connection batches drained through one coalesced
-//!   `write_frames` call, exactly as the TCP writer threads do.
+//!   `write_frames` call — the same cursor the reactor's connections
+//!   drain their batches through.
 //!
 //! A counting `#[global_allocator]` measures heap allocations per
 //! disseminated event on each path. Writes machine-readable results to

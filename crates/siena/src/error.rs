@@ -13,8 +13,8 @@ pub enum TcpError {
     Io(std::io::Error),
     /// A wait (connect, subscription ack, receive) exceeded its deadline.
     Timeout(Duration),
-    /// The connection supervisor has given up reconnecting (retry budget
-    /// exhausted) or the transport was shut down.
+    /// The client has given up reconnecting (retry budget exhausted) or
+    /// the transport was shut down.
     Disconnected,
     /// A bounded outbound queue was full and the overflow policy is
     /// [`OverflowPolicy::DropNewest`](crate::OverflowPolicy::DropNewest) —

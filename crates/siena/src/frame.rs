@@ -142,7 +142,7 @@ impl FramePool {
         self.inner.frames_encoded.fetch_add(1, Ordering::Relaxed);
         Arc::new(Frame {
             buf,
-            pool: Some(self.inner.clone()),
+            pool: self.inner.clone(),
         })
     }
 
@@ -167,7 +167,7 @@ impl FramePool {
 #[derive(Debug)]
 pub struct Frame {
     buf: Vec<u8>,
-    pool: Option<Arc<PoolInner>>,
+    pool: Arc<PoolInner>,
 }
 
 /// A reference-counted frame shared across per-connection writer queues:
@@ -175,21 +175,6 @@ pub struct Frame {
 pub type SharedFrame = Arc<Frame>;
 
 impl Frame {
-    /// The zero-length sentinel used by writer queues to request
-    /// shutdown; carries no bytes and belongs to no pool.
-    pub fn sentinel() -> SharedFrame {
-        Arc::new(Frame {
-            buf: Vec::new(),
-            pool: None,
-        })
-    }
-
-    /// True for the shutdown sentinel (no wire bytes at all — a real
-    /// frame always carries at least its 4-byte prefix).
-    pub fn is_sentinel(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The full on-socket bytes: length prefix followed by payload.
     pub fn wire_bytes(&self) -> &[u8] {
         &self.buf
@@ -214,9 +199,7 @@ impl Frame {
 
 impl Drop for Frame {
     fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.give_back(std::mem::take(&mut self.buf));
-        }
+        self.pool.give_back(std::mem::take(&mut self.buf));
     }
 }
 
@@ -232,8 +215,8 @@ const MAX_BATCH_SLICES: usize = 64;
 /// bytes already went out (`off`), so a partial write — including a
 /// nonblocking socket returning `WouldBlock` mid-batch — can be resumed
 /// on the *next* readiness event without re-sending anything. This is
-/// what lets the reactor drive the PR5 coalesced write path without
-/// parking a thread per connection: blocking writers loop
+/// what lets the reactor drive coalesced writes without parking a
+/// thread per connection: blocking writers loop
 /// [`write_step`](Self::write_step) to completion ([`write_frames`]),
 /// nonblocking writers call it once per readiness event and keep the
 /// cursor in their per-connection state.
@@ -269,8 +252,6 @@ impl FrameWriteCursor {
     /// (blocking writers) or yield until the next readiness event
     /// (`WouldBlock` from a nonblocking socket propagates unchanged).
     ///
-    /// Zero-length frames (queue sentinels) are skipped.
-    ///
     /// # Errors
     ///
     /// Propagates I/O errors; returns `WriteZero` if the writer accepts
@@ -280,8 +261,8 @@ impl FrameWriteCursor {
         w: &mut W,
         frames: &[SharedFrame],
     ) -> std::io::Result<usize> {
-        // Skip sentinels / already-consumed frames so the slice window
-        // below always starts at real bytes.
+        // Skip already-consumed frames so the slice window below always
+        // starts at real bytes.
         while frames
             .get(self.idx)
             .is_some_and(|f| f.wire_bytes().len() <= self.off)
@@ -341,7 +322,7 @@ pub fn write_frames<W: Write>(w: &mut W, frames: &[SharedFrame]) -> std::io::Res
     let mut cursor = FrameWriteCursor::new();
     while !cursor.done(frames) {
         if cursor.write_step(w, frames)? == 0 {
-            break; // only sentinels remained
+            break; // nothing left to write
         }
     }
     w.flush()
@@ -620,37 +601,5 @@ mod tests {
                 assert_eq!(read_frame(&mut cursor_bytes).unwrap(), f.payload());
             }
         }
-    }
-
-    #[test]
-    fn cursor_skips_sentinels_and_reports_done() {
-        let pool = FramePool::new();
-        let frames = vec![
-            Frame::sentinel(),
-            pool.encode(&publish(vec![1u8; 8])),
-            Frame::sentinel(),
-        ];
-        let mut w = CountingWriter::default();
-        let mut cursor = FrameWriteCursor::new();
-        while !cursor.done(&frames) {
-            if cursor.write_step(&mut w, &frames).unwrap() == 0 {
-                break;
-            }
-        }
-        let mut c = std::io::Cursor::new(w.bytes);
-        assert_eq!(read_frame(&mut c).unwrap(), frames[1].payload());
-        // An all-sentinel batch writes nothing and terminates.
-        let sentinels = vec![Frame::sentinel(), Frame::sentinel()];
-        let mut w = CountingWriter::default();
-        write_frames(&mut w, &sentinels).unwrap();
-        assert!(w.bytes.is_empty());
-    }
-
-    #[test]
-    fn sentinel_is_empty_and_poolless() {
-        let s = Frame::sentinel();
-        assert!(s.is_sentinel());
-        assert!(s.wire_bytes().is_empty());
-        assert!(s.payload().is_empty());
     }
 }

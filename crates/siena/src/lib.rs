@@ -15,8 +15,8 @@
 //! * [`Engine`] — a deterministic discrete-event overlay (full binary
 //!   broker trees, GT-ITM latencies, per-node queueing) used to reproduce
 //!   the throughput/latency figures;
-//! * [`spawn_broker`] / [`TcpClient`] — a real TCP transport with a framed
-//!   binary [`wire`] format.
+//! * [`spawn_broker`] / [`TcpClient`] — the TCP transport: a
+//!   readiness-driven [`reactor`] over a framed binary [`wire`] format.
 //!
 //! # Example
 //!
@@ -45,8 +45,6 @@ mod pipeline;
 pub mod reactor;
 mod semantics;
 mod table;
-mod tcp;
-pub mod threaded;
 pub mod wire;
 
 pub use broker::{Action, Broker, BrokerStats};
@@ -61,14 +59,11 @@ pub use log::{
     Cursor, EventLog, LogConfig, LogError, LogStats, RecoveryReport, ReplayCursor, ResumeOutcome,
 };
 pub use pipeline::{BatchDeliveries, PipelineStats, ShardedPipeline};
-pub use reactor::{ClientReactor, PollWaker, Poller, ReactorClient, ScanPoller, MAX_WORKERS};
+pub use reactor::{
+    spawn_broker, spawn_broker_durable, spawn_broker_with, ClientReactor, OverflowPolicy,
+    PollWaker, Poller, ReactorClient, ScanPoller, TcpBroker, TcpClient, TcpConfig, TcpStats,
+    MAX_WORKERS,
+};
 pub use semantics::FilterSemantics;
 pub use table::{Peer, SubscriptionTable};
-pub use tcp::{
-    spawn_broker, spawn_broker_durable, spawn_broker_with, OverflowPolicy, TcpBroker, TcpClient,
-    TcpConfig, TcpStats,
-};
-pub use threaded::{
-    spawn_threaded_broker, spawn_threaded_broker_with, ThreadedBroker, ThreadedClient,
-};
 pub use wire::{Message, Wire, WireError};

@@ -8,14 +8,13 @@
 //! nonblocking read/decode and coalesced-write state machines off a
 //! [`Poller`](super::poller::Poller).
 //!
-//! The pure [`Broker`] matching engine still lives in exactly one
-//! thread — the dispatcher — which also owns heartbeat ticks, eviction,
-//! and the parent-chained `SubAck` bookkeeping that PR2 introduced. The
-//! threaded transport drove ticks from a dedicated ticker thread; here
-//! they are synthesized from the dispatcher's `recv_timeout`, saving the
-//! thread. After every input batch the dispatcher wakes only the workers
-//! whose shards received frames (a 64-bit dirty mask), so an idle broker
-//! parks everywhere.
+//! The pure [`Broker`] matching engine lives in exactly one thread —
+//! the dispatcher — which also owns heartbeat ticks, eviction, and the
+//! parent-chained `SubAck` bookkeeping. Ticks are synthesized from the
+//! dispatcher's `recv_timeout`, so there is no ticker thread. After
+//! every input batch the dispatcher wakes only the workers whose shards
+//! received frames (a 64-bit dirty mask), so an idle broker parks
+//! everywhere.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -26,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 
+use super::config::{StatsInner, TcpConfig, TcpStats};
 use super::conn::OutQueue;
 use super::poller::{Poller, ScanPoller, DEFAULT_MAX_PARK};
 use super::worker::{run_broker_worker, WorkerHandle, WorkerMsg};
@@ -38,7 +38,6 @@ use crate::log::{
 };
 use crate::semantics::FilterSemantics;
 use crate::table::Peer;
-use crate::tcp::{StatsInner, TcpConfig, TcpStats};
 use crate::wire::{filter_crc, Message, Wire};
 
 /// Hard cap on the reactor worker pool (also the width of the
@@ -48,8 +47,8 @@ pub const MAX_WORKERS: usize = 64;
 /// Peer id reserved for the upward (parent) connection.
 const PARENT_ID: u32 = 0;
 
-/// Inputs to the dispatcher thread. Unlike the threaded transport there
-/// is no `Tick` variant: ticks are synthesized from `recv_timeout`.
+/// Inputs to the dispatcher thread. There is no `Tick` variant: ticks
+/// are synthesized from `recv_timeout`.
 pub(crate) enum Input<F: FilterSemantics> {
     /// A decoded message from connection `id` (0 = parent).
     FromPeer(u32, Message<F, F::Event>),
@@ -631,8 +630,7 @@ fn run_dispatcher<F>(
 }
 
 /// Per-tick work: fan a heartbeat to every peer and evict children that
-/// have been silent past the miss limit. Mirrors the threaded
-/// transport's `Input::Tick` arm.
+/// have been silent past the miss limit.
 #[allow(clippy::too_many_arguments)]
 fn tick<F>(
     broker: &mut Broker<F>,
@@ -672,10 +670,9 @@ fn tick<F>(
         }
         // Hard close, not flush-then-close: an evicted peer already
         // proved unresponsive, so a flush can never finish — the worker
-        // drops the socket immediately and counts unsent frames (the
-        // reactor's replacement for the threaded write_timeout
-        // backstop). Late frames the worker already decoded are ignored
-        // by the `FromPeer` ghost guard in `handle_input`.
+        // drops the socket immediately and counts unsent frames. Late
+        // frames the worker already decoded are ignored by the
+        // `FromPeer` ghost guard in `handle_input`.
         if let Some(h) = handles.get(id as usize % nworkers) {
             h.close(id);
         }

@@ -1,22 +1,19 @@
-//! The reactor-backed client: many broker connections on one thread.
+//! The client side: many broker connections on one thread.
 //!
 //! A [`ClientReactor`] owns a single I/O thread hosting any number of
-//! client connections as nonblocking state machines — versus the
-//! threaded transport's supervisor + per-epoch reader pair *per
-//! client*. [`TcpClient`] (the default, drop-in handle) bundles a
-//! private reactor with one connection: one thread per client instead
-//! of three. Scale tests and benches instead share one reactor across
+//! client connections as nonblocking state machines. [`TcpClient`]
+//! bundles a private reactor with one connection: one thread per
+//! client. Scale tests and benches instead share one reactor across
 //! hundreds of clients, which is how a single process holds thousands
 //! of subscriber connections with a flat thread count.
 //!
-//! All PR2 resilience behaviour moves from dedicated threads into the
-//! reactor's timer wheel: heartbeats are appended to the in-flight
-//! write batch when due, reconnects run capped exponential backoff with
-//! deterministic jitter and replay remembered subscriptions, and — new
-//! with the reactor — a client that hears *nothing* from its broker for
+//! Resilience runs off the reactor's timer wheel, not dedicated
+//! threads: heartbeats are appended to the in-flight write batch when
+//! due, reconnects run capped exponential backoff with deterministic
+//! jitter and replay remembered subscriptions, and a client that hears
+//! *nothing* from its broker for
 //! `heartbeat_interval × heartbeat_miss_limit` proactively abandons the
-//! socket and reconnects (the threaded client only noticed death via
-//! socket errors).
+//! socket and reconnects, without waiting for a socket error.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,6 +24,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::Mutex;
 
+use super::config::{jitter_step, OverflowPolicy, StatsInner, TcpConfig, TcpStats};
 use super::conn::{Conn, ConnStatus, OutQueue};
 use super::poller::{PollWaker, DEFAULT_MAX_PARK, PARK_BASE};
 use crate::error::TcpError;
@@ -34,7 +32,6 @@ use crate::fault::SeqDedup;
 use crate::frame::{FramePool, FramePoolStats, SharedFrame};
 use crate::log::{Cursor, ResumeOutcome};
 use crate::semantics::FilterSemantics;
-use crate::tcp::{jitter_step, OverflowPolicy, StatsInner, TcpConfig, TcpStats};
 use crate::wire::{filter_crc, Message, Wire};
 
 /// Shared read scratch for the reactor thread (all connections).
@@ -43,8 +40,7 @@ const SCRATCH_BYTES: usize = 64 * 1024;
 /// Bound on the best-effort final drain at shutdown.
 const SHUTDOWN_FLUSH_ROUNDS: usize = 100;
 
-/// Delivered-event channel capacity per connection (same bound as the
-/// threaded client).
+/// Delivered-event channel capacity per connection.
 const EVENT_CHANNEL_CAP: usize = 4096;
 
 /// Sequence numbers the client-side dedup window remembers. Bounds the
@@ -396,21 +392,27 @@ impl<F: FilterSemantics> Drop for ReactorClient<F> {
     }
 }
 
-/// The default TCP client: a [`ReactorClient`] bundled with a private
-/// single-connection [`ClientReactor`] — one OS thread per client
-/// (the threaded baseline costs three). Drop-in replacement for the
-/// threaded client's API.
+/// The TCP client: a [`ReactorClient`] (to which it dereferences)
+/// bundled with a private single-connection [`ClientReactor`] — one OS
+/// thread per client.
 pub struct TcpClient<F: FilterSemantics> {
     // Declaration order matters: the connection handle must drop (and
     // close its queue) before the reactor joins its thread.
     client: ReactorClient<F>,
-    #[allow(dead_code)]
-    reactor: ClientReactor<F>,
+    _reactor: ClientReactor<F>,
 }
 
 impl<F: FilterSemantics> std::fmt::Debug for TcpClient<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("TcpClient { .. }")
+    }
+}
+
+impl<F: FilterSemantics> std::ops::Deref for TcpClient<F> {
+    type Target = ReactorClient<F>;
+
+    fn deref(&self) -> &ReactorClient<F> {
+        &self.client
     }
 }
 
@@ -455,80 +457,10 @@ where
     ) -> Result<Self, TcpError> {
         let reactor = ClientReactor::<F>::with_config(cfg);
         let client = reactor.connect_resuming(broker, resume_from)?;
-        Ok(TcpClient { client, reactor })
-    }
-
-    /// Registers a subscription (remembered for replay on reconnect).
-    ///
-    /// # Errors
-    ///
-    /// As [`ReactorClient::subscribe`].
-    pub fn subscribe(&self, filter: F) -> Result<(), TcpError> {
-        self.client.subscribe(filter)
-    }
-
-    /// Registers a subscription and waits for the broker chain's ack.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReactorClient::subscribe_acked`].
-    pub fn subscribe_acked(&self, filter: F, timeout: Duration) -> Result<(), TcpError> {
-        self.client.subscribe_acked(filter, timeout)
-    }
-
-    /// Removes a subscription.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReactorClient::unsubscribe`].
-    pub fn unsubscribe(&self, filter: &F) -> Result<(), TcpError> {
-        self.client.unsubscribe(filter)
-    }
-
-    /// Publishes an event.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReactorClient::publish`].
-    pub fn publish(&self, event: F::Event) -> Result<(), TcpError> {
-        self.client.publish(event)
-    }
-
-    /// Waits up to `timeout` for the next delivered event.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<F::Event> {
-        self.client.recv_timeout(timeout)
-    }
-
-    /// Requests catch-up replay from a durable broker — see
-    /// [`ReactorClient::catch_up`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ReactorClient::subscribe`].
-    pub fn catch_up(&self) -> Result<(), TcpError> {
-        self.client.catch_up()
-    }
-
-    /// The last contiguously delivered cursor — see
-    /// [`ReactorClient::cursor`].
-    pub fn cursor(&self) -> Option<Cursor> {
-        self.client.cursor()
-    }
-
-    /// Waits up to `timeout` for the next resume classification — see
-    /// [`ReactorClient::recv_resume`].
-    pub fn recv_resume(&self, timeout: Duration) -> Option<ResumeOutcome> {
-        self.client.recv_resume(timeout)
-    }
-
-    /// Transport counters (reconnects, drops, heartbeats).
-    pub fn stats(&self) -> TcpStats {
-        self.client.stats()
-    }
-
-    /// Frame-pool counters for the client's outbound encode path.
-    pub fn pool_stats(&self) -> FramePoolStats {
-        self.client.pool_stats()
+        Ok(TcpClient {
+            client,
+            _reactor: reactor,
+        })
     }
 }
 

@@ -1,54 +1,9 @@
-//! Shared TCP transport surface: tuning knobs, counters, and the
-//! default (reactor-backed) broker/client entry points.
-//!
-//! Two interchangeable transports implement the same framed protocol:
-//!
-//! * [`crate::reactor`] — the default. A readiness-driven event loop:
-//!   nonblocking sockets polled by a [`Poller`](crate::Poller), a fixed
-//!   worker pool (N ≈ cores) driving per-connection read/decode/write
-//!   state machines. Thread count and per-connection memory stay flat as
-//!   connections grow (the C10K path). [`spawn_broker`] / [`TcpClient`]
-//!   re-exported here are this transport.
-//! * [`crate::threaded`] — the thread-per-connection baseline (2 OS
-//!   threads per broker peer, 2 per client). Retained for comparison
-//!   benchmarks and as a reference implementation of the protocol
-//!   semantics.
-//!
-//! Protocol behaviour is identical across both and hardened for failure:
-//!
-//! * **Bounded outbound queues** — every per-connection queue holds at
-//!   most [`TcpConfig::queue_capacity`] frames. The broker never blocks
-//!   its dispatcher on a slow consumer: overflowing frames are dropped
-//!   and counted ([`TcpStats::dropped_frames`]). Clients choose an
-//!   [`OverflowPolicy`].
-//! * **Heartbeats and eviction** — peers exchange heartbeats every
-//!   [`TcpConfig::heartbeat_interval`]; a broker evicts a child peer
-//!   (dropping its subscriptions, exactly as if it had disconnected)
-//!   after [`TcpConfig::heartbeat_miss_limit`] silent intervals.
-//! * **Client reconnection** — a client that loses its broker reconnects
-//!   with capped exponential backoff plus deterministic jitter, replaying
-//!   its subscriptions on every new connection, until
-//!   [`TcpConfig::max_reconnect_attempts`] consecutive failures.
-//! * **Readiness handshake** — `Subscribe` is acknowledged with `SubAck`
-//!   once the filter is installed *and*, when the broker had to forward
-//!   it upward, once the parent has acknowledged in turn.
-//! * **Zero-copy fan-out** — every outbound message is serialized once
-//!   into a pooled, reference-counted `SharedFrame`; a publish matched by
-//!   N subscriber connections enqueues N `Arc` clones of the same buffer,
-//!   never N copies of the bytes, drained through coalesced vectored
-//!   writes.
-//!
-//! The paper linked its 63-node overlay with "open TCP connections"
-//! (§5.2); these modules are the equivalent transport, used by the
-//! `broker_network` example and the integration tests.
+//! Transport tuning knobs ([`TcpConfig`], [`OverflowPolicy`]), the
+//! counters brokers and clients expose ([`TcpStats`]), and the
+//! deterministic reconnect jitter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-// The default transport: reactor-backed broker and client.
-pub use crate::reactor::{
-    spawn_broker, spawn_broker_durable, spawn_broker_with, TcpBroker, TcpClient,
-};
 
 /// What to do when a bounded outbound queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,21 +15,11 @@ pub enum OverflowPolicy {
     DropNewest,
 }
 
-/// Transport tuning knobs, shared by brokers and clients (and by both
-/// the reactor and thread-per-connection transports).
+/// Transport tuning knobs, shared by brokers and clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpConfig {
     /// Deadline for establishing a TCP connection.
     pub connect_timeout: Duration,
-    /// Socket read timeout — in the threaded transport, the granularity
-    /// at which reader threads notice shutdown. The reactor uses
-    /// nonblocking reads and treats this only as a lower bound on its
-    /// idle poll latency.
-    pub read_timeout: Duration,
-    /// Socket write timeout (threaded transport): a peer that stops
-    /// draining its socket for this long is treated as dead. The reactor
-    /// relies on bounded queues plus heartbeat eviction instead.
-    pub write_timeout: Duration,
     /// Capacity of each bounded outbound frame queue.
     pub queue_capacity: usize,
     /// Client-side policy when the outbound queue is full (the broker
@@ -96,10 +41,9 @@ pub struct TcpConfig {
     pub max_reconnect_attempts: u32,
     /// Seed for the deterministic reconnect jitter.
     pub jitter_seed: u64,
-    /// Reactor broker worker-pool size. `0` (the default) resolves to
-    /// the number of available CPU cores, clamped to
-    /// [`MAX_WORKERS`](crate::reactor::MAX_WORKERS). Ignored by the
-    /// threaded transport.
+    /// Broker worker-pool size. `0` (the default) resolves to the
+    /// number of available CPU cores, clamped to
+    /// [`MAX_WORKERS`](super::MAX_WORKERS). Clients ignore it.
     pub worker_threads: usize,
 }
 
@@ -107,8 +51,6 @@ impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             connect_timeout: Duration::from_secs(3),
-            read_timeout: Duration::from_millis(200),
-            write_timeout: Duration::from_secs(5),
             queue_capacity: 1024,
             overflow: OverflowPolicy::Block,
             heartbeat_interval: Duration::from_millis(500),
@@ -122,7 +64,8 @@ impl Default for TcpConfig {
     }
 }
 
-/// Counters exposed by [`TcpBroker::stats`] / [`TcpClient::stats`].
+/// Counters exposed by [`TcpBroker::stats`](super::TcpBroker::stats) /
+/// [`ReactorClient::stats`](super::ReactorClient::stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpStats {
     /// Child peers evicted after missed heartbeats (broker only).

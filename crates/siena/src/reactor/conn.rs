@@ -5,9 +5,8 @@
 //! readiness-driven worker needs to resume it mid-operation:
 //!
 //! * outbound: an [`OutQueue`] of [`SharedFrame`]s feeding a write batch
-//!   drained through [`FrameWriteCursor`] — the PR5 coalesced vectored
-//!   write path, now resumable across readiness events instead of
-//!   blocking a writer thread;
+//!   drained through [`FrameWriteCursor`] — coalesced vectored writes,
+//!   resumable across readiness events so no thread blocks on a socket;
 //! * inbound: a reusable accumulation buffer parsed incrementally —
 //!   length prefix, [`MAX_FRAME`] bound, then message decode — so a
 //!   frame split across arbitrarily many TCP segments costs no extra
@@ -58,8 +57,7 @@ struct OutInner {
 /// reactor worker. Frames are `Arc` clones — enqueueing never copies
 /// bytes. Closing the queue is the reactor's flush-then-close signal:
 /// already-queued frames still drain, after which the worker finishes
-/// the connection (this replaces the threaded transport's sentinel
-/// frame).
+/// the connection.
 #[derive(Debug)]
 pub(crate) struct OutQueue {
     inner: Mutex<OutInner>,
@@ -242,7 +240,7 @@ impl Conn {
                 }
             }
             match self.wcur.write_step(&mut self.stream, &self.wbatch) {
-                Ok(0) => {} // batch was all sentinels; refill
+                Ok(0) => {} // nothing left in the batch; refill
                 Ok(_) => progress = true,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     return (progress, ConnStatus::Open);

@@ -18,7 +18,7 @@
 //! call must appear in `ready`. An `epoll`-style backend would sharpen
 //! the same contract (kernel-filtered ready sets + an eventfd-style
 //! waker) behind this trait without touching the workers; see DESIGN.md
-//! §15 for the tradeoff discussion.
+//! §14 for the tradeoff discussion.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -17,10 +17,10 @@ use std::time::Duration;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 
 use super::broker::Input;
+use super::config::StatsInner;
 use super::conn::{Conn, ConnStatus, OutQueue};
 use super::poller::{PollWaker, Poller};
 use crate::semantics::FilterSemantics;
-use crate::tcp::StatsInner;
 use crate::wire::Wire;
 
 /// Shared read scratch size per worker (one buffer serves every

@@ -1,7 +1,7 @@
 //! Fault injection on the TCP transport: protocol violations, abrupt
 //! disconnects, and oversized frames must not take a broker down.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -30,6 +30,21 @@ fn garbage_frames_do_not_kill_the_broker() {
         let mut s = TcpStream::connect(broker.addr()).expect("connect");
         s.write_all(&[0u8; 3]).expect("write");
         // Dropping mid-frame simulates a crash.
+    }
+    // …and a third sends a zero-length frame, which decodes to no
+    // message: the broker closes that connection.
+    {
+        let mut s = TcpStream::connect(broker.addr()).expect("connect");
+        s.write_all(&[0u8; 4]).expect("write");
+        s.set_read_timeout(Some(ACK_WAIT)).expect("timeout");
+        // EOF or a reset, not a timeout: the broker dropped this peer.
+        if let Err(e) = s.read_to_end(&mut Vec::new()) {
+            let timed_out = matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            );
+            assert!(!timed_out, "zero-length frame did not get the peer dropped");
+        }
     }
 
     // The broker still serves well-behaved clients.

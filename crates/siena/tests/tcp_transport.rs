@@ -98,7 +98,6 @@ fn unsubscribe_stops_replay_and_delivery() {
 fn client_reconnects_and_replays_subscriptions() {
     let cfg = TcpConfig {
         heartbeat_interval: Duration::from_millis(50),
-        read_timeout: Duration::from_millis(50),
         reconnect_initial: Duration::from_millis(25),
         reconnect_max: Duration::from_millis(100),
         max_reconnect_attempts: 200,
@@ -144,7 +143,6 @@ fn silent_peer_is_evicted_after_missed_heartbeats() {
     let cfg = TcpConfig {
         heartbeat_interval: Duration::from_millis(50),
         heartbeat_miss_limit: 3,
-        read_timeout: Duration::from_millis(50),
         ..TcpConfig::default()
     };
     let broker = spawn_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn");
@@ -261,12 +259,11 @@ fn drop_newest_backpressure_is_reported() {
         queue_capacity: 2,
         overflow: OverflowPolicy::DropNewest,
         heartbeat_interval: Duration::ZERO,
-        write_timeout: Duration::from_millis(200),
         ..TcpConfig::default()
     };
     // A bare listener whose accepted socket is never read: client frames
-    // fill the kernel buffer, the supervisor blocks in write, and the
-    // tiny command queue overflows.
+    // fill the kernel buffer, the reactor's writes stop making
+    // progress, and the tiny outbound queue overflows.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let _keep = std::thread::spawn(move || {

@@ -155,7 +155,7 @@ pub struct ScopedRule {
 ///
 /// * `sim-determinism` — code reachable from the seeded simulator must
 ///   not read wall clocks, sleep, or draw OS randomness.
-///   `siena/src/tcp.rs` is the real-transport boundary and is
+///   `siena/src/reactor/` is the real-transport boundary and is
 ///   deliberately *not* in scope.
 /// * `hot-path-alloc` — the allocation-free dissemination hot path:
 ///   per-message serialization goes through the shared `FramePool`
@@ -167,8 +167,7 @@ pub struct ScopedRule {
 ///   (`crypto/src/context.rs`), whose hits land in that scratch.
 /// * `thread-per-connection` — the reactor transport's contract is a
 ///   *fixed* thread count; an unmarked `thread::spawn` is a regression
-///   back toward thread-per-connection. `threaded.rs` is deliberately
-///   out of scope: it is the retained thread-per-connection baseline.
+///   back toward thread-per-connection.
 /// * `ciphertext-at-rest` — the durable event log stores already-encoded
 ///   opaque bytes; naming the plaintext model there means structured
 ///   plaintext is being (de)serialized onto the disk path.
@@ -191,8 +190,6 @@ pub const SCOPED_RULES: &[ScopedRule] = &[
     ScopedRule {
         rule: "hot-path-alloc",
         paths: &[
-            "crates/siena/src/tcp.rs",
-            "crates/siena/src/threaded.rs",
             "crates/siena/src/reactor/",
             "crates/siena/src/index.rs",
             "crates/siena/src/pipeline.rs",
@@ -201,7 +198,7 @@ pub const SCOPED_RULES: &[ScopedRule] = &[
     },
     ScopedRule {
         rule: "thread-per-connection",
-        paths: &["crates/siena/src/tcp.rs", "crates/siena/src/reactor/"],
+        paths: &["crates/siena/src/reactor/"],
     },
     ScopedRule {
         rule: "ciphertext-at-rest",
@@ -210,9 +207,7 @@ pub const SCOPED_RULES: &[ScopedRule] = &[
     ScopedRule {
         rule: "taint-sink",
         paths: &[
-            "crates/siena/src/tcp.rs",
             "crates/siena/src/wire.rs",
-            "crates/siena/src/threaded.rs",
             "crates/siena/src/reactor/",
             "crates/siena/src/log/",
         ],
@@ -373,17 +368,15 @@ mod tests {
         assert!(!panic_scope_contains("crates/crypto/src/bin/tool.rs"));
         assert!(determinism_scope_contains("crates/net/src/sim.rs"));
         assert!(determinism_scope_contains("crates/siena/src/fault.rs"));
-        assert!(!determinism_scope_contains("crates/siena/src/tcp.rs"));
-        assert!(hot_path_contains("crates/siena/src/tcp.rs"));
-        assert!(hot_path_contains("crates/siena/src/threaded.rs"));
+        assert!(!determinism_scope_contains(
+            "crates/siena/src/reactor/config.rs"
+        ));
         assert!(hot_path_contains("crates/siena/src/reactor/broker.rs"));
         assert!(hot_path_contains("crates/siena/src/index.rs"));
         assert!(hot_path_contains("crates/siena/src/pipeline.rs"));
         assert!(hot_path_contains("crates/crypto/src/context.rs"));
         assert!(!hot_path_contains("crates/siena/src/wire.rs"));
         assert!(spawn_scope_contains("crates/siena/src/reactor/client.rs"));
-        assert!(spawn_scope_contains("crates/siena/src/tcp.rs"));
-        assert!(!spawn_scope_contains("crates/siena/src/threaded.rs"));
         assert!(ciphertext_scope_contains("crates/siena/src/log/mod.rs"));
         assert!(ciphertext_scope_contains("crates/siena/src/log/segment.rs"));
         assert!(!ciphertext_scope_contains("crates/siena/src/wire.rs"));

@@ -541,18 +541,18 @@ mod tests {
     }
 
     #[test]
-    fn instant_in_sim_scope_flagged_but_tcp_exempt() {
+    fn instant_in_sim_scope_flagged_but_transport_exempt() {
         let src = "use std::time::Instant;\nfn f() { let t = Instant::now(); }\n";
-        assert!(scan("crates/siena/src/tcp.rs", src).is_empty());
+        assert!(scan("crates/siena/src/reactor/conn.rs", src).is_empty());
         let f = scan("crates/net/src/sim.rs", src);
         assert!(f.iter().all(|x| x.rule == Rule::SimDeterminism));
         assert!(f.len() >= 2);
     }
 
     #[test]
-    fn to_bytes_in_tcp_hot_path_flagged() {
+    fn to_bytes_in_transport_hot_path_flagged() {
         let f = scan(
-            "crates/siena/src/tcp.rs",
+            "crates/siena/src/reactor/conn.rs",
             "fn fan_out(msg: &Msg) { for w in writers { offer(w, msg.to_bytes()); } }\n",
         );
         assert_eq!(f.len(), 1, "{f:?}");
@@ -561,9 +561,9 @@ mod tests {
     }
 
     #[test]
-    fn to_vec_in_tcp_hot_path_flagged() {
+    fn to_vec_in_transport_hot_path_flagged() {
         let f = scan(
-            "crates/siena/src/tcp.rs",
+            "crates/siena/src/reactor/conn.rs",
             "fn f(frame: &[u8]) { queue.push(frame.to_vec()); }\n",
         );
         assert_eq!(f.len(), 1, "{f:?}");
@@ -583,14 +583,14 @@ mod tests {
     fn to_bytes_on_hot_path_test_lines_not_flagged() {
         let src = "fn lib(m: &Msg) -> Vec<u8> { pool.encode(m) }\n\
                    #[cfg(test)]\nmod tests {\n  fn t(m: &Msg) { m.to_bytes(); }\n}\n";
-        let f = scan("crates/siena/src/tcp.rs", src);
+        let f = scan("crates/siena/src/reactor/conn.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn similar_names_are_not_hot_path_allocs() {
         let f = scan(
-            "crates/siena/src/tcp.rs",
+            "crates/siena/src/reactor/conn.rs",
             "fn f(s: &str) { s.to_owned(); to_vec(s); let to_bytes = 1; }\n",
         );
         assert!(f.is_empty(), "{f:?}");
@@ -622,15 +622,6 @@ mod tests {
         let src = "fn start() { spawn_broker(addr); }\n\
                    #[cfg(test)]\nmod tests {\n  fn t() { std::thread::spawn(|| {}); }\n}\n";
         let f = scan("crates/siena/src/reactor/broker.rs", src);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn spawn_in_threaded_baseline_is_out_of_scope() {
-        let f = scan(
-            "crates/siena/src/threaded.rs",
-            "fn reader(s: TcpStream) { std::thread::spawn(move || pump(s)); }\n",
-        );
         assert!(f.is_empty(), "{f:?}");
     }
 

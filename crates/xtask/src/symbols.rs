@@ -95,8 +95,8 @@ impl SymbolTable {
     /// qualifier is unknown (a module path, an std type like
     /// `TcpStream`) only *free* functions with the bare name may match —
     /// falling back to someone's method of the same name would invent
-    /// edges (`TcpStream::connect` aliasing into `ThreadedClient::
-    /// connect`). Unqualified and method calls resolve by bare name only
+    /// edges (`TcpStream::connect` aliasing into `TcpClient::connect`).
+    /// Unqualified and method calls resolve by bare name only
     /// when unambiguous, with same-file candidates preferred (same-
     /// module items are in scope without import). Ambiguous method
     /// names produce no edge: for the reactor-safety reachability pass

@@ -176,7 +176,10 @@ fn determinism_passes_clean_snippet_and_ignores_sleep_field() {
 
 #[test]
 fn determinism_rule_only_applies_in_scope() {
-    let findings = scan("crates/siena/src/tcp.rs", "determinism_violation.rs");
+    let findings = scan(
+        "crates/siena/src/reactor/fixture.rs",
+        "determinism_violation.rs",
+    );
     let det: Vec<_> = findings
         .iter()
         .filter(|f| f.rule == Rule::SimDeterminism)
@@ -199,18 +202,6 @@ fn thread_per_connection_catches_seeded_violations() {
 #[test]
 fn thread_per_connection_passes_clean_snippet() {
     let findings = scan("crates/siena/src/reactor/fixture.rs", "spawn_clean.rs");
-    let spawns: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == Rule::ThreadPerConnection)
-        .collect();
-    assert!(spawns.is_empty(), "{spawns:#?}");
-}
-
-#[test]
-fn thread_per_connection_exempts_threaded_baseline() {
-    // threaded.rs is the retained thread-per-connection baseline; its
-    // spawns are the documented design, not a regression.
-    let findings = scan("crates/siena/src/threaded.rs", "spawn_violation.rs");
     let spawns: Vec<_> = findings
         .iter()
         .filter(|f| f.rule == Rule::ThreadPerConnection)
