@@ -6,9 +6,10 @@
 //! to positions in that stream — generated deterministically from a
 //! seed. The same trace drives two very different consumers:
 //!
-//! * the `e2e_scaling` bench replays it against a `ShardedPipeline`
+//! * the `e2e_scaling` bench replays it through `Broker::route`
 //!   (publisher encrypt → match → wire fan-out) to measure throughput
-//!   under adversarial shapes, and
+//!   under adversarial shapes (the `e2e_smoke` test replays the same
+//!   mapping against a brute-force oracle), and
 //! * the chaos suite replays it through the overlay engine under a
 //!   seeded `FaultPlan` and asserts exactly-once delivery.
 //!

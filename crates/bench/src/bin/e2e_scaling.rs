@@ -1,14 +1,15 @@
 //! Million-subscriber end-to-end macro-bench: publisher encrypt →
-//! `ShardedPipeline` match → wire fan-out, under adversarial workloads.
+//! `Broker::route` match → wire fan-out, under adversarial workloads.
 //!
 //! Two sections, both landing in `BENCH_e2e.json`:
 //!
 //! * **sizes** — the e2e trajectory over {10k, 100k, 1M} subscriptions:
 //!   each measured pass AES-CBC-encrypts the payload, PRF-tags the
-//!   topic, batches events through the sharded pipeline (one
-//!   `ProbeTable` sweep per shard per event), then encodes each
-//!   delivered event once into a
-//!   pooled wire frame and charges its bytes per recipient.
+//!   topic in batches, routes each event through the broker's match
+//!   driver (one `ProbeTable` sweep per event, recipients as a slice
+//!   over reused scratch), then encodes each delivered event once into
+//!   a pooled wire frame and charges its bytes per recipient — the
+//!   reactor dispatcher's encode-once fan-out.
 //! * **scenarios** — every [`ScenarioKind`] replayed end-to-end with
 //!   churn and revocations applied at their pinned positions.
 //!
@@ -18,19 +19,16 @@
 
 use std::time::Instant;
 
-use psguard_analysis::{ChurnKind, ScenarioConfig, ScenarioKind, ScenarioTrace};
+use psguard_analysis::{ChurnKind, PublishOp, ScenarioConfig, ScenarioKind, ScenarioTrace};
 use psguard_bench::support::{assert_floor, measure, write_bench_json, Json};
 use psguard_crypto::{cbc_encrypt, kh, prf, Aes128, Token};
 use psguard_model::{Constraint, Event, IntRange, Op};
 use psguard_routing::{RoutableTag, SecureEvent, SecureFilter};
-use psguard_siena::{BatchDeliveries, FramePool, Message, Peer, ShardedPipeline};
+use psguard_siena::{Broker, FramePool, Message, Peer};
 
 /// Distinct topics (Zipf ranks = live tokens probed per event).
 const TOPICS: usize = 256;
-/// Pipeline shards (recorded in the JSON; the box is single-core, so
-/// this measures the sharded code path, not parallel speedup).
-const SHARDS: usize = 4;
-/// Events per `publish_batch` call.
+/// Events encrypted per batch before routing.
 const BATCH: usize = 256;
 /// Plaintext payload bytes per event (encrypted in the measured loop).
 const PAYLOAD: usize = 256;
@@ -81,44 +79,65 @@ fn encrypt_event(
     }
 }
 
+/// Routes one batch through `broker` and encodes each delivered event
+/// once, calling `fan_out(recipients, frame_bytes)` per delivered event.
+/// Returns the batch's matching work.
+fn route_batch(
+    broker: &mut Broker<SecureFilter>,
+    batch: Vec<SecureEvent>,
+    pool: &FramePool,
+    mut fan_out: impl FnMut(usize, usize),
+) -> u64 {
+    let mut work = 0;
+    for event in batch {
+        let recipients = broker.route(Peer::Parent, &event).len();
+        work += broker.last_match_work();
+        if recipients > 0 {
+            // Encode once, fan the shared frame out to every recipient.
+            let frame = pool.encode(&Message::<SecureFilter, SecureEvent>::Publish(event));
+            fan_out(recipients, frame.wire_bytes().len());
+        }
+    }
+    work
+}
+
+/// Encrypts one batch of the trace's publish stream, numbering events
+/// from `seq`.
+fn encrypt_batch(
+    cipher: &Aes128,
+    tokens: &[Token],
+    chunk: &[PublishOp],
+    seq: u64,
+    plaintext: &[u8],
+) -> Vec<SecureEvent> {
+    (seq..)
+        .zip(chunk)
+        .map(|(seq, p)| encrypt_event(cipher, tokens, p.topic, p.value, seq, plaintext))
+        .collect()
+}
+
 /// One full e2e pass over the trace's publish stream: encrypt, match,
-/// wire-encode, charge bytes per recipient. Returns (deliveries, bytes).
-#[allow(clippy::too_many_arguments)]
+/// wire-encode, charge bytes per recipient. Returns (deliveries, bytes,
+/// matching work of the last batch).
 fn e2e_pass(
-    pipeline: &mut ShardedPipeline<SecureFilter>,
+    broker: &mut Broker<SecureFilter>,
     cipher: &Aes128,
     tokens: &[Token],
     trace: &ScenarioTrace,
     plaintext: &[u8],
     pool: &FramePool,
-    batch_buf: &mut Vec<SecureEvent>,
-    deliveries_buf: &mut BatchDeliveries,
-) -> (u64, u64) {
+) -> (u64, u64, u64) {
     let mut delivered = 0u64;
     let mut bytes = 0u64;
-    let mut seq = 0u64;
-    for chunk in trace.publishes.chunks(BATCH) {
-        batch_buf.clear();
-        for p in chunk {
-            batch_buf.push(encrypt_event(
-                cipher, tokens, p.topic, p.value, seq, plaintext,
-            ));
-            seq += 1;
-        }
-        pipeline.publish_batch_into(Peer::Parent, batch_buf, deliveries_buf);
-        for (i, peers) in deliveries_buf.iter().enumerate() {
-            if peers.is_empty() {
-                continue;
-            }
-            // Encode once, fan the shared frame out to every recipient.
-            let frame = pool.encode(&Message::<SecureFilter, SecureEvent>::Publish(
-                batch_buf[i].clone(),
-            ));
-            delivered += peers.len() as u64;
-            bytes += (frame.wire_bytes().len() * peers.len()) as u64;
-        }
+    let mut batch_work = 0u64;
+    for (i, chunk) in trace.publishes.chunks(BATCH).enumerate() {
+        let batch = encrypt_batch(cipher, tokens, chunk, (i * BATCH) as u64, plaintext);
+        batch_work = route_batch(broker, batch, pool, |recipients, frame_bytes| {
+            delivered += recipients as u64;
+            bytes += (frame_bytes * recipients) as u64;
+        });
     }
-    (delivered, bytes)
+    (delivered, bytes, batch_work)
 }
 
 struct SizeRow {
@@ -144,32 +163,20 @@ fn run_size(n: usize, events: usize, min_ms: u128, tokens: &[Token]) -> SizeRow 
     };
     let trace = ScenarioTrace::generate(&cfg);
 
-    let mut pipeline: ShardedPipeline<SecureFilter> =
-        ShardedPipeline::with_capacity(true, SHARDS, n);
+    let mut broker: Broker<SecureFilter> = Broker::new(true);
     for s in &trace.initial {
-        pipeline.subscribe(Peer::Local(s.client), secure_filter(s.topic, s.lo, s.hi));
+        broker.subscribe(Peer::Local(s.client), secure_filter(s.topic, s.lo, s.hi));
     }
 
     let cipher = Aes128::new(&[0x42; 16]);
     let plaintext = vec![0xABu8; PAYLOAD];
     let pool = FramePool::new();
-    let mut batch_buf = Vec::with_capacity(BATCH);
-    let mut deliveries_buf = BatchDeliveries::new();
     let mut delivered = 0u64;
     let mut bytes = 0u64;
+    let mut batch_work = 0u64;
     let m = measure(1, 1, min_ms, |_| {
-        let (d, b) = e2e_pass(
-            &mut pipeline,
-            &cipher,
-            tokens,
-            &trace,
-            &plaintext,
-            &pool,
-            &mut batch_buf,
-            &mut deliveries_buf,
-        );
-        delivered = d;
-        bytes = b;
+        (delivered, bytes, batch_work) =
+            e2e_pass(&mut broker, &cipher, tokens, &trace, &plaintext, &pool);
     });
     let eps = m.per_sec * trace.publishes.len() as f64;
     let row = SizeRow {
@@ -178,7 +185,7 @@ fn run_size(n: usize, events: usize, min_ms: u128, tokens: &[Token]) -> SizeRow 
         iters: m.iters,
         delivered_per_pass: delivered,
         wire_mb_per_pass: bytes as f64 / 1e6,
-        batch_work: pipeline.last_batch_work(),
+        batch_work,
     };
     println!(
         "n={n:>8}  e2e {eps:>11.0} ev/s ({} passes)  fanout/pass {delivered}  wire {:.1} MB/pass",
@@ -217,24 +224,16 @@ fn run_scenario(kind: ScenarioKind, subs: u32, events: usize, tokens: &[Token]) 
     let mut timed = 0.0f64;
     let mut delivered = 0u64;
     for round in 0..2 {
-        // Fresh pipeline per round: churn and revocations mutate it.
-        let mut pipeline: ShardedPipeline<SecureFilter> =
-            ShardedPipeline::with_capacity(true, SHARDS, subs as usize);
-        let max_client = trace.max_client().map_or(0, |c| c + 1);
-        let mut live: Vec<Vec<SecureFilter>> = vec![Vec::new(); max_client as usize];
+        // Fresh broker per round: churn and revocations mutate it.
+        let mut broker: Broker<SecureFilter> = Broker::new(true);
         for s in &trace.initial {
-            let f = secure_filter(s.topic, s.lo, s.hi);
-            pipeline.subscribe(Peer::Local(s.client), f.clone());
-            live[s.client as usize].push(f);
+            broker.subscribe(Peer::Local(s.client), secure_filter(s.topic, s.lo, s.hi));
         }
 
         let mut churn = trace.churn.iter().peekable();
         let mut revs = trace.revocations.iter().peekable();
-        let mut batch_buf = Vec::with_capacity(BATCH);
-        let mut deliveries_buf = BatchDeliveries::new();
         delivered = 0;
         let start = Instant::now();
-        let mut seq = 0u64;
         let mut at = 0usize;
         for chunk in trace.publishes.chunks(BATCH) {
             // Apply every operation pinned inside this batch window up
@@ -242,42 +241,28 @@ fn run_scenario(kind: ScenarioKind, subs: u32, events: usize, tokens: &[Token]) 
             // boundary, which is fine for a throughput bench.
             while let Some(c) = churn.peek().filter(|c| c.at_event < at + chunk.len()) {
                 let f = secure_filter(c.sub.topic, c.sub.lo, c.sub.hi);
+                let peer = Peer::Local(c.sub.client);
                 match c.kind {
                     ChurnKind::Join => {
-                        pipeline.subscribe(Peer::Local(c.sub.client), f.clone());
-                        live[c.sub.client as usize].push(f);
+                        broker.subscribe(peer, f);
                     }
                     ChurnKind::Leave => {
-                        pipeline.unsubscribe(Peer::Local(c.sub.client), &f);
-                        live[c.sub.client as usize].retain(|g| g != &f);
+                        broker.unsubscribe(peer, &f);
                     }
                 }
                 churn.next();
             }
+            // A revoked client loses every subscription it holds.
             while let Some(r) = revs.peek().filter(|r| r.at_event < at + chunk.len()) {
-                for f in live[r.client as usize].drain(..) {
-                    pipeline.unsubscribe(Peer::Local(r.client), &f);
-                }
+                broker.peer_down(Peer::Local(r.client));
                 revs.next();
             }
 
-            batch_buf.clear();
-            for p in chunk {
-                batch_buf.push(encrypt_event(
-                    &cipher, tokens, p.topic, p.value, seq, &plaintext,
-                ));
-                seq += 1;
-            }
-            pipeline.publish_batch_into(Peer::Parent, &batch_buf, &mut deliveries_buf);
-            for (i, peers) in deliveries_buf.iter().enumerate() {
-                if !peers.is_empty() {
-                    let frame = pool.encode(&Message::<SecureFilter, SecureEvent>::Publish(
-                        batch_buf[i].clone(),
-                    ));
-                    std::hint::black_box(frame.wire_bytes().len());
-                    delivered += peers.len() as u64;
-                }
-            }
+            let batch = encrypt_batch(&cipher, tokens, chunk, at as u64, &plaintext);
+            route_batch(&mut broker, batch, &pool, |recipients, frame_bytes| {
+                std::hint::black_box(frame_bytes);
+                delivered += recipients as u64;
+            });
             at += chunk.len();
         }
         if round == 1 {
@@ -327,7 +312,6 @@ fn main() {
         .field("unit", Json::str("events_per_second"))
         .field("smoke", Json::Bool(smoke))
         .field("topics", Json::Int(TOPICS as u64))
-        .field("shards", Json::Int(SHARDS as u64))
         .field("batch", Json::Int(BATCH as u64))
         .field("payload_bytes", Json::Int(PAYLOAD as u64))
         .field(
@@ -365,7 +349,7 @@ fn main() {
         );
     write_bench_json("BENCH_e2e.json", &doc);
 
-    // Correctness floors hold in both modes: the pipeline delivered
+    // Correctness floors hold in both modes: the broker delivered
     // something everywhere, and every scenario produced deliveries.
     for r in &rows {
         assert!(

@@ -1,31 +1,32 @@
-//! End-to-end dissemination throughput: serial broker vs. sharded pipeline.
+//! Dissemination throughput of the shipped match driver: `Broker::route`
+//! vs. its cloning `Broker::publish` wrapper.
 //!
 //! Routes pools of secure (tokenized) events through tables of
-//! {100, 1k, 10k, 100k} subscriptions, comparing the serial
-//! `Broker::publish` loop (one cloned delivery per recipient) against
-//! `ShardedPipeline::publish_batch` with {1, 2, 4, 8} shards (reused
-//! scratch, clone-free `BatchDeliveries`). Both sides probe tokens
-//! through the index's one `ProbeTable` sweep; what that sweep buys is
-//! microbenchmarked separately: one-shot `prf_verify` per live token
-//! (re-deriving HMAC pads per probe) vs. one sweep over the same tokens.
+//! {100, 1k, 10k, 100k} subscriptions on one broker, comparing
+//! `Broker::publish` (one cloned `Deliver` per recipient — what the
+//! simulators and the staged replay in `benchmark/` consume) against
+//! `Broker::route` (recipients as a slice over reused scratch — what the
+//! reactor dispatcher runs). Both sides probe tokens through the index's
+//! one `ProbeTable` sweep; what that sweep buys is microbenchmarked
+//! separately: one-shot `prf_verify` per live token (re-deriving HMAC
+//! pads per probe) vs. one sweep over the same tokens.
 //!
 //! Writes machine-readable results to `BENCH_pipeline.json` in the
-//! current directory. Pass `--smoke` for a seconds-long CI variant that
-//! skips the throughput assertions.
+//! current directory — run it from a scratch directory: the committed
+//! file is the record of the retired sharded pipeline. Pass `--smoke`
+//! for a seconds-long CI variant that skips the throughput assertions.
 
 use psguard_bench::support::{assert_floor, measure, write_bench_json, Json, Measured};
 use psguard_crypto::{prf, prf_verify, ProbeTable, Token};
 use psguard_model::{Constraint, Event, Op};
 use psguard_routing::{RoutableTag, SecureEvent, SecureFilter};
-use psguard_siena::{Broker, Peer, ShardedPipeline};
+use psguard_siena::{Broker, Peer};
 
 /// Distinct topics (= live tokens each event is probed against).
 const TOPICS: usize = 128;
 /// Events per measured pool; larger than the probe-memo capacity so
 /// repeated passes keep paying for PRF probes on both paths.
 const POOL: usize = 2_048;
-/// Events per `publish_batch` call.
-const BATCH: usize = 256;
 /// Encrypted payload bytes per event.
 const PAYLOAD: usize = 1_024;
 
@@ -77,18 +78,11 @@ fn measure_pool(min_passes: usize, min_ms: u128, mut run_pass: impl FnMut()) -> 
     }
 }
 
-struct ShardCell {
-    shards: usize,
-    eps: f64,
-    passes: usize,
-    batch_work: u64,
-}
-
 struct Row {
     subscriptions: usize,
-    serial_eps: f64,
-    serial_passes: usize,
-    cells: Vec<ShardCell>,
+    publish: Measured,
+    route: Measured,
+    match_work: u64,
 }
 
 fn main() {
@@ -97,63 +91,42 @@ fn main() {
     // crosses the wall-time floor after a single pass reports whatever
     // scheduling noise that one pass absorbed (observed as a 1.42x
     // outlier between 2.1x neighbors at 10k subscriptions).
-    let (sizes, shard_counts, min_passes, min_ms): (&[usize], &[usize], usize, u128) = if smoke {
-        (&[100, 1_000], &[1, 2], 1, 10)
+    let (sizes, min_passes, min_ms): (&[usize], usize, u128) = if smoke {
+        (&[100, 1_000], 1, 10)
     } else {
-        (&[100, 1_000, 10_000, 100_000], &[1, 2, 4, 8], 4, 600)
+        (&[100, 1_000, 10_000, 100_000], 4, 600)
     };
 
     let pool = event_pool();
     let mut rows = Vec::new();
     for &n in sizes {
-        let subs = subscriptions(n);
-
         let mut broker: Broker<SecureFilter> = Broker::new(true);
-        for (peer, filter) in &subs {
-            broker.subscribe(*peer, filter.clone());
+        for (peer, filter) in subscriptions(n) {
+            broker.subscribe(peer, filter);
         }
-        let serial = measure_pool(min_passes, min_ms, || {
+        let publish = measure_pool(min_passes, min_ms, || {
             for e in &pool {
                 std::hint::black_box(broker.publish(Peer::Parent, e.clone()));
             }
         });
-        drop(broker);
-
-        let mut cells = Vec::new();
-        for &shards in shard_counts {
-            let mut pipeline: ShardedPipeline<SecureFilter> =
-                ShardedPipeline::with_capacity(true, shards, n);
-            for (peer, filter) in &subs {
-                pipeline.subscribe(*peer, filter.clone());
+        let route = measure_pool(min_passes, min_ms, || {
+            for e in &pool {
+                std::hint::black_box(broker.route(Peer::Parent, e));
             }
-            let m = measure_pool(min_passes, min_ms, || {
-                for batch in pool.chunks(BATCH) {
-                    std::hint::black_box(pipeline.publish_batch(Peer::Parent, batch));
-                }
-            });
-            let batch_work = pipeline.last_batch_work();
-            println!(
-                "n={n:>6}  shards={shards}  pipeline {:>12.0} ev/s ({} passes)  speedup {:>6.2}x",
-                m.per_sec,
-                m.iters,
-                m.per_sec / serial.per_sec
-            );
-            cells.push(ShardCell {
-                shards,
-                eps: m.per_sec,
-                passes: m.iters,
-                batch_work,
-            });
-        }
+        });
         println!(
-            "n={n:>6}  serial   {:>12.0} ev/s ({} passes)",
-            serial.per_sec, serial.iters
+            "n={n:>6}  publish {:>12.0} ev/s ({} passes)  route {:>12.0} ev/s ({} passes)  speedup {:>6.2}x",
+            publish.per_sec,
+            publish.iters,
+            route.per_sec,
+            route.iters,
+            route.per_sec / publish.per_sec
         );
         rows.push(Row {
             subscriptions: n,
-            serial_eps: serial.per_sec,
-            serial_passes: serial.iters,
-            cells,
+            publish,
+            route,
+            match_work: broker.last_match_work(),
         });
     }
 
@@ -193,7 +166,6 @@ fn main() {
         .field("unit", Json::str("events_per_second"))
         .field("topics", Json::Int(TOPICS as u64))
         .field("pool", Json::Int(POOL as u64))
-        .field("batch", Json::Int(BATCH as u64))
         .field("payload_bytes", Json::Int(PAYLOAD as u64))
         .field("smoke", Json::Bool(smoke))
         .field(
@@ -212,24 +184,12 @@ fn main() {
                     .map(|r| {
                         Json::obj()
                             .field("subscriptions", Json::Int(r.subscriptions as u64))
-                            .field("serial_eps", Json::f1(r.serial_eps))
-                            .field("serial_passes", Json::Int(r.serial_passes as u64))
-                            .field(
-                                "shards",
-                                Json::Arr(
-                                    r.cells
-                                        .iter()
-                                        .map(|c| {
-                                            Json::obj()
-                                                .field("shards", Json::Int(c.shards as u64))
-                                                .field("eps", Json::f1(c.eps))
-                                                .field("passes", Json::Int(c.passes as u64))
-                                                .field("speedup", Json::f2(c.eps / r.serial_eps))
-                                                .field("batch_work", Json::Int(c.batch_work))
-                                        })
-                                        .collect(),
-                                ),
-                            )
+                            .field("publish_eps", Json::f1(r.publish.per_sec))
+                            .field("publish_passes", Json::Int(r.publish.iters as u64))
+                            .field("route_eps", Json::f1(r.route.per_sec))
+                            .field("route_passes", Json::Int(r.route.iters as u64))
+                            .field("speedup", Json::f2(r.route.per_sec / r.publish.per_sec))
+                            .field("match_work", Json::Int(r.match_work))
                     })
                     .collect(),
             ),
@@ -244,20 +204,13 @@ fn main() {
         .iter()
         .find(|r| r.subscriptions == 100_000)
         .expect("100k row");
-    // Which shard count wins is machine-dependent (on a single-core box
-    // anything past one shard is oversharding), so the floor applies to
-    // the best cell, not a pinned shard count. Both sides sweep the same
-    // prepared token table, so the ratio is the clone-free fan-out alone:
-    // 3.37x with one shard and 4.90x at best on the 2-vCPU host that
+    // Both sides sweep the same prepared token table on the same broker,
+    // so the ratio is the clone-free fan-out alone: the retired sharded
+    // pipeline measured 3.37x with one shard on the 2-vCPU host that
     // recorded BENCH_pipeline.json.
-    let speedup = at_100k
-        .cells
-        .iter()
-        .map(|c| c.eps / at_100k.serial_eps)
-        .fold(0.0f64, f64::max);
     assert_floor(
-        "pipeline (best shard count) vs serial broker at 100k",
-        speedup,
+        "Broker::route vs Broker::publish at 100k",
+        at_100k.route.per_sec / at_100k.publish.per_sec,
         2.5,
     );
     assert_floor("ProbeTable sweep vs one-shot prf_verify", prf_speedup, 1.5);

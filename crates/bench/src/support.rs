@@ -182,6 +182,10 @@ fn indent(out: &mut String, depth: usize) {
 
 /// Writes `doc` to `path` and logs the write; panicking on I/O failure
 /// is correct in a bench binary (the artifact is the whole point).
+/// Paths are relative to the cwd, and some committed files are records
+/// of retired code (`BENCH_pipeline.json` and `BENCH_e2e.json`: the
+/// sharded pipeline; `BENCH_connections.json`: the threaded
+/// transport), so run the bins from a scratch directory.
 pub fn write_bench_json(path: &str, doc: &Json) {
     std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {path}");

@@ -1,8 +1,8 @@
 //! Reduced-N oracle check for the `e2e_scaling` macro-bench path: every
-//! scenario kind replayed event-by-event through the secure
-//! `ShardedPipeline` (the exact trace→pipeline mapping the bench uses,
-//! churn and revocations included), with each event's delivered peer
-//! set compared against a brute-force scan of the live subscriptions.
+//! scenario kind replayed event-by-event through `Broker::route` over
+//! secure filters (the exact trace→broker mapping the bench uses, churn
+//! and revocations included), with each event's recipients compared
+//! against a brute-force scan of the live subscriptions.
 
 use std::collections::HashSet;
 
@@ -10,7 +10,7 @@ use psguard_analysis::{ChurnKind, ScenarioConfig, ScenarioKind, ScenarioTrace, S
 use psguard_crypto::{prf, Token};
 use psguard_model::{Constraint, Event, IntRange, Op};
 use psguard_routing::{RoutableTag, SecureEvent, SecureFilter};
-use psguard_siena::{Peer, ShardedPipeline};
+use psguard_siena::{Broker, Peer};
 
 fn topic_token(t: u32) -> Token {
     prf(b"e2e-smoke", format!("topic{t:03}").as_bytes())
@@ -54,12 +54,21 @@ fn every_scenario_matches_the_brute_force_oracle() {
         let trace = ScenarioTrace::generate(&cfg);
         let label = kind.name();
 
-        let mut pipeline: ShardedPipeline<SecureFilter> =
-            ShardedPipeline::with_capacity(true, 3, trace.initial.len());
+        let mut broker: Broker<SecureFilter> = Broker::new(true);
+        // The oracle's live subscriptions, with the broker table's set
+        // semantics: a `(client, filter)` pair registers at most once,
+        // so a duplicate join is a no-op and one leave removes it.
         let mut live: Vec<Subscription> = Vec::new();
-        for s in &trace.initial {
-            pipeline.subscribe(Peer::Local(s.client), secure_filter(s));
-            live.push(*s);
+        let join =
+            |broker: &mut Broker<SecureFilter>, live: &mut Vec<Subscription>, s: Subscription| {
+                broker.subscribe(Peer::Local(s.client), secure_filter(&s));
+                if !live.contains(&s) {
+                    live.push(s);
+                }
+                assert_eq!(broker.table().len(), live.len(), "{label}: join of {s:?}");
+            };
+        for &s in &trace.initial {
+            join(&mut broker, &mut live, s);
         }
 
         let mut churn = trace.churn.iter().peekable();
@@ -68,42 +77,34 @@ fn every_scenario_matches_the_brute_force_oracle() {
         for (at, p) in trace.publishes.iter().enumerate() {
             while let Some(c) = churn.peek().filter(|c| c.at_event <= at) {
                 match c.kind {
-                    ChurnKind::Join => {
-                        pipeline.subscribe(Peer::Local(c.sub.client), secure_filter(&c.sub));
-                        live.push(c.sub);
-                    }
+                    ChurnKind::Join => join(&mut broker, &mut live, c.sub),
                     ChurnKind::Leave => {
-                        assert!(
-                            pipeline.unsubscribe(Peer::Local(c.sub.client), &secure_filter(&c.sub)),
-                            "{label}: leave of an absent subscription"
+                        broker.unsubscribe(Peer::Local(c.sub.client), &secure_filter(&c.sub));
+                        live.retain(|s| s != &c.sub);
+                        assert_eq!(
+                            broker.table().len(),
+                            live.len(),
+                            "{label}: leave of {:?}",
+                            c.sub
                         );
-                        let pos = live
-                            .iter()
-                            .position(|s| s == &c.sub)
-                            .expect("oracle tracks every live sub");
-                        live.swap_remove(pos);
                     }
                 }
                 churn.next();
             }
             while let Some(r) = revs.peek().filter(|r| r.at_event <= at) {
-                live.retain(|s| {
-                    if s.client == r.client {
-                        assert!(
-                            pipeline.unsubscribe(Peer::Local(s.client), &secure_filter(s)),
-                            "{label}: revocation of an absent subscription"
-                        );
-                        false
-                    } else {
-                        true
-                    }
-                });
+                let held = live.iter().filter(|s| s.client == r.client).count();
+                live.retain(|s| s.client != r.client);
+                assert_eq!(
+                    broker.peer_down(Peer::Local(r.client)),
+                    held,
+                    "{label}: revocation of client {}",
+                    r.client
+                );
                 revs.next();
             }
 
             let event = secure_event(p.topic, p.value, at as u64);
-            let deliveries = pipeline.publish_batch(Peer::Parent, std::slice::from_ref(&event));
-            let mut got: Vec<Peer> = deliveries.for_event(0).to_vec();
+            let mut got: Vec<Peer> = broker.route(Peer::Parent, &event).to_vec();
             got.sort_unstable();
 
             let mut expected: Vec<Peer> = live

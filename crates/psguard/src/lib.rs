@@ -60,14 +60,12 @@
 
 mod engine;
 mod error;
-mod pipeline;
 mod publisher;
 mod service;
 mod subscriber;
 
 pub use engine::{secure_cost_model, CryptoCosts, SecureEngine};
 pub use error::{DecryptError, MeasureError, PublishError, SubscribeError};
-pub use pipeline::SecurePipeline;
 pub use publisher::{Publisher, PublisherCredential};
 pub use service::{PsGuard, PsGuardConfig};
 pub use subscriber::Subscriber;

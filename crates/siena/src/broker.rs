@@ -2,7 +2,10 @@
 //!
 //! A broker reacts to inputs (subscribe / unsubscribe / publish) by
 //! emitting a list of [`Action`]s — messages to forward to peers or
-//! deliveries to local clients. Keeping the logic pure lets the same
+//! deliveries to local clients. An event's recipients come from
+//! [`Broker::route`], which returns them without copying the event;
+//! [`Broker::publish`] wraps that into one `Deliver` action per
+//! recipient. Keeping the logic pure lets the same
 //! broker run on the discrete-event engine (for the paper's figures), over
 //! TCP, or in unit tests.
 
@@ -62,7 +65,8 @@ pub struct Broker<F: IndexableFilter> {
     table: SubscriptionTable<F>,
     stats: BrokerStats,
     last_match_work: u64,
-    /// Matched-peer buffer reused across publishes.
+    /// Recipient buffer reused across publishes; [`route`](Self::route)
+    /// returns a view of it.
     peer_scratch: Vec<Peer>,
 }
 
@@ -88,8 +92,9 @@ impl<F: IndexableFilter> Broker<F> {
         self.stats
     }
 
-    /// Matching work performed by the most recent [`publish`](Self::publish)
-    /// call — the per-event cost input for the performance model.
+    /// Matching work performed by the most recent [`route`](Self::route)
+    /// (or [`publish`](Self::publish)) call — the per-event cost input for
+    /// the performance model.
     pub fn last_match_work(&self) -> u64 {
         self.last_match_work
     }
@@ -123,28 +128,37 @@ impl<F: IndexableFilter> Broker<F> {
         }
     }
 
-    /// Handles an event arriving from `from`. Implements the paper's §2.1
-    /// rule: forward to every peer with a matching subscription (except
-    /// the sender); non-root brokers that received the event from below
-    /// also push it to the parent so it reaches the rest of the tree.
-    pub fn publish(&mut self, from: Peer, event: F::Event) -> Vec<Action<F>> {
+    /// Routes an event arriving from `from` and returns its recipients in
+    /// delivery order. Implements the paper's §2.1 rule: non-root brokers
+    /// that received the event from below first push it to the parent so
+    /// it reaches the rest of the tree, then every peer with a matching
+    /// subscription gets it in first-seen registration order, except the
+    /// sender (and the parent, already covered by the first rule). This
+    /// is the one definition of delivery order.
+    ///
+    /// The slice lives in a buffer reused across calls, so routing
+    /// allocates nothing per event or per recipient.
+    pub fn route(&mut self, from: Peer, event: &F::Event) -> &[Peer] {
         self.stats.events_in += 1;
-        let mut peers = std::mem::take(&mut self.peer_scratch);
-        self.table.matching_peers_into(&event, &mut peers);
+        let peers = &mut self.peer_scratch;
+        self.table.matching_peers_into(event, peers);
         self.last_match_work = self.table.last_match_work();
         self.stats.match_evaluations += self.last_match_work;
-        let mut actions = Vec::new();
+        peers.retain(|&peer| peer != from && peer != Peer::Parent);
         if from != Peer::Parent && !self.is_root {
-            actions.push(Action::Deliver(Peer::Parent, event.clone()));
+            peers.insert(0, Peer::Parent);
         }
-        for &peer in &peers {
-            if peer != from && peer != Peer::Parent {
-                actions.push(Action::Deliver(peer, event.clone()));
-            }
-        }
-        self.peer_scratch = peers;
-        self.stats.events_out += actions.len() as u64;
-        actions
+        self.stats.events_out += peers.len() as u64;
+        peers
+    }
+
+    /// [`route`](Self::route), with one [`Action::Deliver`] per recipient,
+    /// each carrying its own copy of `event`.
+    pub fn publish(&mut self, from: Peer, event: F::Event) -> Vec<Action<F>> {
+        self.route(from, &event)
+            .iter()
+            .map(|&peer| Action::Deliver(peer, event.clone()))
+            .collect()
     }
 
     /// Drops all state for a departed peer.
@@ -199,6 +213,24 @@ mod tests {
                 Action::Deliver(Peer::Child(1), e(50)),
             ]
         );
+    }
+
+    #[test]
+    fn route_sends_up_once_and_reuses_its_buffer() {
+        let mut b: Broker<Filter> = Broker::new(false);
+        // Empty table: an event from below still goes up, one from the
+        // parent goes nowhere.
+        assert_eq!(b.route(Peer::Child(9), &e(50)), &[Peer::Parent]);
+        assert!(b.route(Peer::Parent, &e(50)).is_empty());
+        // The parent's own registration never adds a second copy.
+        b.subscribe(Peer::Parent, Filter::any());
+        b.subscribe(Peer::Child(1), f(10));
+        let first = b.route(Peer::Child(9), &e(50));
+        assert_eq!(first, &[Peer::Parent, Peer::Child(1)]);
+        let buffer = first.as_ptr();
+        assert_eq!(b.route(Peer::Child(9), &e(60)).as_ptr(), buffer);
+        assert_eq!(b.stats().events_in, 4);
+        assert_eq!(b.stats().events_out, 5);
     }
 
     #[test]

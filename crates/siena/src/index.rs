@@ -61,10 +61,9 @@
 //!   SipHash. These tables are keyed by interned tokens, topic strings,
 //!   and event nonces — internal values, not attacker-chosen
 //!   hash-flood vectors — so DoS-resistant hashing buys nothing here.
-//! * **Scratch sized once.** Counters live in the entry arena and all
+//! * **Scratch reused.** Counters live in the entry arena and all
 //!   per-query scratch is reused, so a steady-state query allocates
-//!   nothing and [`reserve`](MatchIndex::reserve) lets the sharded
-//!   pipeline size each shard's arenas once up front.
+//!   nothing.
 //!
 //! The index reports its actual work per query ([`MatchStats`]), which
 //! the broker and the overlay engine use as the matching-cost input to
@@ -199,8 +198,8 @@ impl MatchStats {
         self.key_probes + self.predicate_evals
     }
 
-    /// Adds another query's counters into this one (per-batch and
-    /// cross-shard aggregation).
+    /// Adds another query's counters into this one (per-batch
+    /// aggregation).
     pub fn accumulate(&mut self, other: MatchStats) {
         self.key_probes += other.key_probes;
         self.predicate_evals += other.predicate_evals;
@@ -898,30 +897,10 @@ impl<F: IndexableFilter> MatchIndex<F> {
         self.last_stats
     }
 
-    /// Pre-sizes the entry arenas for `additional` further
-    /// registrations. The sharded pipeline calls this once per shard at
-    /// construction so the hot counter array is laid out contiguously
-    /// up front and a bulk subscribe never reallocates it.
-    pub fn reserve(&mut self, additional: usize) {
-        self.hot.reserve(additional);
-        self.cold.reserve(additional);
-    }
-
     /// Registers `filter` for `peer`; returns the entry id to pass to
-    /// [`remove`](Self::remove).
+    /// [`remove`](Self::remove). Each insert takes the next registration
+    /// sequence number, the order queries report matches in.
     pub fn insert(&mut self, peer: Peer, filter: F) -> EntryId {
-        let seq = self.next_seq;
-        self.insert_with_seq(peer, filter, seq)
-    }
-
-    /// Registers `filter` for `peer` under a caller-assigned sequence
-    /// number. Queries order matches by `seq`, so a caller that splits
-    /// one logical table across several indexes (the sharded pipeline)
-    /// passes its global registration counter here to keep the merged
-    /// order identical to a single index. Sequence numbers must be unique
-    /// across live entries; `next_seq` advances past `seq` so mixing with
-    /// [`insert`](Self::insert) stays safe.
-    pub fn insert_with_seq(&mut self, peer: Peer, filter: F, seq: u64) -> EntryId {
         self.invalidate_memo();
         let key = filter.routing_key();
         let bid = match self.keys.get(&key) {
@@ -939,7 +918,8 @@ impl<F: IndexableFilter> MatchIndex<F> {
             }
         }
         let required = filter.indexed_constraints().len() as u32;
-        self.next_seq = self.next_seq.max(seq.saturating_add(1));
+        let seq = self.next_seq;
+        self.next_seq += 1;
         let id = match self.free_entries.pop() {
             Some(id) => id,
             None => self.hot.len() as EntryId,
@@ -1057,11 +1037,10 @@ impl<F: IndexableFilter> MatchIndex<F> {
     }
 
     /// Raw matches for `event` as `(seq, peer)` pairs sorted by
-    /// registration sequence, **without** peer dedup. `out` is cleared
-    /// first. This is the shard-side half of the pipeline's merge: each
-    /// shard reports its matches with global sequence numbers
-    /// ([`insert_with_seq`](Self::insert_with_seq)) and the merge dedups
-    /// peers across shards in sequence order.
+    /// registration sequence (insertion order), **without** peer dedup:
+    /// one pair per matching registration. `out` is cleared first. This
+    /// is the same matching pass [`query_into`](Self::query_into) dedups,
+    /// exposed for callers that count matched entries rather than peers.
     pub fn query_matches_into(&mut self, event: &F::Event, out: &mut Vec<(u64, Peer)>) {
         out.clear();
         self.run_match(event);
@@ -1334,17 +1313,19 @@ mod tests {
     }
 
     #[test]
-    fn caller_assigned_seq_controls_order() {
+    fn insertion_order_controls_order_across_slot_reuse() {
         let mut idx: MatchIndex<Filter> = MatchIndex::new();
-        idx.insert_with_seq(Peer::Child(2), f("t", 0), 7);
-        idx.insert_with_seq(Peer::Child(1), f("t", 0), 3);
+        let first = idx.insert(Peer::Child(1), f("t", 0));
+        idx.insert(Peer::Child(2), f("t", 0));
         assert_eq!(idx.query(&e("t", 5)), vec![Peer::Child(1), Peer::Child(2)]);
-        // next_seq advanced past the largest assigned seq, so a plain
-        // insert sorts after both.
+        // The re-registration reuses the freed entry slot but takes a
+        // fresh sequence number, so it sorts after every live entry.
+        idx.remove(first);
+        assert_eq!(idx.insert(Peer::Child(1), f("t", 0)), first);
         idx.insert(Peer::Child(9), f("t", 0));
         assert_eq!(
             idx.query(&e("t", 5)),
-            vec![Peer::Child(1), Peer::Child(2), Peer::Child(9)]
+            vec![Peer::Child(2), Peer::Child(1), Peer::Child(9)]
         );
     }
 
@@ -1362,20 +1343,21 @@ mod tests {
     }
 
     #[test]
-    fn query_matches_into_reports_global_seq_pairs() {
+    fn query_matches_into_reports_seq_pairs_in_insertion_order() {
         let mut idx: MatchIndex<Filter> = MatchIndex::new();
-        idx.insert_with_seq(Peer::Child(1), f("t", 0), 4);
-        idx.insert_with_seq(Peer::Child(1), f("t", 10), 9);
-        idx.insert_with_seq(Peer::Child(2), f("t", 0), 6);
+        idx.insert(Peer::Child(1), f("t", 0));
+        idx.insert(Peer::Child(2), f("other", 0));
+        idx.insert(Peer::Child(2), f("t", 0));
+        idx.insert(Peer::Child(1), f("t", 10));
         let mut out = Vec::new();
         idx.query_matches_into(&e("t", 50), &mut out);
         // Sorted by seq, peers not deduped.
         assert_eq!(
             out,
             vec![
-                (4, Peer::Child(1)),
-                (6, Peer::Child(2)),
-                (9, Peer::Child(1))
+                (0, Peer::Child(1)),
+                (2, Peer::Child(2)),
+                (3, Peer::Child(1))
             ]
         );
     }

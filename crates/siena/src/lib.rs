@@ -7,11 +7,12 @@
 //!
 //! * [`Broker`] — the pure routing state machine (subscribe / publish →
 //!   actions), generic over [`FilterSemantics`] so the same code routes
-//!   plaintext filters and PSGuard's tokenized envelopes;
-//! * [`SubscriptionTable`] — covering-aware subscription storage;
-//! * [`ShardedPipeline`] — the batch publish path: subscriptions hash-
-//!   partitioned across worker shards, matched in parallel, merged back
-//!   into the serial broker's exact delivery order;
+//!   plaintext filters and PSGuard's tokenized envelopes; its
+//!   [`Broker::route`] is the one match driver and the one definition of
+//!   delivery order, returning each event's recipients without copying
+//!   the event;
+//! * [`SubscriptionTable`] — covering-aware subscription storage over the
+//!   counting [`MatchIndex`];
 //! * [`Engine`] — a deterministic discrete-event overlay (full binary
 //!   broker trees, GT-ITM latencies, per-node queueing) used to reproduce
 //!   the throughput/latency figures;
@@ -41,7 +42,6 @@ mod fault;
 mod frame;
 mod index;
 pub mod log;
-mod pipeline;
 pub mod reactor;
 mod semantics;
 mod table;
@@ -58,7 +58,6 @@ pub use index::{EntryId, IndexableFilter, KeyQuery, MatchIndex, MatchStats};
 pub use log::{
     Cursor, EventLog, LogConfig, LogError, LogStats, RecoveryReport, ReplayCursor, ResumeOutcome,
 };
-pub use pipeline::{BatchDeliveries, PipelineStats, ShardedPipeline};
 pub use reactor::{
     spawn_broker, spawn_broker_durable, spawn_broker_with, ClientReactor, OverflowPolicy,
     PollWaker, Poller, ReactorClient, ScanPoller, TcpBroker, TcpClient, TcpConfig, TcpStats,

@@ -104,8 +104,9 @@ impl TcpBroker {
     }
 
     /// Frame-pool counters for the broker's outbound encode path. A
-    /// publish fanned out to N peers bumps `frames_encoded` by exactly
-    /// one — the instrumentation the encode-once tests assert on.
+    /// publish fanned out to N peers bumps `frames_encoded` by one per
+    /// frame flavour it needs (plain and/or stamped), never per peer —
+    /// the instrumentation the encode-once tests assert on.
     pub fn pool_stats(&self) -> FramePoolStats {
         self.pool.stats()
     }
@@ -741,9 +742,6 @@ where
             } else {
                 Peer::Child(id)
             };
-            // Cursor the current publish was logged at, if this broker
-            // is durable and the append succeeded; stamps the fan-out.
-            let mut publish_stamp: Option<Cursor> = None;
             let actions = match msg {
                 Message::Hello { kind } => {
                     if kind == 1 {
@@ -818,89 +816,104 @@ where
                     // the encoded event verbatim (already-sealed bytes —
                     // the log never sees plaintext). On append failure
                     // the event is still delivered live, unstamped.
+                    let mut stamp = None;
                     if let Some(d) = durable.as_mut() {
                         d.buf.clear();
                         e.encode(&mut d.buf);
                         match d.log.append(&d.buf) {
-                            Ok(cursor) => publish_stamp = Some(cursor),
+                            Ok(cursor) => stamp = Some(cursor),
                             Err(_) => {
                                 stats.log_append_failures.fetch_add(1, Ordering::Relaxed);
                             }
                         }
                     }
-                    broker.publish(from, e)
+                    let peers = broker.route(from, &e);
+                    let logged = stamp.zip(durable.as_mut());
+                    fan_out::<F>(e, peers, logged, writers, stats, pool, dirty, nworkers);
+                    Vec::new()
                 }
             };
-            // Encode-once fan-out: every `Deliver` produced by one
-            // publish carries a clone of the same event, so each frame
-            // flavor (plain Publish for broker links, cursor-stamped for
-            // subscribers) is serialized for its first recipient only and
-            // the remaining recipients get Arc clones of that frame.
-            let mut deliver_frame: Option<SharedFrame> = None;
-            let mut stamped_frame: Option<SharedFrame> = None;
             for action in actions {
-                match action {
-                    Action::ForwardSubscribe(f) => {
-                        let m: Message<F, F::Event> = Message::Subscribe(f);
-                        offer_to(writers, PARENT_ID, pool.encode(&m), stats, dirty, nworkers);
-                    }
-                    Action::ForwardUnsubscribe(f) => {
-                        let m: Message<F, F::Event> = Message::Unsubscribe(f);
-                        offer_to(writers, PARENT_ID, pool.encode(&m), stats, dirty, nworkers);
-                    }
-                    Action::Deliver(peer, e) => {
-                        let target = match peer {
-                            Peer::Parent => PARENT_ID,
-                            Peer::Child(c) | Peer::Local(c) => c,
-                        };
-                        let stamp = publish_stamp.filter(|_| {
-                            durable
-                                .as_ref()
-                                .is_some_and(|d| d.client_peers.contains(&target))
-                        });
-                        if let Some(cursor) = stamp {
-                            let frame = match &stamped_frame {
-                                Some(f) => f.clone(),
-                                None => {
-                                    let m: Message<F, F::Event> =
-                                        Message::Stamped { cursor, event: e };
-                                    let f = pool.encode(&m);
-                                    stamped_frame = Some(f.clone());
-                                    f
-                                }
-                            };
-                            // Replay interplay (single-threaded, so the
-                            // boundary is race-free): while the log reader
-                            // is still behind, the event reaches this peer
-                            // in order from the log; once the reader is
-                            // done but frames are still queued, line the
-                            // live frame up behind them to keep order.
-                            let replay = durable
-                                .as_mut()
-                                .and_then(|d| d.replays.iter_mut().find(|r| r.peer == target));
-                            match replay {
-                                Some(r) if r.done_reading => r.pending.push_back(frame),
-                                Some(_) => {} // the replay will read it from the log
-                                None => {
-                                    offer_to(writers, target, frame, stats, dirty, nworkers);
-                                }
-                            }
-                        } else {
-                            let frame = match &deliver_frame {
-                                Some(f) => f.clone(),
-                                None => {
-                                    let m: Message<F, F::Event> = Message::Publish(e);
-                                    let f = pool.encode(&m);
-                                    deliver_frame = Some(f.clone());
-                                    f
-                                }
-                            };
-                            offer_to(writers, target, frame, stats, dirty, nworkers);
-                        }
-                    }
-                }
+                let m: Message<F, F::Event> = match action {
+                    Action::ForwardSubscribe(f) => Message::Subscribe(f),
+                    Action::ForwardUnsubscribe(f) => Message::Unsubscribe(f),
+                    // Publishes fan out through `Broker::route` above.
+                    Action::Deliver(..) => continue,
+                };
+                offer_to(writers, PARENT_ID, pool.encode(&m), stats, dirty, nworkers);
             }
         }
     }
     true
+}
+
+/// Encode-once fan-out of one routed publish. Each frame flavour —
+/// plain `Publish` for broker links, cursor-stamped for subscribers when
+/// the event was `logged` — is serialized once and its recipients get Arc
+/// clones of that frame; `event` is cloned only when a publish needs both
+/// flavours.
+#[allow(clippy::too_many_arguments)]
+fn fan_out<F>(
+    event: F::Event,
+    peers: &[Peer],
+    logged: Option<(Cursor, &mut Durable)>,
+    writers: &HashMap<u32, Arc<OutQueue>>,
+    stats: &StatsInner,
+    pool: &FramePool,
+    dirty: &mut u64,
+    nworkers: usize,
+) where
+    F: IndexableFilter + Wire,
+    F::Event: Wire,
+{
+    let target = |peer: Peer| match peer {
+        Peer::Parent => PARENT_ID,
+        Peer::Child(c) | Peer::Local(c) => c,
+    };
+    let encode_plain = |event| pool.encode(&Message::<F, F::Event>::Publish(event));
+    let Some((cursor, d)) = logged else {
+        if !peers.is_empty() {
+            let frame = encode_plain(event);
+            for &peer in peers {
+                offer_to(writers, target(peer), frame.clone(), stats, dirty, nworkers);
+            }
+        }
+        return;
+    };
+    let encode_stamped = |event| pool.encode(&Message::<F, F::Event>::Stamped { cursor, event });
+    let clients = peers
+        .iter()
+        .filter(|&&p| d.client_peers.contains(&target(p)))
+        .count();
+    let (plain, stamped) = match (clients < peers.len(), clients > 0) {
+        (true, true) => (
+            Some(encode_plain(event.clone())),
+            Some(encode_stamped(event)),
+        ),
+        (true, false) => (Some(encode_plain(event)), None),
+        (false, true) => (None, Some(encode_stamped(event))),
+        (false, false) => return,
+    };
+    for &peer in peers {
+        let id = target(peer);
+        if !d.client_peers.contains(&id) {
+            if let Some(frame) = &plain {
+                offer_to(writers, id, frame.clone(), stats, dirty, nworkers);
+            }
+            continue;
+        }
+        let Some(frame) = &stamped else { continue };
+        // Replay interplay (single-threaded, so the boundary is
+        // race-free): while the log reader is still behind, the event
+        // reaches this peer in order from the log; once the reader is
+        // done but frames are still queued, line the live frame up
+        // behind them to keep order.
+        match d.replays.iter_mut().find(|r| r.peer == id) {
+            Some(r) if r.done_reading => r.pending.push_back(frame.clone()),
+            Some(_) => {} // the replay will read it from the log
+            None => {
+                offer_to(writers, id, frame.clone(), stats, dirty, nworkers);
+            }
+        }
+    }
 }

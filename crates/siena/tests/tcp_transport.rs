@@ -7,7 +7,8 @@ use std::time::Duration;
 
 use psguard_model::{Constraint, Event, Filter, Op};
 use psguard_siena::{
-    spawn_broker, spawn_broker_with, OverflowPolicy, TcpClient, TcpConfig, TcpError,
+    spawn_broker, spawn_broker_durable, spawn_broker_with, LogConfig, OverflowPolicy, TcpBroker,
+    TcpClient, TcpConfig, TcpError,
 };
 
 const ACK_WAIT: Duration = Duration::from_secs(5);
@@ -291,25 +292,16 @@ fn drop_newest_backpressure_is_reported() {
     assert!(client.stats().dropped_frames >= 1);
 }
 
-#[test]
-fn fanout_serializes_event_exactly_once() {
-    // Heartbeats off so the broker pool's encode counter moves only for
-    // the traffic this test generates.
-    let cfg = TcpConfig {
-        heartbeat_interval: Duration::ZERO,
-        ..TcpConfig::default()
-    };
-    let broker = spawn_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn");
-
-    let subs: Vec<TcpClient<Filter>> = (0..3)
-        .map(|_| TcpClient::connect_with(broker.addr(), cfg).expect("connect"))
-        .collect();
-    for s in &subs {
-        s.subscribe_acked(Filter::for_topic("fan"), ACK_WAIT)
-            .expect("acked");
-    }
-    let publisher: TcpClient<Filter> =
-        TcpClient::connect_with(broker.addr(), cfg).expect("connect");
+/// Publishes one event through `publisher` and asserts that every
+/// client in `subs` receives it exactly once while `broker` — the
+/// broker the publisher is attached to — encodes exactly `flavours`
+/// frames for it: one per frame flavour, never one per recipient.
+fn assert_encoded_once_per_flavour(
+    broker: &TcpBroker,
+    publisher: &TcpClient<Filter>,
+    subs: &[TcpClient<Filter>],
+    flavours: u64,
+) {
     // An acked subscribe fences the publisher's connection startup
     // (hello + pre-encoded heartbeat) so the snapshots below only see
     // the publish itself.
@@ -323,21 +315,80 @@ fn fanout_serializes_event_exactly_once() {
 
     let e = Event::builder("fan").payload(vec![42; 64]).build();
     publisher.publish(e.clone()).expect("publish");
-    for s in &subs {
+    for s in subs {
         let got = s.recv_timeout(Duration::from_secs(5)).expect("delivery");
         assert_eq!(got, e);
     }
+    for s in subs {
+        assert!(
+            s.recv_timeout(Duration::from_millis(100)).is_none(),
+            "each recipient gets the event exactly once"
+        );
+    }
 
-    // Three recipients, one serialization: the fan-out shared one frame.
     assert_eq!(
         broker.pool_stats().frames_encoded - broker_before,
-        1,
-        "a publish fanned out to 3 peers must encode exactly once"
+        flavours,
+        "a publish fanned out to {} peers must encode once per frame flavour",
+        subs.len()
     );
     // The publisher client also encoded its Publish exactly once.
     assert_eq!(publisher.pool_stats().frames_encoded - pub_before, 1);
+}
 
+#[test]
+fn fanout_serializes_event_exactly_once() {
+    // Heartbeats off so the broker pool's encode counter moves only for
+    // the traffic this test generates.
+    let cfg = TcpConfig {
+        heartbeat_interval: Duration::ZERO,
+        ..TcpConfig::default()
+    };
+    let connect = |b: &TcpBroker| -> TcpClient<Filter> {
+        TcpClient::connect_with(b.addr(), cfg).expect("connect")
+    };
+    let subscribed = |b: &TcpBroker| {
+        let s = connect(b);
+        s.subscribe_acked(Filter::for_topic("fan"), ACK_WAIT)
+            .expect("acked");
+        s
+    };
+
+    // A plain root: three recipients share one plain `Publish` frame.
+    let broker = spawn_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn");
+    let subs: Vec<TcpClient<Filter>> = (0..3).map(|_| subscribed(&broker)).collect();
+    let publisher = connect(&broker);
+    assert_encoded_once_per_flavour(&broker, &publisher, &subs, 1);
     drop(publisher);
     drop(subs);
     broker.shutdown();
+
+    // A durable child under a plain root: the same publish needs both
+    // flavours — a cursor-stamped frame for the child's subscriber and
+    // a plain `Publish` up the parent link, observed by a subscriber on
+    // the root.
+    let dir = std::env::temp_dir().join(format!(
+        "psguard-fanout-flavours-{}-{}",
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .expect("clock")
+            .as_nanos()
+    ));
+    let root = spawn_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("root");
+    let (child, _) =
+        spawn_broker_durable::<Filter>("127.0.0.1:0", Some(root.addr()), cfg, LogConfig::new(&dir))
+            .expect("durable child");
+    let subs = vec![subscribed(&child), subscribed(&root)];
+    let publisher = connect(&child);
+    assert_encoded_once_per_flavour(&child, &publisher, &subs, 2);
+    // Each side got its own flavour: only the stamped frame moves a
+    // client's cursor, and the root relays the parent link's plain one.
+    assert!(subs[0].cursor().is_some(), "child subscriber: stamped");
+    assert_eq!(subs[1].cursor(), None, "root subscriber: plain");
+    drop(publisher);
+    drop(subs);
+    child.shutdown();
+    root.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

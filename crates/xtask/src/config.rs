@@ -161,10 +161,11 @@ pub struct ScopedRule {
 ///   per-message serialization goes through the shared `FramePool`
 ///   (encode once, fan out `Arc` clones), so per-call allocating
 ///   conversions are banned. See DESIGN.md §14. The arena `MatchIndex`
-///   and the sharded pipeline (DESIGN.md §18) are in scope too: a
-///   steady-state query must reuse its scratch, not re-collect — and
-///   so is the `ProbeTable` sweep it runs per event
-///   (`crypto/src/context.rs`), whose hits land in that scratch.
+///   (DESIGN.md §18) and `Broker::route`, the match stage the reactor
+///   dispatcher runs per publish, are in scope too: a steady-state
+///   query must reuse its scratch, not re-collect — and so is the
+///   `ProbeTable` sweep it runs per event (`crypto/src/context.rs`),
+///   whose hits land in that scratch.
 /// * `thread-per-connection` — the reactor transport's contract is a
 ///   *fixed* thread count; an unmarked `thread::spawn` is a regression
 ///   back toward thread-per-connection.
@@ -192,7 +193,7 @@ pub const SCOPED_RULES: &[ScopedRule] = &[
         paths: &[
             "crates/siena/src/reactor/",
             "crates/siena/src/index.rs",
-            "crates/siena/src/pipeline.rs",
+            "crates/siena/src/broker.rs",
             "crates/crypto/src/context.rs",
         ],
     },
@@ -373,7 +374,7 @@ mod tests {
         ));
         assert!(hot_path_contains("crates/siena/src/reactor/broker.rs"));
         assert!(hot_path_contains("crates/siena/src/index.rs"));
-        assert!(hot_path_contains("crates/siena/src/pipeline.rs"));
+        assert!(hot_path_contains("crates/siena/src/broker.rs"));
         assert!(hot_path_contains("crates/crypto/src/context.rs"));
         assert!(!hot_path_contains("crates/siena/src/wire.rs"));
         assert!(spawn_scope_contains("crates/siena/src/reactor/client.rs"));

@@ -573,7 +573,7 @@ mod tests {
         )]);
         assert_eq!(broker.findings.len(), 1, "{:#?}", broker.findings);
         let client = run_on(&[(
-            "crates/psguard/src/pipeline.rs",
+            "crates/psguard/src/publisher.rs",
             "fn debug_dump() {\n  let filter = Filter::builder().build();\n  \
              println!(\"{filter:?}\");\n}\n",
         )]);
