@@ -213,5 +213,8 @@ fn main() {
         at_100k.route.per_sec / at_100k.publish.per_sec,
         2.5,
     );
-    assert_floor("ProbeTable sweep vs one-shot prf_verify", prf_speedup, 1.5);
+    // The sweep's lane kernels measured 5.49x here (3.02x with one scalar
+    // token at a time, 3.18x recorded before them): a refactor that
+    // leaves the round loops scalar lands near 3x and fails this floor.
+    assert_floor("ProbeTable sweep vs one-shot prf_verify", prf_speedup, 4.0);
 }

@@ -32,7 +32,7 @@ use crate::digest::Digest;
 use crate::hmac::{keyed_pads, Hmac};
 use crate::modes::{cbc_decrypt, cbc_encrypt, CipherError};
 use crate::prf::{Token, TOKEN_LEN};
-use crate::sha1::{compress, compress_expanded, expand, load_be, Sha1};
+use crate::sha1::{compress_lanes_digest, compress_lanes_shared, expand, load_be, Sha1, LANES};
 use crate::zeroize::zeroize_u32;
 use crate::BLOCK_SIZE;
 
@@ -173,35 +173,37 @@ const INNER_BITS: u32 = 8 * (64 + BLOCK_SIZE as u32);
 /// Bit length of the outer hash input: the opad block plus the inner digest.
 const OUTER_BITS: u32 = 8 * (64 + TOKEN_LEN as u32);
 
-/// The HMAC-SHA1 chaining states of one token after its ipad / opad block:
-/// everything a probe needs of the token, and as good as the token itself.
-#[derive(Clone)]
-struct PadState {
-    inner: [u32; 5],
-    outer: [u32; 5],
-}
-
-impl PadState {
-    fn wipe(&mut self) {
-        zeroize_u32(&mut self.inner);
-        zeroize_u32(&mut self.outer);
-    }
-}
+/// Words per lane: a token's HMAC-SHA1 chaining states after its ipad
+/// block (columns `0..5`) and its opad block (columns `5..10`).
+const COLUMNS: usize = 10;
+/// Lanes the first growth of an empty table allocates.
+const MIN_LANES: usize = 16;
+/// `lane_of` entry of a slot that holds no token.
+const NO_LANE: u32 = u32::MAX;
 
 /// The broker's token-probe kernel: the pad states of every live
 /// subscription token, swept against one event tag `⟨r, F_{T(w)}(r)⟩` per
 /// call (the paper's §4.1 test `F_tok(r) = match`, once per token).
 ///
 /// Slots are addressed by the caller (the match index keeps one per
-/// bucket), may be cleared and set again, and are wiped when cleared or
-/// dropped. A [`sweep`](Self::sweep) expands the message schedule of the
-/// nonce block once — it is the same block for every token — and then
-/// spends exactly two compressions per live token, on the stack: the
-/// inner one replays the shared schedule from the token's ipad state, the
-/// outer one hashes the fixed-layout digest block from its opad state.
-/// Every live token is probed whether or not an earlier one matched, and
-/// digests are compared by OR-folding word differences, so the time of a
-/// sweep depends on the number of live tokens alone.
+/// bucket) and may be cleared and set again. The live tokens are stored
+/// densely, one *lane* each, as ten `u32` columns: the five words of the
+/// ipad state and the five of the opad state, each as good as the token.
+/// Clearing a slot moves the last lane into its place. Every path that
+/// lets go of pad-state words wipes them: growth copies the columns into a
+/// larger buffer and wipes the old one, clearing wipes the vacated last
+/// lane, and dropping wipes every column.
+///
+/// A [`sweep`](Self::sweep) expands the message schedule of the nonce
+/// block once — it is the same block for every token — and then runs the
+/// lanes in chunks of up to 64, round-major: each of a compression's 80
+/// rounds is one loop over the chunk's lanes, which the compiler
+/// vectorises. Each lane costs exactly two compressions: the inner one
+/// from its ipad state with the shared schedule word broadcast, the outer
+/// one from its opad state over its own digest block. Every live token is
+/// probed whether or not an earlier one matched, and digests are compared
+/// by OR-folding word differences, so the time of a sweep depends on the
+/// number of live tokens alone.
 ///
 /// Hits are byte-identical to [`crate::prf_verify`] per token.
 ///
@@ -223,14 +225,19 @@ impl PadState {
 /// ```
 #[derive(Clone, Default)]
 pub struct ProbeTable {
-    slots: Vec<Option<PadState>>,
-    live: usize,
+    /// The ten columns in one buffer, `capacity()` words each: word `j` of
+    /// lane `i` is at `j * capacity() + i`. Lanes past `len()` are zero.
+    columns: Box<[u32]>,
+    /// lane → slot.
+    slot_of: Vec<u32>,
+    /// slot → lane, or [`NO_LANE`].
+    lane_of: Vec<u32>,
 }
 
 impl std::fmt::Debug for ProbeTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProbeTable")
-            .field("live", &self.live)
+            .field("live", &self.len())
             .finish_non_exhaustive()
     }
 }
@@ -243,42 +250,83 @@ impl ProbeTable {
 
     /// Number of live slots: the probes one [`sweep`](Self::sweep) performs.
     pub fn len(&self) -> usize {
-        self.live
+        self.slot_of.len()
     }
 
     /// Whether no slot is live.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.slot_of.is_empty()
+    }
+
+    /// Lanes each column has room for.
+    fn capacity(&self) -> usize {
+        self.columns.len() / COLUMNS
     }
 
     /// Keys `slot` with `token` (two compressions), growing the table as
     /// needed and replacing whatever the slot held.
     pub fn set(&mut self, slot: u32, token: &Token) {
-        let slot = slot as usize;
-        if slot >= self.slots.len() {
-            self.slots.resize(slot + 1, None);
+        let index = slot as usize;
+        if index >= self.lane_of.len() {
+            self.lane_of.resize(index + 1, NO_LANE);
         }
-        let ctx = PrfContext::for_token(token);
-        let pads = PadState {
-            inner: ctx.inner.chaining_state(),
-            outer: ctx.outer.chaining_state(),
+        let lane = match self.lane_of[index] {
+            NO_LANE => {
+                if self.len() == self.capacity() {
+                    self.grow();
+                }
+                let lane = self.len();
+                self.slot_of.push(slot);
+                self.lane_of[index] = lane as u32;
+                lane
+            }
+            lane => lane as usize,
         };
-        match self.slots[slot].replace(pads) {
-            Some(mut old) => old.wipe(),
-            None => self.live += 1,
+        let ctx = PrfContext::for_token(token);
+        let mut pads = [0u32; COLUMNS];
+        pads[..5].copy_from_slice(&ctx.inner.chaining_state());
+        pads[5..].copy_from_slice(&ctx.outer.chaining_state());
+        let capacity = self.capacity();
+        for (column, &word) in self.columns.chunks_exact_mut(capacity).zip(&pads) {
+            column[lane] = word;
         }
+        zeroize_u32(&mut pads);
+    }
+
+    /// Doubles the lane capacity: copies the live lanes into a new buffer,
+    /// then wipes the old one before it is freed.
+    fn grow(&mut self) {
+        let (old, live) = (self.capacity(), self.len());
+        let capacity = (2 * old).max(MIN_LANES);
+        let mut columns = vec![0u32; COLUMNS * capacity].into_boxed_slice();
+        for j in 0..COLUMNS {
+            columns[j * capacity..][..live].copy_from_slice(&self.columns[j * old..][..live]);
+        }
+        zeroize_u32(&mut self.columns);
+        self.columns = columns;
     }
 
     /// Wipes `slot`; later sweeps skip it. Clearing a dead or unknown
     /// slot is a no-op.
     pub fn clear(&mut self, slot: u32) {
-        if let Some(entry) = self.slots.get_mut(slot as usize) {
-            if let Some(pads) = entry {
-                pads.wipe();
-                self.live -= 1;
-            }
-            *entry = None;
+        let Some(&lane) = self.lane_of.get(slot as usize) else {
+            return;
+        };
+        if lane == NO_LANE {
+            return;
         }
+        // Swap-remove: the last lane moves into the cleared one, and its
+        // old place is wiped.
+        let (lane, last) = (lane as usize, self.len() - 1);
+        let capacity = self.capacity();
+        for column in self.columns.chunks_exact_mut(capacity) {
+            column[lane] = column[last];
+            zeroize_u32(&mut column[last..=last]);
+        }
+        let moved = self.slot_of[last];
+        self.slot_of.swap_remove(lane);
+        self.lane_of[moved as usize] = lane as u32;
+        self.lane_of[slot as usize] = NO_LANE;
     }
 
     /// Appends to `hits` the slot of every live token `tok` with
@@ -295,27 +343,39 @@ impl ProbeTable {
         let mut want = [0u32; 5];
         load_be(&mut want, tag.as_bytes());
 
-        for (slot, pads) in self.slots.iter().enumerate() {
-            let Some(pads) = pads else { continue };
-            // Outer message block: inner digest ‖ 0x80 ‖ 0… ‖ bit length.
-            let mut outer = [0u32; 16];
-            outer[..5].copy_from_slice(&compress_expanded(&pads.inner, &schedule));
-            outer[5] = 0x8000_0000;
-            outer[15] = OUTER_BITS;
-            let got = compress(&pads.outer, outer);
-            let diff = got.iter().zip(&want).fold(0, |acc, (g, w)| acc | (g ^ w));
-            if diff == 0 {
-                hits.push(slot as u32);
+        let first = hits.len();
+        let capacity = self.capacity();
+        let (mut inner, mut outer) = ([[0u32; LANES]; 5], [[0u32; LANES]; 5]);
+        for start in (0..self.len()).step_by(LANES) {
+            let lanes = start..self.len().min(start + LANES);
+            let column = |j: usize| &self.columns[j * capacity..][lanes.clone()];
+            // The inner digest, then the outer block over it:
+            // digest ‖ 0x80 ‖ 0… ‖ bit length.
+            compress_lanes_shared(std::array::from_fn(column), &schedule, &mut inner);
+            compress_lanes_digest(
+                std::array::from_fn(|j| column(5 + j)),
+                &inner,
+                OUTER_BITS,
+                &mut outer,
+            );
+            for (i, &slot) in self.slot_of[lanes].iter().enumerate() {
+                let diff = outer
+                    .iter()
+                    .zip(&want)
+                    .fold(0, |acc, (got, w)| acc | (got[i] ^ w));
+                if diff == 0 {
+                    hits.push(slot);
+                }
             }
         }
+        // Lanes are in no particular slot order.
+        hits[first..].sort_unstable();
     }
 }
 
 impl Drop for ProbeTable {
     fn drop(&mut self) {
-        for pads in self.slots.iter_mut().flatten() {
-            pads.wipe();
-        }
+        zeroize_u32(&mut self.columns);
     }
 }
 
@@ -459,6 +519,29 @@ mod tests {
         assert_eq!(table.len(), 1);
         assert_eq!(sweep(&table, &tags[0]), [1]);
         assert!(sweep(&table, &tags[1]).is_empty());
+    }
+
+    #[test]
+    fn probe_table_wipes_the_lanes_it_vacates() {
+        // Lanes past `len()` hold no pad-state words: growth copies only
+        // the live lanes, and a clear wipes the lane its swap-remove
+        // vacates.
+        let vacated_are_zero = |t: &ProbeTable| {
+            t.columns
+                .chunks_exact(t.capacity())
+                .all(|column| column[t.len()..].iter().all(|&w| w == 0))
+        };
+        let mut table = ProbeTable::new();
+        for slot in 0..40u32 {
+            table.set(slot, &prf(b"rk(KDC)", &slot.to_be_bytes()));
+            assert!(vacated_are_zero(&table), "after set({slot})");
+        }
+        assert_eq!(table.capacity(), 64);
+        for slot in (0..40u32).step_by(3) {
+            table.clear(slot);
+            assert!(vacated_are_zero(&table), "after clear({slot})");
+        }
+        assert_eq!(table.len(), 26);
     }
 
     #[test]

@@ -47,11 +47,24 @@ impl Default for Sha1 {
 const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
 /// One block's fully expanded message schedule. [`ProbeTable`] expands the
-/// shared nonce block once per event and replays it against every token's
-/// pad state through [`compress_expanded`].
+/// shared nonce block once per event; [`compress_lanes_shared`] then adds
+/// word `t` to every lane in round `t` as one scalar, with no schedule
+/// arithmetic per lane.
 ///
 /// [`ProbeTable`]: crate::ProbeTable
 pub(crate) type Schedule = [u32; 80];
+
+/// Most lanes one call of a lane kernel takes: a sweep runs its tokens in
+/// chunks of this many.
+pub(crate) const LANES: usize = 64;
+
+/// Up to [`LANES`] chaining states, word-major: `lanes[j][i]` is word `j`
+/// of lane `i`'s state.
+pub(crate) type LaneStates = [[u32; LANES]; 5];
+
+/// Sixteen consecutive message-schedule words of up to [`LANES`] lanes,
+/// word-major like [`LaneStates`].
+type LaneWindow = [[u32; LANES]; 16];
 
 fn ch(b: u32, c: u32, d: u32) -> u32 {
     d ^ (b & (c ^ d))
@@ -65,16 +78,36 @@ fn maj(b: u32, c: u32, d: u32) -> u32 {
     (b & c) | (d & (b ^ c))
 }
 
-/// The 80 rounds of the compression function over `state`, plus the final
-/// feed-forward. `w(t)` supplies schedule word `t` and is called exactly
-/// once per round, in order — so the caller decides whether the schedule
-/// is rolled on the fly or read from a prepared [`Schedule`].
+/// Reads `bytes` as big-endian words into the front of `words`.
+pub(crate) fn load_be(words: &mut [u32], bytes: &[u8]) {
+    for (w, chunk) in words.iter_mut().zip(bytes.chunks_exact(4)) {
+        *w = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+}
+
+/// Word `t >= 16` of the schedule rolled in place over a 16-word window.
+#[inline(always)]
+fn roll(w: &mut [u32; 16], t: usize) -> u32 {
+    let v = (w[(t - 3) & 15] ^ w[(t - 8) & 15] ^ w[(t - 14) & 15] ^ w[t & 15]).rotate_left(1);
+    w[t & 15] = v;
+    v
+}
+
+/// The SHA-1 compression function over one block of sixteen big-endian
+/// words, rolling the schedule through a 16-word window.
 ///
 /// Each round group is written out with the roles of `a..e` rotating by
 /// name: no value moves between registers and every `t` is a constant
 /// after inlining.
-#[inline(always)]
-fn rounds(state: &[u32; 5], mut w: impl FnMut(usize) -> u32) -> [u32; 5] {
+#[inline]
+pub(crate) fn compress(state: &[u32; 5], mut block: [u32; 16]) -> [u32; 5] {
+    let mut w = |t: usize| {
+        if t < 16 {
+            block[t]
+        } else {
+            roll(&mut block, t)
+        }
+    };
     let [mut a, mut b, mut c, mut d, mut e] = *state;
     macro_rules! round {
         ($f:ident, $k:literal, $t:expr, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident) => {
@@ -116,35 +149,7 @@ fn rounds(state: &[u32; 5], mut w: impl FnMut(usize) -> u32) -> [u32; 5] {
     ]
 }
 
-/// Reads `bytes` as big-endian words into the front of `words`.
-pub(crate) fn load_be(words: &mut [u32], bytes: &[u8]) {
-    for (w, chunk) in words.iter_mut().zip(bytes.chunks_exact(4)) {
-        *w = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
-}
-
-/// Word `t >= 16` of the schedule rolled in place over a 16-word window.
-#[inline(always)]
-fn roll(w: &mut [u32; 16], t: usize) -> u32 {
-    let v = (w[(t - 3) & 15] ^ w[(t - 8) & 15] ^ w[(t - 14) & 15] ^ w[t & 15]).rotate_left(1);
-    w[t & 15] = v;
-    v
-}
-
-/// The SHA-1 compression function over one block of sixteen big-endian
-/// words, rolling the schedule through a 16-word window.
-#[inline]
-pub(crate) fn compress(state: &[u32; 5], mut block: [u32; 16]) -> [u32; 5] {
-    rounds(state, |t| {
-        if t < 16 {
-            block[t]
-        } else {
-            roll(&mut block, t)
-        }
-    })
-}
-
-/// Expands `block` into its full schedule, for [`compress_expanded`].
+/// Expands `block` into its full schedule, for [`compress_lanes_shared`].
 pub(crate) fn expand(mut block: [u32; 16]) -> Schedule {
     let mut w = [0u32; 80];
     w[..16].copy_from_slice(&block);
@@ -154,10 +159,149 @@ pub(crate) fn expand(mut block: [u32; 16]) -> Schedule {
     w
 }
 
-/// [`compress`] over a block whose schedule was already expanded: the
-/// rounds alone, with no schedule arithmetic.
-pub(crate) fn compress_expanded(state: &[u32; 5], w: &Schedule) -> [u32; 5] {
-    rounds(state, |t| w[t])
+/// One round over lanes `0..n`: `e += rotl5(a) + f(b, c, d) + kw + w(i)`,
+/// `b = rotl30(b)`, where `kw` is shared by every lane and `w(i)` is lane
+/// `i`'s own part of the schedule word.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn lane_round(
+    f: impl Fn(u32, u32, u32) -> u32,
+    kw: u32,
+    a: &[u32],
+    b: &mut [u32],
+    c: &[u32],
+    d: &[u32],
+    e: &mut [u32],
+    mut w: impl FnMut(usize) -> u32,
+) {
+    let n = e.len();
+    let (a, b, c, d) = (&a[..n], &mut b[..n], &c[..n], &d[..n]);
+    for i in 0..n {
+        e[i] = e[i]
+            .wrapping_add(a[i].rotate_left(5))
+            .wrapping_add(f(b[i], c[i], d[i]))
+            .wrapping_add(kw)
+            .wrapping_add(w(i));
+        b[i] = b[i].rotate_left(30);
+    }
+}
+
+/// The 80 rounds over lanes `0..n` of `s`, round-major: each round is one
+/// loop over the lanes, which the loop vectoriser turns into SIMD even on
+/// baseline x86-64 (a rotate becomes shift/shift/or). `n` must stay a
+/// runtime value: over a constant trip count the loops are unrolled
+/// instead, and the SLP vectoriser leaves every rotate scalar. A loop
+/// that runs two rounds stays scalar too.
+///
+/// Word `t` of the message schedule is `shared[t]` plus, with a
+/// `window`, a per-lane word: row `t` of the window for `t < 16`, then
+/// rolled per lane through its sixteen rows. There is no feed-forward.
+#[inline(always)]
+fn lane_rounds(
+    s: &mut LaneStates,
+    n: usize,
+    shared: &Schedule,
+    mut window: Option<&mut LaneWindow>,
+) {
+    let [a, b, c, d, e] = s;
+    let (a, b, c, d, e) = (
+        &mut a[..n],
+        &mut b[..n],
+        &mut c[..n],
+        &mut d[..n],
+        &mut e[..n],
+    );
+    macro_rules! round {
+        ($f:ident, $k:literal, $t:expr, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident) => {
+            let t = $t;
+            let kw = shared[t].wrapping_add($k);
+            match window.as_deref_mut() {
+                None => lane_round($f, kw, $a, $b, $c, $d, $e, |_| 0),
+                Some(w) if t < 16 => {
+                    let w = &w[t];
+                    lane_round($f, kw, $a, $b, $c, $d, $e, |i| w[i]);
+                }
+                Some(w) => lane_round($f, kw, $a, $b, $c, $d, $e, |i| {
+                    let v = (w[(t - 3) & 15][i]
+                        ^ w[(t - 8) & 15][i]
+                        ^ w[(t - 14) & 15][i]
+                        ^ w[t & 15][i])
+                        .rotate_left(1);
+                    w[t & 15][i] = v;
+                    v
+                }),
+            }
+        };
+    }
+    macro_rules! group {
+        ($f:ident, $k:literal, $t:expr) => {
+            for t in ($t..$t + 20).step_by(5) {
+                round!($f, $k, t, a, b, c, d, e);
+                round!($f, $k, t + 1, e, a, b, c, d);
+                round!($f, $k, t + 2, d, e, a, b, c);
+                round!($f, $k, t + 3, c, d, e, a, b);
+                round!($f, $k, t + 4, b, c, d, e, a);
+            }
+        };
+    }
+    group!(ch, 0x5A827999u32, 0);
+    group!(parity, 0x6ED9EBA1u32, 20);
+    group!(maj, 0x8F1BBCDCu32, 40);
+    group!(parity, 0xCA62C1D6u32, 60);
+}
+
+/// Loads the chaining states `init` (five columns of equal length, at
+/// most [`LANES`]) into `s` and returns the lane count.
+fn load_lanes(s: &mut LaneStates, init: [&[u32]; 5]) -> usize {
+    let n = init[0].len();
+    for (row, col) in s.iter_mut().zip(init) {
+        row[..n].copy_from_slice(col);
+    }
+    n
+}
+
+/// Adds the chaining states `init` into lanes `0..n` of `s`: SHA-1's
+/// feed-forward.
+fn feed_forward(s: &mut LaneStates, init: [&[u32]; 5]) {
+    for (row, col) in s.iter_mut().zip(init) {
+        for (x, &h) in row.iter_mut().zip(col) {
+            *x = x.wrapping_add(h);
+        }
+    }
+}
+
+/// [`compress`] once per lane over one block shared by every lane, given
+/// as its expanded schedule: lane `i` of `out` becomes
+/// `compress(init[..][i], block)`. `init` holds five columns of equal
+/// length, at most [`LANES`]; lanes of `out` past that length are left
+/// unspecified.
+pub(crate) fn compress_lanes_shared(init: [&[u32]; 5], w: &Schedule, out: &mut LaneStates) {
+    let n = load_lanes(out, init);
+    lane_rounds(out, n, w, None);
+    feed_forward(out, init);
+}
+
+/// [`compress`] once per lane over the final block of a message whose
+/// last 20 bytes are that lane's digest: lane `i` of `out` becomes
+/// `compress(init[..][i], digest_i ‖ 0x80 ‖ 0… ‖ bits)`, with `digest_i`
+/// lane `i` of `digests`. This is HMAC's outer block, and its schedule
+/// rolls per lane through a 16-row window. Shapes are as in
+/// [`compress_lanes_shared`].
+pub(crate) fn compress_lanes_digest(
+    init: [&[u32]; 5],
+    digests: &LaneStates,
+    bits: u32,
+    out: &mut LaneStates,
+) {
+    let n = load_lanes(out, init);
+    let mut window = [[0u32; LANES]; 16];
+    for (row, digest) in window.iter_mut().zip(digests) {
+        row[..n].copy_from_slice(&digest[..n]);
+    }
+    window[5] = [0x8000_0000; LANES];
+    window[15] = [bits; LANES];
+    lane_rounds(out, n, &[0; 80], Some(&mut window));
+    feed_forward(out, init);
 }
 
 impl Sha1 {
@@ -308,16 +452,57 @@ mod tests {
     }
 
     #[test]
-    fn expanded_schedule_replays_to_the_same_state() {
-        // The sweep kernel's split (expand once, replay per state) must be
-        // the compression function itself, from any chaining state.
-        let mut state = H0;
-        for seed in 0u32..64 {
-            let block: [u32; 16] =
-                std::array::from_fn(|i| (seed + 1).wrapping_mul(0x9E37_79B9).rotate_left(i as u32));
-            let next = compress(&state, block);
-            assert_eq!(compress_expanded(&state, &expand(block)), next);
-            state = next;
+    fn lane_kernels_equal_scalar_compress_per_lane() {
+        // The sweep's split (expand the shared block once, broadcast it to
+        // every lane; roll each lane's digest block) must be the
+        // compression function itself, per lane, from any chaining state,
+        // for any lane count and across chunk boundaries.
+        use std::array::from_fn;
+        let mut x = 0x9E37_79B9u32;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        for n in [1usize, 3, 4, 5, 63, 64, 65] {
+            let states: Vec<[u32; 5]> = (0..n).map(|_| from_fn(|_| next())).collect();
+            let digests: Vec<[u32; 5]> = (0..n).map(|_| from_fn(|_| next())).collect();
+            let block: [u32; 16] = from_fn(|_| next());
+            let bits = next();
+            let columns = |rows: &[[u32; 5]]| -> [Vec<u32>; 5] {
+                from_fn(|j| rows.iter().map(|r| r[j]).collect())
+            };
+            let (init, heads) = (columns(&states), columns(&digests));
+            let schedule = expand(block);
+            for start in (0..n).step_by(LANES) {
+                let lanes = start..(start + LANES).min(n);
+                let chunk: [&[u32]; 5] = from_fn(|j| &init[j][lanes.clone()]);
+                let mut head = [[0; LANES]; 5];
+                for (row, col) in head.iter_mut().zip(&heads) {
+                    row[..lanes.len()].copy_from_slice(&col[lanes.clone()]);
+                }
+                let (mut shared, mut tail) = ([[0; LANES]; 5], [[0; LANES]; 5]);
+                compress_lanes_shared(chunk, &schedule, &mut shared);
+                compress_lanes_digest(chunk, &head, bits, &mut tail);
+                for (i, lane) in lanes.enumerate() {
+                    let at = |s: &LaneStates| -> [u32; 5] { from_fn(|j| s[j][i]) };
+                    assert_eq!(
+                        at(&shared),
+                        compress(&states[lane], block),
+                        "n={n} lane={lane}"
+                    );
+                    let mut last = [0u32; 16];
+                    last[..5].copy_from_slice(&digests[lane]);
+                    last[5] = 0x8000_0000;
+                    last[15] = bits;
+                    assert_eq!(
+                        at(&tail),
+                        compress(&states[lane], last),
+                        "n={n} lane={lane}"
+                    );
+                }
+            }
         }
     }
 

@@ -126,16 +126,19 @@ proptest! {
     }
 
     /// One sweep decides exactly like `prf_verify` run per live token,
-    /// across set / clear / re-set churn of the slots.
+    /// across set / clear / re-set churn of the slots. Up to 200 tokens
+    /// span several 64-lane chunks, and each clear moves the last lane
+    /// into the cleared one, across chunk boundaries.
     #[test]
     fn probe_sweep_equals_per_token_prf_verify(
-        stored in 0usize..=70,
-        clears in prop::collection::vec(any::<u16>(), 0..40),
-        reuses in prop::collection::vec(any::<u16>(), 0..20),
+        stored in 0usize..=200,
+        clears in prop::collection::vec(any::<u16>(), 0..80),
+        reuses in prop::collection::vec(any::<u16>(), 0..40),
         nonce: [u8; 16],
         pick in any::<u16>(),
+        twin in any::<u16>(),
     ) {
-        // Distinct tokens throughout, so a tag has at most one owner.
+        // Distinct tokens until the twin step, so a tag has one owner.
         let token = |id: usize| prf(b"rk(KDC)", &(id as u64).to_be_bytes());
         let mut table = ProbeTable::new();
         let mut mirror: Vec<Option<Token>> = (0..stored).map(|id| Some(token(id))).collect();
@@ -169,10 +172,24 @@ proptest! {
 
         if !live.is_empty() {
             let owner = live[pick as usize % live.len()];
-            let tag = prf(mirror[owner as usize].expect("live").as_bytes(), &nonce);
+            let owned = mirror[owner as usize].expect("live");
+            let tag = prf(owned.as_bytes(), &nonce);
             table.sweep(&nonce, &tag, &mut hits);
             prop_assert_eq!(&hits, &[u32::MAX, owner]);
             prop_assert_eq!(oracle(&mirror, &nonce, &tag), vec![owner]);
+            // A second slot, live, dead or past the stored range, keyed
+            // with the owner's token: two hits, in ascending slot order.
+            let twin = (twin as usize % (stored + 8)) as u32;
+            if twin != owner {
+                table.set(twin, &owned);
+                mirror.resize(mirror.len().max(twin as usize + 1), None);
+                mirror[twin as usize] = Some(owned);
+                hits.clear();
+                table.sweep(&nonce, &tag, &mut hits);
+                let both = vec![owner.min(twin), owner.max(twin)];
+                prop_assert_eq!(&hits, &both);
+                prop_assert_eq!(oracle(&mirror, &nonce, &tag), both);
+            }
             // A tag is bound to its nonce.
             let mut other = nonce;
             other[0] ^= 1;

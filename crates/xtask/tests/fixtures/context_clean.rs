@@ -27,14 +27,15 @@ impl std::fmt::Debug for AesContext {
 
 #[derive(Clone, Default)]
 pub struct ProbeTable {
-    slots: Vec<Option<PadState>>,
-    live: usize,
+    columns: Box<[u32]>,
+    slot_of: Vec<u32>,
+    lane_of: Vec<u32>,
 }
 
 impl std::fmt::Debug for ProbeTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProbeTable")
-            .field("live", &self.live)
+            .field("live", &self.slot_of.len())
             .finish_non_exhaustive()
     }
 }

@@ -17,8 +17,9 @@ pub struct HmacContext<D> {
 
 #[derive(Debug, Clone, Default)]
 pub struct ProbeTable {
-    slots: Vec<Option<PadState>>,
-    live: usize,
+    columns: Box<[u32]>,
+    slot_of: Vec<u32>,
+    lane_of: Vec<u32>,
 }
 
 impl std::fmt::Display for AesContext {
