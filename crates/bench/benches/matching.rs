@@ -1,5 +1,6 @@
-//! Matching fast-path benchmarks: the counting `MatchIndex` against the
-//! linear filter scan, at subscription-table sizes from 100 to 100 000.
+//! Matching fast-path benchmarks: the broker's counting `MatchIndex`
+//! against a linear scan over a local copy of the registrations, at
+//! subscription-table sizes from 100 to 100 000.
 //!
 //! The workload models a realistic broker: subscriptions spread over 64
 //! topics, each with a numeric range constraint; events hit one topic
@@ -7,44 +8,26 @@
 //! the same comparison and emits machine-readable `BENCH_matching.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use psguard_model::{Constraint, Event, Filter, IntRange, Op};
-use psguard_siena::{Peer, SubscriptionTable};
-
-const TOPICS: usize = 64;
-
-fn build_table(subscriptions: usize) -> SubscriptionTable<Filter> {
-    let mut table = SubscriptionTable::new();
-    for i in 0..subscriptions {
-        let lo = (i % 50) as i64;
-        let filter = Filter::for_topic(format!("topic{:02}", i % TOPICS)).with(Constraint::new(
-            "x",
-            Op::InRange(IntRange::new(lo, lo + 30).expect("valid range")),
-        ));
-        table.insert(Peer::Local(i as u32), filter);
-    }
-    table
-}
-
-fn events() -> Vec<Event> {
-    (0..TOPICS)
-        .map(|t| {
-            Event::builder(format!("topic{:02}", t))
-                .attr("x", (t % 60) as i64)
-                .build()
-        })
-        .collect()
-}
+use psguard_bench::support::{linear_scan, matching_events, matching_filter};
+use psguard_model::Filter;
+use psguard_siena::{Broker, Peer};
 
 fn bench_matching(c: &mut Criterion) {
-    let evs = events();
+    let evs = matching_events();
     let mut group = c.benchmark_group("matching");
     for n in [100usize, 1_000, 10_000, 100_000] {
-        let mut table = build_table(n);
+        let regs: Vec<(Peer, Filter)> = (0..n)
+            .map(|i| (Peer::Local(i as u32), matching_filter(i)))
+            .collect();
+        let mut broker: Broker<Filter> = Broker::new(true);
+        for (peer, filter) in &regs {
+            broker.subscribe(*peer, filter.clone());
+        }
         let mut i = 0usize;
         group.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, _| {
             b.iter(|| {
                 i = (i + 1) % evs.len();
-                black_box(table.matching_peers(black_box(&evs[i])))
+                black_box(broker.route(Peer::Parent, black_box(&evs[i])).len())
             })
         });
         // The linear reference gets slow past 10k; skip the largest size
@@ -54,7 +37,7 @@ fn bench_matching(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("linear", n), &n, |b, _| {
                 b.iter(|| {
                     j = (j + 1) % evs.len();
-                    black_box(table.matching_peers_linear(black_box(&evs[j])))
+                    black_box(linear_scan(&regs, black_box(&evs[j])))
                 })
             });
         }
@@ -63,18 +46,18 @@ fn bench_matching(c: &mut Criterion) {
 }
 
 fn bench_insert_with_duplicates(c: &mut Criterion) {
-    // Duplicate-heavy subscribe churn: the hash short-circuit turns the
-    // old O(n) duplicate scan into a lookup.
+    // Duplicate-heavy subscribe churn: the duplicate test walks one
+    // entry list of the filter's bucket, never the table.
     let subs: Vec<Filter> = (0..4_096)
         .map(|i| Filter::for_topic(format!("t{}", i % 32)))
         .collect();
     c.bench_function("table_insert_4096_dup_heavy", |b| {
         b.iter(|| {
-            let mut table: SubscriptionTable<Filter> = SubscriptionTable::new();
+            let mut broker: Broker<Filter> = Broker::new(true);
             for (i, f) in subs.iter().enumerate() {
-                table.insert(Peer::Local((i % 64) as u32), f.clone());
+                broker.subscribe(Peer::Local((i % 64) as u32), f.clone());
             }
-            black_box(table.len())
+            black_box(broker.table().len())
         })
     });
 }

@@ -2,17 +2,13 @@
 //! optimization ablation, and the wire codec.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use psguard_model::{Constraint, Event, Filter, IntRange, Op};
-use psguard_siena::{Broker, Peer, SubscriptionTable, Wire};
+use psguard_bench::support::range_filter;
+use psguard_model::{Event, Filter};
+use psguard_siena::{Broker, Peer, Wire};
 
 fn filters(n: usize) -> Vec<Filter> {
     (0..n)
-        .map(|i| {
-            Filter::for_topic(format!("topic{:02}", i % 16)).with(Constraint::new(
-                "x",
-                Op::InRange(IntRange::new((i % 50) as i64, (i % 50 + 30) as i64).expect("valid")),
-            ))
-        })
+        .map(|i| range_filter(format!("topic{:02}", i % 16), (i % 50) as i64))
         .collect()
 }
 
@@ -40,12 +36,10 @@ fn bench_covering_ablation(c: &mut Criterion) {
         .collect();
     c.bench_function("table_insert_with_covering_256", |b| {
         b.iter(|| {
-            let mut table: SubscriptionTable<Filter> = SubscriptionTable::new();
-            let mut forwarded = 0u32;
+            let mut broker: Broker<Filter> = Broker::new(false);
+            let mut forwarded = 0usize;
             for (i, f) in subs.iter().enumerate() {
-                if table.insert(Peer::Local(i as u32), f.clone()) {
-                    forwarded += 1;
-                }
+                forwarded += broker.subscribe(Peer::Local(i as u32), f.clone()).len();
             }
             black_box(forwarded) // 16 with covering; 256 without
         })

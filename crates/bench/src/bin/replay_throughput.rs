@@ -1,6 +1,6 @@
 //! Replay and recovery throughput for the durable event log.
 //!
-//! Three measurements, written to `BENCH_replay.json`:
+//! Four measurements, written to `BENCH_replay.json`:
 //!
 //! 1. **Recovery**: time to reopen (CRC-scan and repair) a seeded log
 //!    directory, normalised to seconds per GB — the broker's
@@ -12,17 +12,22 @@
 //!    subscriber while that replay is in flight, against the same
 //!    broker's replay-free baseline. The dispatcher's per-pass replay
 //!    budget is supposed to bound this tax at ≤ 20%.
+//! 4. **Replay against a full table**: the replay of point 2 again,
+//!    after a second connection has registered 100k background
+//!    subscriptions on other topics (20k in `--smoke`). The replay pump
+//!    selects each record through the broker's match index, so the
+//!    table must cost it at most half its empty-table rate.
 //!
 //! Each point is best-of-3. Pass `--smoke` for the seconds-long CI
-//! variant, which still asserts exactly-once replay and the
-//! degradation ceiling at reduced scale.
+//! variant, which still asserts exactly-once replay, the degradation
+//! ceiling and the full-table floor at reduced scale.
 
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use psguard_model::{Event, Filter};
+use psguard_model::{Constraint, Event, Filter, Op};
 use psguard_siena::wire::Wire;
 use psguard_siena::{
     spawn_broker_durable, Cursor, EventLog, LogConfig, ResumeOutcome, TcpClient, TcpConfig,
@@ -34,6 +39,13 @@ const PAYLOAD: usize = 64;
 const ROUNDS: usize = 3;
 /// The acceptance ceiling on live fan-out degradation during replay.
 const MAX_DEGRADATION: f64 = 0.20;
+/// The floor on replay throughput with the background table, as a
+/// fraction of the empty-table rate measured in the same process.
+const MIN_TABLE_REPLAY_RATIO: f64 = 0.5;
+/// Background subscriptions are sent in batches of this many, each
+/// closed by an acked one, so the broker's acks never overflow the
+/// connection's queue.
+const BACKGROUND_BATCH: usize = 1_024;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let nanos = std::time::SystemTime::now()
@@ -112,6 +124,23 @@ fn live_round(
     (sub, n as f64 / (end - start).as_secs_f64())
 }
 
+/// Registers `n` distinct subscriptions on topics no event is published
+/// on, over a connection of its own, which the caller keeps open.
+fn register_background(addr: SocketAddr, cfg: TcpConfig, n: usize) -> TcpClient<Filter> {
+    let bg: TcpClient<Filter> = TcpClient::connect_with(addr, cfg).expect("background connect");
+    for i in 0..n {
+        let filter = Filter::for_topic(format!("bg{}", i % 256))
+            .with(Constraint::new("x", Op::Ge(i as i64)));
+        if (i + 1) % BACKGROUND_BATCH == 0 || i + 1 == n {
+            bg.subscribe_acked(filter, Duration::from_secs(30))
+                .expect("background batch acked");
+        } else {
+            bg.subscribe(filter).expect("background subscribe");
+        }
+    }
+    bg
+}
+
 struct ReplayRound {
     live_eps: f64,
     replay_eps: f64,
@@ -186,10 +215,10 @@ fn replay_round(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (backlog, live_n, recovery_n): (u64, u64, u64) = if smoke {
-        (12_000, 3_000, 12_000)
+    let (backlog, live_n, recovery_n, background): (u64, u64, u64, usize) = if smoke {
+        (12_000, 3_000, 12_000, 20_000)
     } else {
-        (120_000, 15_000, 120_000)
+        (120_000, 15_000, 120_000, 100_000)
     };
 
     // ---------------------------------------------------- 1. recovery
@@ -269,14 +298,28 @@ fn main() {
         replay_eps = replay_eps.max(r.replay_eps);
         overlapped |= r.overlapped;
     }
+
+    // ------------------------------- 4. replay against a full table
+    let bg = register_background(broker.addr(), cfg, background);
+    let mut table_replay_eps = 0f64;
+    for _ in 0..ROUNDS {
+        let (sub, r) = replay_round(broker.addr(), cfg, &publisher, live_sub, backlog, live_n);
+        live_sub = sub;
+        table_replay_eps = table_replay_eps.max(r.replay_eps);
+    }
     let replayed_frames = broker.stats().replayed_frames;
+    drop(bg);
     drop(publisher);
     drop(live_sub);
     broker.shutdown();
     let _ = std::fs::remove_dir_all(&replay_dir);
 
     let degradation = (1.0 - during_eps / baseline_eps).max(0.0);
+    let table_ratio = table_replay_eps / replay_eps;
     println!("replay: {replay_eps:.0} events/s through catch-up ({replayed_frames} frames total)");
+    println!(
+        "replay with {background} background subscriptions: {table_replay_eps:.0} events/s ({table_ratio:.2}x the empty table)"
+    );
     println!(
         "live during replay: {during_eps:.0} events/s — degradation {:.1}% (overlapped: {overlapped})",
         degradation * 100.0
@@ -293,7 +336,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"replay\": {{\"events_per_sec\": {replay_eps:.1}, \"replayed_frames\": {replayed_frames}, \"overlapped_live\": {overlapped}}},"
+        "  \"replay\": {{\"events_per_sec\": {replay_eps:.1}, \"replayed_frames\": {replayed_frames}, \"overlapped_live\": {overlapped}, \"background_subscriptions\": {background}, \"events_per_sec_with_table\": {table_replay_eps:.1}, \"table_ratio\": {table_ratio:.3}}},"
     );
     let _ = writeln!(
         json,
@@ -304,8 +347,9 @@ fn main() {
     println!("wrote BENCH_replay.json");
 
     // Floors: replay must move real volume, recovery must scan at disk
-    // speed (not per-record syscall speed), and live fan-out keeps at
-    // least 80% of its replay-free throughput.
+    // speed (not per-record syscall speed), live fan-out keeps at least
+    // 80% of its replay-free throughput, and a full table keeps replay
+    // at least at half its empty-table rate.
     assert!(
         replay_eps > 2_000.0,
         "replay throughput collapsed: {replay_eps:.0} events/s"
@@ -319,6 +363,10 @@ fn main() {
         "live fan-out degraded {:.1}% during replay (ceiling {:.0}%)",
         degradation * 100.0,
         MAX_DEGRADATION * 100.0
+    );
+    assert!(
+        table_ratio >= MIN_TABLE_REPLAY_RATIO,
+        "replay with {background} background subscriptions ran at {table_ratio:.2}x the empty-table rate (floor {MIN_TABLE_REPLAY_RATIO:.1}x)"
     );
     println!("all floors hold");
 }

@@ -6,10 +6,15 @@
 //! 200 ms sampling floor that fixed run-to-run jitter at 100k
 //! subscriptions) never reached the others. This module is the single
 //! copy: [`measure`] for events-per-second sampling and [`Json`] for
-//! the `BENCH_*.json` files the CI publishes as artifacts.
+//! the `BENCH_*.json` files the CI publishes as artifacts. It also holds
+//! the matching workload and its linear reference ([`linear_scan`]),
+//! shared by `matching_scaling` and `benches/matching.rs`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
+
+use psguard_model::{Constraint, Event, Filter, IntRange, Op};
+use psguard_siena::Peer;
 
 /// One measured cell: rate per second plus how many iterations the
 /// sampling window actually absorbed (landing the count in the JSON
@@ -198,6 +203,45 @@ pub fn assert_floor(label: &str, ratio: f64, floor: f64) {
         ratio >= floor,
         "{label}: expected >= {floor:.2}x, got {ratio:.2}x"
     );
+}
+
+/// Topics of the matching workload (`matching_scaling`,
+/// `benches/matching.rs`).
+pub const MATCHING_TOPICS: usize = 64;
+
+/// A filter on `topic` with `x` in `[lo, lo + 30]`.
+pub fn range_filter(topic: impl Into<String>, lo: i64) -> Filter {
+    let range = IntRange::new(lo, lo + 30).expect("valid range");
+    Filter::for_topic(topic).with(Constraint::new("x", Op::InRange(range)))
+}
+
+/// Subscription `i` of the matching workload: one of 64 topics, one of
+/// 50 ranges.
+pub fn matching_filter(i: usize) -> Filter {
+    range_filter(format!("topic{:02}", i % MATCHING_TOPICS), (i % 50) as i64)
+}
+
+/// One event per topic of the matching workload.
+pub fn matching_events() -> Vec<Event> {
+    (0..MATCHING_TOPICS)
+        .map(|t| {
+            let x = (t % 60) as i64;
+            Event::builder(format!("topic{t:02}")).attr("x", x).build()
+        })
+        .collect()
+}
+
+/// The linear matching reference: the distinct peers of the
+/// registrations that match `event`, in first-seen registration order,
+/// found by testing every registration.
+pub fn linear_scan(regs: &[(Peer, Filter)], event: &Event) -> Vec<Peer> {
+    let mut out: Vec<Peer> = Vec::new();
+    for (peer, filter) in regs {
+        if filter.matches(event) && !out.contains(peer) {
+            out.push(*peer);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -62,9 +62,9 @@ fn secure_match_index_steady_state_queries_allocate_nothing() {
     let mut matched = 0;
     for e in measured {
         index.query_matches_into(e, &mut matches);
-        assert_eq!(index.last_stats().key_probes, u64::from(TOPICS));
+        assert_eq!(index.last_match_stats().key_probes, u64::from(TOPICS));
         index.query_into(e, &mut peers);
-        assert_eq!(index.last_stats().memo_hits, 1);
+        assert_eq!(index.last_match_stats().memo_hits, 1);
         matched += matches.len();
     }
     let allocs = alloc_counter::ALLOCS.load(std::sync::atomic::Ordering::Relaxed) - before;

@@ -268,8 +268,11 @@ impl Filter {
         }
     }
 
-    /// Adds a constraint (builder style).
+    /// Adds a constraint (builder style). The constraint list grows by
+    /// exactly one, so a filter a broker stores for a subscription's
+    /// lifetime carries no spare capacity.
     pub fn with(mut self, constraint: Constraint) -> Self {
+        self.constraints.reserve_exact(1);
         self.constraints.push(constraint);
         self
     }

@@ -1,8 +1,8 @@
 //! Property tests for the secure-routing fast path: token-bucketed
 //! matching with PRF probing and the per-nonce memo must be
-//! observationally identical to the linear scan over every
-//! `SecureFilter`, while performing one PRF verification per *distinct*
-//! token (not per subscription).
+//! observationally identical to a linear scan over a test-local model of
+//! the live `SecureFilter` registrations, while performing one PRF
+//! verification per *distinct* token (not per subscription).
 
 use std::collections::HashSet;
 
@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use psguard_crypto::{prf, Token};
 use psguard_model::{AttrValue, Constraint, Event, Op};
 use psguard_routing::{RoutableTag, SecureEvent, SecureFilter};
-use psguard_siena::{Peer, SubscriptionTable};
+use psguard_siena::{Broker, FilterSemantics, Peer};
 
 fn token(topic: u8) -> Token {
     prf(b"kdc-master", &[topic])
@@ -60,6 +60,35 @@ fn event_strategy() -> BoxedStrategy<SecureEvent> {
         .boxed()
 }
 
+/// The broker's live registrations, in registration order: the model
+/// the linear reference scans.
+type Model = Vec<(Peer, SecureFilter)>;
+
+/// Subscribes in the broker and, unless it is a duplicate, in the model.
+fn subscribe(broker: &mut Broker<SecureFilter>, live: &mut Model, peer: Peer, f: SecureFilter) {
+    if !live.iter().any(|(p, g)| *p == peer && *g == f) {
+        live.push((peer, f.clone()));
+    }
+    broker.subscribe(peer, f);
+}
+
+/// Distinct peers of the matching registrations, in first-seen order.
+fn linear_scan(live: &Model, event: &SecureEvent) -> Vec<Peer> {
+    let mut out: Vec<Peer> = Vec::new();
+    for (peer, filter) in live {
+        if filter.matches(event) && !out.contains(peer) {
+            out.push(*peer);
+        }
+    }
+    out
+}
+
+/// The indexed match: a root broker routes an event from its parent to
+/// every matching subscriber.
+fn route(broker: &mut Broker<SecureFilter>, event: &SecureEvent) -> Vec<Peer> {
+    broker.route(Peer::Parent, event).to_vec()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -68,14 +97,14 @@ proptest! {
         subs in prop::collection::vec((0u32..6, filter_strategy()), 0..24),
         events in prop::collection::vec(event_strategy(), 1..6),
     ) {
-        let mut table: SubscriptionTable<SecureFilter> = SubscriptionTable::new();
+        let mut broker: Broker<SecureFilter> = Broker::new(true);
+        let mut live = Model::new();
         for (peer, filter) in subs {
-            table.insert(Peer::Local(peer), filter);
+            subscribe(&mut broker, &mut live, Peer::Local(peer), filter);
         }
+        prop_assert_eq!(broker.table().len(), live.len());
         for event in &events {
-            let fast = table.matching_peers(event);
-            let reference = table.matching_peers_linear(event);
-            prop_assert_eq!(fast, reference);
+            prop_assert_eq!(route(&mut broker, event), linear_scan(&live, event));
         }
     }
 
@@ -88,26 +117,26 @@ proptest! {
         ops in prop::collection::vec((any::<bool>(), 0u32..4, filter_strategy()), 1..48),
         events in prop::collection::vec(event_strategy(), 1..4),
     ) {
-        let mut table: SubscriptionTable<SecureFilter> = SubscriptionTable::new();
-        for (subscribe, peer, filter) in ops {
+        let mut broker: Broker<SecureFilter> = Broker::new(true);
+        let mut live = Model::new();
+        for (join, peer, filter) in ops {
             let peer = Peer::Local(peer);
-            if subscribe {
-                table.insert(peer, filter);
+            if join {
+                subscribe(&mut broker, &mut live, peer, filter);
             } else {
                 // Half the leaves hit a live registration of this peer.
-                let target = table
-                    .entries()
+                let target = live
                     .iter()
                     .find(|(p, f)| *p == peer && f.token == filter.token)
                     .map_or(filter, |(_, f)| f.clone());
-                table.remove(peer, &target);
+                broker.unsubscribe(peer, &target);
+                live.retain(|(p, f)| !(*p == peer && *f == target));
             }
-            let live_tokens: HashSet<Token> =
-                table.entries().iter().map(|(_, f)| f.token).collect();
+            prop_assert_eq!(broker.table().len(), live.len());
+            let live_tokens: HashSet<Token> = live.iter().map(|(_, f)| f.token).collect();
             for event in &events {
-                let fast = table.matching_peers(event);
-                prop_assert_eq!(fast, table.matching_peers_linear(event));
-                let stats = table.last_match_stats();
+                prop_assert_eq!(route(&mut broker, event), linear_scan(&live, event));
+                let stats = broker.table().last_match_stats();
                 // A no-op leave keeps the memo; everything else sweeps.
                 if stats.memo_hits == 0 {
                     prop_assert_eq!(stats.key_probes, live_tokens.len() as u64);
@@ -118,12 +147,13 @@ proptest! {
         }
         // Drain: every bucket empties and nothing is probed any more.
         for peer in 0..4 {
-            table.remove_peer(Peer::Local(peer));
+            let held = live.iter().filter(|(p, _)| *p == Peer::Local(peer)).count();
+            prop_assert_eq!(broker.peer_down(Peer::Local(peer)), held);
         }
-        prop_assert!(table.is_empty());
+        prop_assert!(broker.table().is_empty());
         for event in &events {
-            prop_assert!(table.matching_peers(event).is_empty());
-            prop_assert_eq!(table.last_match_stats().key_probes, 0);
+            prop_assert!(route(&mut broker, event).is_empty());
+            prop_assert_eq!(broker.table().last_match_stats().key_probes, 0);
         }
     }
 
@@ -134,14 +164,14 @@ proptest! {
     ) {
         // `fanout` subscribers all share one topic token; a second topic
         // has a single subscriber.
-        let mut table: SubscriptionTable<SecureFilter> = SubscriptionTable::new();
+        let mut broker: Broker<SecureFilter> = Broker::new(true);
         for peer in 0..fanout {
-            table.insert(
+            broker.subscribe(
                 Peer::Local(peer),
                 SecureFilter { token: token(0), constraints: vec![] },
             );
         }
-        table.insert(
+        broker.subscribe(
             Peer::Local(1000),
             SecureFilter { token: token(1), constraints: vec![] },
         );
@@ -154,30 +184,30 @@ proptest! {
             mac: [0u8; 20],
         };
 
-        let first = table.matching_peers(&event);
+        let first = route(&mut broker, &event);
         prop_assert_eq!(first.len() as u32, fanout);
-        let stats = table.last_match_stats();
+        let stats = broker.table().last_match_stats();
         // One PRF test per distinct live token — 2 — regardless of fanout.
         prop_assert_eq!(stats.key_probes, 2);
         prop_assert_eq!(stats.memo_hits, 0);
 
         // Re-publishing the same envelope hits the nonce memo: no PRF.
-        let second = table.matching_peers(&event);
+        let second = route(&mut broker, &event);
         prop_assert_eq!(first, second);
-        let stats = table.last_match_stats();
+        let stats = broker.table().last_match_stats();
         prop_assert_eq!(stats.key_probes, 0);
         prop_assert_eq!(stats.memo_hits, 1);
 
         // A subscription change invalidates the memo soundly.
-        table.insert(
+        broker.subscribe(
             Peer::Local(2000),
             SecureFilter { token: token(0), constraints: vec![] },
         );
-        let third = table.matching_peers(&event);
+        let third = route(&mut broker, &event);
         prop_assert_eq!(third.len() as u32, fanout + 1);
-        prop_assert_eq!(table.last_match_stats().key_probes, 2);
+        prop_assert_eq!(broker.table().last_match_stats().key_probes, 2);
 
         // Token interning: fanout+2 subscriptions, 2 distinct keys.
-        prop_assert_eq!(table.index().distinct_keys(), 2);
+        prop_assert_eq!(broker.table().distinct_keys(), 2);
     }
 }

@@ -8,10 +8,26 @@
 //! recipient. Keeping the logic pure lets the same
 //! broker run on the discrete-event engine (for the paper's figures), over
 //! TCP, or in unit tests.
+//!
+//! The broker's one subscription store is a [`MatchIndex`]; the §2.1
+//! subscription policy (idempotent duplicates, covering, forwarding an
+//! unsubscribe only when the last registration of a filter goes) lives
+//! here, on top of the index's per-filter and per-peer lookups.
 
-use crate::index::IndexableFilter;
+use crate::index::{IndexableFilter, MatchIndex};
 use crate::semantics::FilterSemantics;
-use crate::table::{Peer, SubscriptionTable};
+
+/// A neighbor of a broker: its parent, a child broker, or a locally
+/// attached client.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Peer {
+    /// The broker's parent in the dissemination hierarchy.
+    Parent,
+    /// A child broker, by overlay node id.
+    Child(u32),
+    /// A locally attached client (publisher or subscriber).
+    Local(u32),
+}
 
 /// An output of the broker state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +78,7 @@ pub struct BrokerStats {
 #[derive(Debug, Clone)]
 pub struct Broker<F: IndexableFilter> {
     is_root: bool,
-    table: SubscriptionTable<F>,
+    table: MatchIndex<F>,
     stats: BrokerStats,
     last_match_work: u64,
     /// Recipient buffer reused across publishes; [`route`](Self::route)
@@ -75,15 +91,16 @@ impl<F: IndexableFilter> Broker<F> {
     pub fn new(is_root: bool) -> Self {
         Broker {
             is_root,
-            table: SubscriptionTable::new(),
+            table: MatchIndex::new(),
             stats: BrokerStats::default(),
             last_match_work: 0,
             peer_scratch: Vec::new(),
         }
     }
 
-    /// The subscription table (for inspection).
-    pub fn table(&self) -> &SubscriptionTable<F> {
+    /// The subscription table (for inspection): every live `(peer,
+    /// filter)` registration, in the index that routes them.
+    pub fn table(&self) -> &MatchIndex<F> {
         &self.table
     }
 
@@ -100,28 +117,36 @@ impl<F: IndexableFilter> Broker<F> {
     }
 
     /// Handles a subscription from `from`. May emit
-    /// [`Action::ForwardSubscribe`] when the filter is not covered.
+    /// [`Action::ForwardSubscribe`] when the filter is not covered by any
+    /// filter already registered (Siena's covering optimization, §2.1).
+    ///
+    /// A duplicate `(peer, filter)` registration is idempotent and never
+    /// forwarded. The duplicate test walks one predicate list of the
+    /// filter's bucket, and the covering test scans only the buckets that
+    /// could hold a covering filter; a root broker skips it.
     pub fn subscribe(&mut self, from: Peer, filter: F) -> Vec<Action<F>> {
         self.stats.subscribes += 1;
-        let forward = self.table.insert(from, filter.clone());
-        if forward && !self.is_root {
-            self.stats.forwarded_subscribes += 1;
-            vec![Action::ForwardSubscribe(filter)]
-        } else {
-            Vec::new()
+        if self.table.find(from, &filter).is_some() {
+            return Vec::new();
         }
+        let forward = !self.is_root && !self.table.covered_by_any(&filter);
+        let action = forward.then(|| Action::ForwardSubscribe(filter.clone()));
+        self.table.insert(from, filter);
+        if forward {
+            self.stats.forwarded_subscribes += 1;
+        }
+        action.into_iter().collect()
     }
 
     /// Handles an unsubscription from `from`. Forwards upstream when no
     /// other registration still needs the filter. (A conservative policy:
     /// forwards only when the exact filter disappears entirely.)
     pub fn unsubscribe(&mut self, from: Peer, filter: &F) -> Vec<Action<F>> {
-        let removed = self.table.remove(from, filter);
-        if !removed || self.is_root {
+        let Some(id) = self.table.find(from, filter) else {
             return Vec::new();
-        }
-        let still_needed = self.table.entries().iter().any(|(_, f)| f == filter);
-        if still_needed {
+        };
+        self.table.remove(id);
+        if self.is_root || self.table.holds(filter) {
             Vec::new()
         } else {
             vec![Action::ForwardUnsubscribe(filter.clone())]
@@ -141,8 +166,8 @@ impl<F: IndexableFilter> Broker<F> {
     pub fn route(&mut self, from: Peer, event: &F::Event) -> &[Peer] {
         self.stats.events_in += 1;
         let peers = &mut self.peer_scratch;
-        self.table.matching_peers_into(event, peers);
-        self.last_match_work = self.table.last_match_work();
+        self.table.query_into(event, peers);
+        self.last_match_work = self.table.last_match_stats().work();
         self.stats.match_evaluations += self.last_match_work;
         peers.retain(|&peer| peer != from && peer != Peer::Parent);
         if from != Peer::Parent && !self.is_root {
@@ -161,9 +186,19 @@ impl<F: IndexableFilter> Broker<F> {
             .collect()
     }
 
-    /// Drops all state for a departed peer.
+    /// Drops all state for a departed peer and returns how many
+    /// registrations it held. Touches only that peer's registrations.
     pub fn peer_down(&mut self, peer: Peer) -> usize {
         self.table.remove_peer(peer)
+    }
+
+    /// Whether `peer` holds a live registration matching `event` — the
+    /// replay pump's per-record test. It runs the index's matching pass
+    /// but counts in neither [`stats`](Self::stats) nor
+    /// [`last_match_work`](Self::last_match_work): a replay is not a
+    /// routed event.
+    pub(crate) fn peer_wants(&mut self, peer: Peer, event: &F::Event) -> bool {
+        self.table.peer_matches(peer, event)
     }
 }
 
@@ -187,9 +222,84 @@ mod tests {
             b.subscribe(Peer::Local(1), f(10)),
             vec![Action::ForwardSubscribe(f(10))]
         );
-        // Covered: silent.
+        // Narrower filter from another peer: covered, silent.
         assert!(b.subscribe(Peer::Local(2), f(20)).is_empty());
         assert_eq!(b.stats().forwarded_subscribes, 1);
+        // Broader filter: not covered, forwarded.
+        assert_eq!(
+            b.subscribe(Peer::Local(3), f(0)),
+            vec![Action::ForwardSubscribe(f(0))]
+        );
+        assert_eq!(b.stats().forwarded_subscribes, 2);
+    }
+
+    #[test]
+    fn duplicate_registration_idempotent() {
+        let mut b: Broker<Filter> = Broker::new(false);
+        assert_eq!(b.subscribe(Peer::Child(1), f(10)).len(), 1);
+        assert!(b.subscribe(Peer::Child(1), f(10)).is_empty());
+        assert_eq!(b.table().len(), 1);
+        assert_eq!(b.stats().subscribes, 2);
+    }
+
+    #[test]
+    fn duplicate_subscribes_keep_len_across_churn() {
+        // The duplicate test must agree with exact comparison: after a mix
+        // of duplicate and distinct subscribes plus unsubscribes, the
+        // table holds exactly the distinct live registrations.
+        let mut b: Broker<Filter> = Broker::new(true);
+        let mut distinct = std::collections::HashSet::new();
+        for round in 0..3 {
+            // i and i+16 produce the same (peer, filter) pair, and every
+            // round repeats all of them.
+            for i in 0..32i64 {
+                b.subscribe(Peer::Child((i % 8) as u32), f(i % 16));
+                distinct.insert(((i % 8) as u32, i % 16));
+            }
+            assert_eq!(b.table().len(), distinct.len(), "round {round}");
+        }
+        for i in 0..32i64 {
+            b.unsubscribe(Peer::Child((i % 8) as u32), &f(i % 16));
+        }
+        assert!(b.table().is_empty());
+        // And the table is fully reusable after draining.
+        b.subscribe(Peer::Child(1), f(10));
+        b.subscribe(Peer::Child(1), f(10));
+        assert_eq!(b.table().len(), 1);
+    }
+
+    #[test]
+    fn unsubscribe_and_peer_down_remove_only_their_own() {
+        let mut b: Broker<Filter> = Broker::new(true);
+        b.subscribe(Peer::Child(1), f(10));
+        b.subscribe(Peer::Child(1), f(20));
+        b.subscribe(Peer::Local(7), f(10));
+        b.unsubscribe(Peer::Child(1), &f(10));
+        assert_eq!(b.table().len(), 2);
+        // A second unsubscribe of the same pair is a no-op.
+        b.unsubscribe(Peer::Child(1), &f(10));
+        assert_eq!(b.table().len(), 2);
+        assert_eq!(b.peer_down(Peer::Child(1)), 1);
+        assert_eq!(b.peer_down(Peer::Child(1)), 0);
+        assert_eq!(b.table().len(), 1);
+        assert_eq!(b.route(Peer::Parent, &e(15)), &[Peer::Local(7)]);
+    }
+
+    #[test]
+    fn peer_wants_is_per_peer_and_uncounted() {
+        let mut b: Broker<Filter> = Broker::new(true);
+        b.subscribe(Peer::Child(1), f(10));
+        b.subscribe(Peer::Child(2), f(50));
+        b.route(Peer::Parent, &e(15));
+        let (stats, work) = (b.stats(), b.last_match_work());
+        let index_stats = b.table().last_match_stats();
+        assert!(b.peer_wants(Peer::Child(1), &e(15)));
+        assert!(!b.peer_wants(Peer::Child(2), &e(15)));
+        assert!(b.peer_wants(Peer::Child(2), &e(60)));
+        assert!(!b.peer_wants(Peer::Child(3), &e(60)));
+        assert_eq!(b.stats(), stats);
+        assert_eq!(b.last_match_work(), work);
+        assert_eq!(b.table().last_match_stats(), index_stats);
     }
 
     #[test]

@@ -16,9 +16,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::broker::{Action, Broker};
+use crate::broker::{Action, Broker, Peer};
 use crate::index::IndexableFilter;
-use crate::table::Peer;
 
 /// Per-message-type service times in microseconds.
 ///

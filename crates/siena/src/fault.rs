@@ -32,10 +32,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use psguard_net::{FaultPlan, FaultStats, NodeId, SimTime, Simulator};
 
-use crate::broker::{Action, Broker};
+use crate::broker::{Action, Broker, Peer};
 use crate::engine::{CostModel, Engine};
 use crate::index::IndexableFilter;
-use crate::table::Peer;
 
 /// Ack/retransmit, dedup, and heartbeat parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

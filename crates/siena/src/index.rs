@@ -1,11 +1,10 @@
-//! The matching fast path: a keyed, counting-based subscription index.
+//! The broker's subscription store: a keyed, counting-based index.
 //!
-//! [`SubscriptionTable`](crate::SubscriptionTable) historically matched an
-//! event by evaluating every registered filter — `O(n)` filter
-//! evaluations per event, which dominates broker cost at the paper's
-//! scale targets. [`MatchIndex`] replaces that scan with the classic
-//! *counting algorithm* (Yan & Garcia-Molina) specialized to this
-//! codebase's two filter families:
+//! [`MatchIndex`] is the one place a broker keeps its `(peer, filter)`
+//! registrations. It matches an event with the classic *counting
+//! algorithm* (Yan & Garcia-Molina) instead of evaluating every
+//! registered filter, specialized to this codebase's two filter
+//! families:
 //!
 //! * **Keyed partitioning.** Every filter contributes a *routing key*
 //!   (its topic for plain Siena filters, its Song–Wagner–Perrig
@@ -47,10 +46,10 @@
 //!   separate arena that queries never read.
 //! * **Arena-backed predicate and entry-list storage.** Interned
 //!   predicates live in one global slab addressed by `u32` pid; the
-//!   entry-id lists hanging off predicates, buckets, and unconstrained
-//!   sets are chunked lists of 64-byte nodes ([`EntryChunk`]) in one
-//!   shared [`ChunkArena`] with a free list — no per-predicate `Vec`
-//!   headers, and freed storage is reused across subscription churn.
+//!   entry-id lists hanging off predicates and unconstrained sets are
+//!   chunked lists of 64-byte nodes ([`EntryChunk`]) in one shared
+//!   [`ChunkArena`] with a free list — no per-predicate `Vec` headers,
+//!   and freed storage is reused across subscription churn.
 //! * **Contiguous boundary arena.** Each attribute's sorted numeric
 //!   lower bounds occupy a range of one shared pair of parallel arrays
 //!   ([`BoundsArena`]), allocated in power-of-two size classes with
@@ -65,9 +64,24 @@
 //!   per-query scratch is reused, so a steady-state query allocates
 //!   nothing.
 //!
+//! # Mutation lookups
+//!
+//! Subscription bookkeeping never scans the table either:
+//!
+//! * **By filter.** [`find`](MatchIndex::find) (the duplicate test) and
+//!   [`holds`](MatchIndex::holds) (is a filter still registered by
+//!   anyone, so its unsubscribe must not go upstream) walk the shortest
+//!   entry list among the filter's interned predicates — for a filter
+//!   with no constraints, its bucket's unconstrained list. A constraint
+//!   that is not interned answers "absent" without walking anything.
+//! * **By peer.** Each peer's entries form a doubly linked list threaded
+//!   through [`ColdEntry`], so unlinking is O(1) and
+//!   [`remove_peer`](MatchIndex::remove_peer) costs one removal per
+//!   registration the peer holds.
+//!
 //! The index reports its actual work per query ([`MatchStats`]), which
 //! the broker and the overlay engine use as the matching-cost input to
-//! the performance model — replacing the old `table.len()` proxy.
+//! the performance model.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -75,8 +89,8 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use psguard_crypto::{ProbeTable, Token};
 use psguard_model::{AttrName, AttrValue, Constraint, Op};
 
+use crate::broker::Peer;
 use crate::semantics::FilterSemantics;
-use crate::table::Peer;
 
 /// How the index locates candidate buckets for an event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,7 +114,7 @@ pub enum KeyQuery<K> {
 /// [`indexed_constraints`](Self::indexed_constraints) holds on the
 /// attributes exposed by [`event_attr`](Self::event_attr)*. The
 /// index-vs-linear property tests in `tests/` pin this equivalence.
-pub trait IndexableFilter: FilterSemantics + Hash {
+pub trait IndexableFilter: FilterSemantics {
     /// The bucket key: topic for plain filters, subscription token for
     /// secure ones.
     type Key: Clone + Eq + Hash + std::fmt::Debug + Send + 'static;
@@ -355,10 +369,9 @@ impl Default for ChunkList {
     }
 }
 
-/// The shared chunk arena: every entry-id list in the index (per-bucket
-/// rosters, unconstrained sets, per-predicate entry lists) draws its
-/// 64-byte nodes from here, and freed nodes are recycled across
-/// subscription churn via `free`.
+/// The shared chunk arena: the index's unconstrained sets and
+/// per-predicate entry lists draw their 64-byte nodes from here, and
+/// freed nodes are recycled across subscription churn via `free`.
 #[derive(Debug, Clone, Default)]
 struct ChunkArena {
     chunks: Vec<EntryChunk>,
@@ -666,13 +679,14 @@ impl AttrSlot {
 }
 
 /// All filters sharing one routing key. Everything variable-sized hangs
-/// off the shared arenas; the bucket itself only stores list handles
-/// and the interning map into the global pid space.
+/// off the shared arenas except the roster; the bucket stores list
+/// handles and the interning map into the global pid space.
 #[derive(Debug, Clone, Default)]
 struct Bucket {
-    /// All live entries (kept strictly in sync by insert/remove); also
-    /// the bucket-emptiness test via `entries.len`.
-    entries: ChunkList,
+    /// All live entries, for the covering scan and the emptiness test.
+    /// Each entry's position is in its [`ColdEntry::slot`], so removal
+    /// is an O(1) swap-remove.
+    roster: Vec<EntryId>,
     /// Live entries with zero constraints: they match any event that
     /// reaches this bucket.
     unconstrained: ChunkList,
@@ -694,9 +708,6 @@ impl Bucket {
     }
 
     fn add_entry(&mut self, store: &mut PredStore, id: EntryId, constraints: &[Constraint]) {
-        let mut roster = self.entries;
-        store.chunks.push(&mut roster, id);
-        self.entries = roster;
         if constraints.is_empty() {
             let mut un = self.unconstrained;
             store.chunks.push(&mut un, id);
@@ -730,9 +741,6 @@ impl Bucket {
     }
 
     fn remove_entry(&mut self, store: &mut PredStore, id: EntryId, constraints: &[Constraint]) {
-        let mut roster = self.entries;
-        store.chunks.remove(&mut roster, id);
-        self.entries = roster;
         if constraints.is_empty() {
             let mut un = self.unconstrained;
             store.chunks.remove(&mut un, id);
@@ -796,12 +804,17 @@ struct HotEntry {
 }
 
 /// The per-entry state only insert/remove/covering scans need; queries
-/// never read it.
+/// never read it. `prev`/`next` link the entries of one peer (newest
+/// first, [`NIL`]-terminated; the head lives in `MatchIndex::peer_heads`).
 #[derive(Debug, Clone)]
 struct ColdEntry<F> {
     filter: F,
     bucket: u32,
+    /// Position in the bucket's roster.
+    slot: u32,
     live: bool,
+    prev: EntryId,
+    next: EntryId,
 }
 
 /// Probe-memo capacity: structural mutations clear the memo anyway, so
@@ -810,8 +823,8 @@ struct ColdEntry<F> {
 const PROBE_MEMO_CAP: usize = 1024;
 
 /// The counting-based subscription index. See the module docs for the
-/// algorithm and data layout; [`crate::SubscriptionTable`] owns one and
-/// keeps it coherent across insert / remove / covering checks.
+/// algorithm and data layout; a [`Broker`](crate::Broker) owns one as its
+/// only subscription store.
 #[derive(Debug, Clone)]
 pub struct MatchIndex<F: IndexableFilter> {
     keys: FxHashMap<F::Key, u32>,
@@ -822,6 +835,9 @@ pub struct MatchIndex<F: IndexableFilter> {
     /// Cold per-entry records, parallel to `hot`.
     cold: Vec<ColdEntry<F>>,
     free_entries: Vec<EntryId>,
+    /// Head of each peer's entry list (threaded through `cold`); a peer
+    /// with no live entry has no head.
+    peer_heads: FxHashMap<Peer, EntryId>,
     live: usize,
     next_seq: u64,
     /// Query generation for the stamped counters. `u32` so the stamp
@@ -844,7 +860,7 @@ pub struct MatchIndex<F: IndexableFilter> {
     /// Candidate bucket ids of the query in flight, reused across queries.
     cand_scratch: Vec<u32>,
     /// Peer-dedup set, reused across queries.
-    seen_scratch: FxHashSet<Peer>,
+    dedup_scratch: FxHashSet<Peer>,
 }
 
 impl<F: IndexableFilter> Default for MatchIndex<F> {
@@ -856,6 +872,7 @@ impl<F: IndexableFilter> Default for MatchIndex<F> {
             hot: Vec::new(),
             cold: Vec::new(),
             free_entries: Vec::new(),
+            peer_heads: FxHashMap::default(),
             live: 0,
             next_seq: 0,
             generation: 0,
@@ -865,7 +882,7 @@ impl<F: IndexableFilter> Default for MatchIndex<F> {
             probes: ProbeTable::new(),
             matched_scratch: Vec::new(),
             cand_scratch: Vec::new(),
-            seen_scratch: FxHashSet::default(),
+            dedup_scratch: FxHashSet::default(),
         }
     }
 }
@@ -892,8 +909,10 @@ impl<F: IndexableFilter> MatchIndex<F> {
         self.keys.len()
     }
 
-    /// Work performed by the most recent [`query`](Self::query).
-    pub fn last_stats(&self) -> MatchStats {
+    /// Work performed by the most recent [`query`](Self::query) (or
+    /// [`query_into`](Self::query_into) /
+    /// [`query_matches_into`](Self::query_matches_into)).
+    pub fn last_match_stats(&self) -> MatchStats {
         self.last_stats
     }
 
@@ -912,7 +931,7 @@ impl<F: IndexableFilter> MatchIndex<F> {
                 b
             }
         };
-        if self.buckets[bid as usize].entries.len == 0 {
+        if self.buckets[bid as usize].roster.is_empty() {
             if let Some(token) = F::probe_token(&key) {
                 self.probes.set(bid, token);
             }
@@ -924,12 +943,15 @@ impl<F: IndexableFilter> MatchIndex<F> {
             Some(id) => id,
             None => self.hot.len() as EntryId,
         };
-        {
+        let slot = {
             // Register constraints straight off the borrowed filter —
             // no constraint-list copy on the insert path.
             let MatchIndex { buckets, store, .. } = self;
-            buckets[bid as usize].add_entry(store, id, filter.indexed_constraints());
-        }
+            let bucket = &mut buckets[bid as usize];
+            bucket.add_entry(store, id, filter.indexed_constraints());
+            bucket.roster.push(id);
+            (bucket.roster.len() - 1) as u32
+        };
         let h = HotEntry {
             seq,
             peer,
@@ -937,10 +959,18 @@ impl<F: IndexableFilter> MatchIndex<F> {
             count: 0,
             stamp: 0,
         };
+        // The new entry becomes the head of its peer's list.
+        let next = self.peer_heads.insert(peer, id).unwrap_or(NIL);
+        if next != NIL {
+            self.cold[next as usize].prev = id;
+        }
         let c = ColdEntry {
             filter,
             bucket: bid,
+            slot,
             live: true,
+            prev: NIL,
+            next,
         };
         if (id as usize) == self.hot.len() {
             self.hot.push(h);
@@ -959,7 +989,18 @@ impl<F: IndexableFilter> MatchIndex<F> {
         let idx = id as usize;
         assert!(self.cold[idx].live, "double remove of entry {id}");
         self.invalidate_memo();
-        let bid = self.cold[idx].bucket;
+        let (prev, next) = (self.cold[idx].prev, self.cold[idx].next);
+        if prev != NIL {
+            self.cold[prev as usize].next = next;
+        } else if next != NIL {
+            self.peer_heads.insert(self.hot[idx].peer, next);
+        } else {
+            self.peer_heads.remove(&self.hot[idx].peer);
+        }
+        if next != NIL {
+            self.cold[next as usize].prev = prev;
+        }
+        let (bid, slot) = (self.cold[idx].bucket, self.cold[idx].slot);
         {
             let MatchIndex {
                 buckets,
@@ -967,10 +1008,14 @@ impl<F: IndexableFilter> MatchIndex<F> {
                 cold,
                 ..
             } = self;
-            let constraints = cold[idx].filter.indexed_constraints();
-            buckets[bid as usize].remove_entry(store, id, constraints);
+            let bucket = &mut buckets[bid as usize];
+            bucket.remove_entry(store, id, cold[idx].filter.indexed_constraints());
+            bucket.roster.swap_remove(slot as usize);
+            if let Some(&moved) = bucket.roster.get(slot as usize) {
+                cold[moved as usize].slot = slot;
+            }
         }
-        if self.buckets[bid as usize].entries.len == 0 {
+        if self.buckets[bid as usize].roster.is_empty() {
             self.probes.clear(bid);
         }
         self.cold[idx].live = false;
@@ -978,21 +1023,52 @@ impl<F: IndexableFilter> MatchIndex<F> {
         self.live -= 1;
     }
 
-    /// The entry id of the live `(peer, filter)` registration, if any.
-    /// Only the filter's own bucket is scanned.
+    /// The entry id of a live `(peer, filter)` registration, if any.
+    /// Walks one predicate list of the filter's bucket (see the module
+    /// docs), never the whole bucket.
     pub fn find(&self, peer: Peer, filter: &F) -> Option<EntryId> {
-        let &bid = self.keys.get(&filter.routing_key())?;
-        self.store
-            .chunks
-            .find(self.buckets[bid as usize].entries, |id| {
-                let idx = id as usize;
-                self.hot[idx].peer == peer && self.cold[idx].filter == *filter
-            })
+        self.find_equal(filter, |id| self.hot[id as usize].peer == peer)
     }
 
-    /// Whether an identical `(peer, filter)` registration is live.
-    pub fn contains(&self, peer: Peer, filter: &F) -> bool {
-        self.find(peer, filter).is_some()
+    /// Whether any peer still holds a live registration of `filter`.
+    /// Same walk as [`find`](Self::find).
+    pub(crate) fn holds(&self, filter: &F) -> bool {
+        self.find_equal(filter, |_| true).is_some()
+    }
+
+    /// The first live entry whose filter equals `filter` and for which
+    /// `pick` holds. Every such entry is on each of its constraints'
+    /// entry lists (or, unconstrained, on its bucket's unconstrained
+    /// list), so walking the shortest of those lists is exhaustive.
+    fn find_equal(&self, filter: &F, mut pick: impl FnMut(EntryId) -> bool) -> Option<EntryId> {
+        let &bid = self.keys.get(&filter.routing_key())?;
+        let bucket = &self.buckets[bid as usize];
+        let mut list = bucket.unconstrained;
+        for (i, c) in filter.indexed_constraints().iter().enumerate() {
+            let &pid = bucket.pred_of.get(c)?;
+            let entries = self.store.preds[pid as usize].entries;
+            if i == 0 || entries.len < list.len {
+                list = entries;
+            }
+        }
+        self.store.chunks.find(list, |id| {
+            pick(id) && self.cold[id as usize].filter == *filter
+        })
+    }
+
+    /// Removes every registration of `peer` (e.g. on disconnect) and
+    /// returns how many there were. Walks the peer's own entry list, so
+    /// the cost is one [`remove`](Self::remove) per registration.
+    pub fn remove_peer(&mut self, peer: Peer) -> usize {
+        let mut id = self.peer_heads.get(&peer).copied().unwrap_or(NIL);
+        let mut removed = 0;
+        while id != NIL {
+            let next = self.cold[id as usize].next;
+            self.remove(id);
+            removed += 1;
+            id = next;
+        }
+        removed
     }
 
     /// Whether any live filter covers `filter`. Only buckets named by
@@ -1000,12 +1076,10 @@ impl<F: IndexableFilter> MatchIndex<F> {
     pub fn covered_by_any(&self, filter: &F) -> bool {
         filter.covering_candidate_keys().iter().any(|key| {
             self.keys.get(key).is_some_and(|&bid| {
-                self.store
-                    .chunks
-                    .find(self.buckets[bid as usize].entries, |id| {
-                        self.cold[id as usize].filter.covers(filter)
-                    })
-                    .is_some()
+                self.buckets[bid as usize]
+                    .roster
+                    .iter()
+                    .any(|&id| self.cold[id as usize].filter.covers(filter))
             })
         })
     }
@@ -1025,15 +1099,15 @@ impl<F: IndexableFilter> MatchIndex<F> {
     /// query allocates nothing.
     pub fn query_into(&mut self, event: &F::Event, peers: &mut Vec<Peer>) {
         peers.clear();
-        self.run_match(event);
-        let mut seen = std::mem::take(&mut self.seen_scratch);
-        seen.clear();
+        self.last_stats = self.run_match(event);
+        let mut emitted = std::mem::take(&mut self.dedup_scratch);
+        emitted.clear();
         for &(_, peer) in &self.matched_scratch {
-            if seen.insert(peer) {
+            if emitted.insert(peer) {
                 peers.push(peer);
             }
         }
-        self.seen_scratch = seen;
+        self.dedup_scratch = emitted;
     }
 
     /// Raw matches for `event` as `(seq, peer)` pairs sorted by
@@ -1043,8 +1117,17 @@ impl<F: IndexableFilter> MatchIndex<F> {
     /// exposed for callers that count matched entries rather than peers.
     pub fn query_matches_into(&mut self, event: &F::Event, out: &mut Vec<(u64, Peer)>) {
         out.clear();
-        self.run_match(event);
+        self.last_stats = self.run_match(event);
         out.extend_from_slice(&self.matched_scratch);
+    }
+
+    /// Whether `peer` holds a live registration matching `event`: the
+    /// same matching pass (probe memo, [`ProbeTable`] sweep, counting)
+    /// as [`query`](Self::query), but it leaves
+    /// [`last_match_stats`](Self::last_match_stats) alone.
+    pub(crate) fn peer_matches(&mut self, peer: Peer, event: &F::Event) -> bool {
+        self.run_match(event);
+        self.matched_scratch.iter().any(|&(_, p)| p == peer)
     }
 
     /// Test hook: forces the query generation so the u32 stamp
@@ -1055,9 +1138,9 @@ impl<F: IndexableFilter> MatchIndex<F> {
     }
 
     /// The shared matching pass: fills `matched_scratch` with matched
-    /// `(seq, peer)` pairs sorted by registration sequence and records
-    /// the stats.
-    fn run_match(&mut self, event: &F::Event) {
+    /// `(seq, peer)` pairs sorted by registration sequence and returns
+    /// the work it did.
+    fn run_match(&mut self, event: &F::Event) -> MatchStats {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Stamp wraparound: without this sweep an entry last bumped
@@ -1080,7 +1163,7 @@ impl<F: IndexableFilter> MatchIndex<F> {
                     let Some(&b) = self.keys.get(k) else {
                         continue;
                     };
-                    if self.buckets[b as usize].entries.len > 0 {
+                    if !self.buckets[b as usize].roster.is_empty() {
                         stats.key_probes += 1;
                         cands.push(b);
                     }
@@ -1113,7 +1196,7 @@ impl<F: IndexableFilter> MatchIndex<F> {
         matched.sort_unstable_by_key(|&(seq, _)| seq);
         self.matched_scratch = matched;
         self.cand_scratch = cands;
-        self.last_stats = stats;
+        stats
     }
 
     /// Probe mode: one sweep over the live buckets' tokens, memoized per
@@ -1268,9 +1351,99 @@ mod tests {
         assert_eq!(peers, vec![Peer::Child(0), Peer::Child(1)]);
         // One topic-bucket hit + the two predicates with lo <= 25; the
         // "elsewhere" bucket and the 30/40 bounds cost nothing.
-        let stats = idx.last_stats();
+        let stats = idx.last_match_stats();
         assert_eq!(stats.key_probes, 1);
         assert_eq!(stats.predicate_evals, 2);
+    }
+
+    #[test]
+    fn match_work_is_sublinear_across_topics() {
+        let mut idx: MatchIndex<Filter> = MatchIndex::new();
+        for i in 0..100u32 {
+            idx.insert(Peer::Child(i), Filter::for_topic(format!("topic{i}")));
+        }
+        let ev = Event::builder("topic7").build();
+        assert_eq!(idx.query(&ev), vec![Peer::Child(7)]);
+        // One bucket probe; the other 99 topics cost nothing. The linear
+        // scan's equivalent would have been 100.
+        assert_eq!(idx.last_match_stats().work(), 1);
+    }
+
+    #[test]
+    fn query_dedups_peers_and_agrees_with_linear_scan() {
+        let regs = [
+            (Peer::Child(1), f("t", 10)),
+            (Peer::Child(1), f("t", 30)),
+            (Peer::Child(2), f("t", 50)),
+            (Peer::Parent, Filter::any()),
+        ];
+        let mut idx: MatchIndex<Filter> = MatchIndex::new();
+        for (peer, filter) in &regs {
+            idx.insert(*peer, filter.clone());
+        }
+        for x in [5i64, 10, 29, 30, 50, 99] {
+            let ev = e("t", x);
+            let mut linear: Vec<Peer> = Vec::new();
+            for (peer, filter) in &regs {
+                if filter.matches(&ev) && !linear.contains(peer) {
+                    linear.push(*peer);
+                }
+            }
+            assert_eq!(idx.query(&ev), linear, "x={x}");
+        }
+        assert_eq!(idx.query(&e("t", 60)).len(), 3);
+    }
+
+    #[test]
+    fn find_and_holds_walk_one_predicate_list() {
+        let mut idx: MatchIndex<Filter> = MatchIndex::new();
+        let two = |a: i64, b: i64| {
+            Filter::for_topic("t")
+                .with(Constraint::new("x", Op::Ge(a)))
+                .with(Constraint::new("y", Op::Ge(b)))
+        };
+        let a = idx.insert(Peer::Child(1), two(1, 2));
+        let b = idx.insert(Peer::Child(2), two(1, 2));
+        idx.insert(Peer::Child(1), two(1, 3));
+        let any = idx.insert(Peer::Child(3), Filter::for_topic("t"));
+        assert_eq!(idx.find(Peer::Child(1), &two(1, 2)), Some(a));
+        assert_eq!(idx.find(Peer::Child(2), &two(1, 2)), Some(b));
+        assert_eq!(idx.find(Peer::Child(3), &two(1, 2)), None);
+        // `y >= 4` was never interned: absent without a walk.
+        assert_eq!(idx.find(Peer::Child(1), &two(1, 4)), None);
+        assert!(!idx.holds(&two(1, 4)));
+        // Unconstrained filters are found on the unconstrained list.
+        assert_eq!(idx.find(Peer::Child(3), &Filter::for_topic("t")), Some(any));
+        assert_eq!(idx.find(Peer::Child(3), &Filter::for_topic("u")), None);
+        idx.remove(a);
+        assert!(idx.holds(&two(1, 2)));
+        idx.remove(b);
+        assert!(!idx.holds(&two(1, 2)));
+        assert!(idx.holds(&two(1, 3)));
+    }
+
+    #[test]
+    fn remove_peer_follows_the_peer_links_through_churn() {
+        let mut idx: MatchIndex<Filter> = MatchIndex::new();
+        let mut mine = Vec::new();
+        for i in 0..20i64 {
+            mine.push(idx.insert(Peer::Child(1), f("t", i)));
+            idx.insert(Peer::Child(2), f("t", i));
+        }
+        // Unlink from the head, the tail and the middle of the list.
+        idx.remove(mine[19]);
+        idx.remove(mine[0]);
+        idx.remove(mine[7]);
+        idx.insert(Peer::Child(1), f("u", 0));
+        assert_eq!(idx.remove_peer(Peer::Child(1)), 18);
+        assert_eq!(idx.remove_peer(Peer::Child(1)), 0);
+        assert_eq!(idx.len(), 20);
+        assert_eq!(idx.query(&e("t", 100)), vec![Peer::Child(2)]);
+        assert!(idx.query(&e("u", 100)).is_empty());
+        // Freed slots are reused and linked afresh.
+        idx.insert(Peer::Child(1), f("t", 0));
+        assert_eq!(idx.remove_peer(Peer::Child(2)), 20);
+        assert_eq!(idx.query(&e("t", 100)), vec![Peer::Child(1)]);
     }
 
     #[test]
@@ -1292,8 +1465,8 @@ mod tests {
         idx.remove(a);
         assert_eq!(idx.len(), 1);
         assert_eq!(idx.query(&e("t", 15)), vec![Peer::Child(2)]);
-        assert!(idx.contains(Peer::Child(2), &f("t", 10)));
-        assert!(!idx.contains(Peer::Child(1), &f("t", 10)));
+        assert!(idx.find(Peer::Child(2), &f("t", 10)).is_some());
+        assert!(idx.find(Peer::Child(1), &f("t", 10)).is_none());
         // Re-insert reuses the freed slot and still matches.
         let c = idx.insert(Peer::Child(3), f("t", 0));
         assert_eq!(c, a, "slab slot reused");

@@ -10,9 +10,10 @@
 //!   plaintext filters and PSGuard's tokenized envelopes; its
 //!   [`Broker::route`] is the one match driver and the one definition of
 //!   delivery order, returning each event's recipients without copying
-//!   the event;
-//! * [`SubscriptionTable`] — covering-aware subscription storage over the
-//!   counting [`MatchIndex`];
+//!   the event. It owns the covering and forwarding policy;
+//! * [`MatchIndex`] — the broker's one subscription store: counting-based
+//!   matching, plus per-filter and per-peer lookups so subscribe,
+//!   unsubscribe, peer departure and replay never scan the table;
 //! * [`Engine`] — a deterministic discrete-event overlay (full binary
 //!   broker trees, GT-ITM latencies, per-node queueing) used to reproduce
 //!   the throughput/latency figures;
@@ -44,10 +45,9 @@ mod index;
 pub mod log;
 pub mod reactor;
 mod semantics;
-mod table;
 pub mod wire;
 
-pub use broker::{Action, Broker, BrokerStats};
+pub use broker::{Action, Broker, BrokerStats, Peer};
 pub use engine::{CostModel, Engine, EngineConfig, RunReport};
 pub use error::TcpError;
 pub use fault::{
@@ -64,5 +64,4 @@ pub use reactor::{
     MAX_WORKERS,
 };
 pub use semantics::FilterSemantics;
-pub use table::{Peer, SubscriptionTable};
 pub use wire::{Message, Wire, WireError};

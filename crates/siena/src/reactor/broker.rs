@@ -29,7 +29,7 @@ use super::config::{StatsInner, TcpConfig, TcpStats};
 use super::conn::OutQueue;
 use super::poller::{Poller, ScanPoller, DEFAULT_MAX_PARK};
 use super::worker::{run_broker_worker, WorkerHandle, WorkerMsg};
-use crate::broker::{Action, Broker};
+use crate::broker::{Action, Broker, Peer};
 use crate::error::TcpError;
 use crate::frame::{FramePool, FramePoolStats, SharedFrame};
 use crate::index::IndexableFilter;
@@ -37,7 +37,6 @@ use crate::log::{
     Cursor, EventLog, LogConfig, LogError, RecoveryReport, ReplayCursor, ResumeOutcome,
 };
 use crate::semantics::FilterSemantics;
-use crate::table::Peer;
 use crate::wire::{filter_crc, Message, Wire};
 
 /// Hard cap on the reactor worker pool (also the width of the
@@ -418,13 +417,13 @@ fn drain_pending(
 
 /// Advances every in-flight replay by at most one budgeted log read:
 /// drain what's queued, read the next batch, filter it against the
-/// peer's live subscriptions, queue the matches as `Stamped` frames,
-/// and close out with `ReplayDone` once the reader reaches the
-/// high-water mark. Bounded work per call — live fan-out never waits
-/// behind a long replay.
+/// peer's live subscriptions (one pass of the broker's match index per
+/// record), queue the matches as `Stamped` frames, and close out with
+/// `ReplayDone` once the reader reaches the high-water mark. Bounded
+/// work per call — live fan-out never waits behind a long replay.
 fn pump_replays<F>(
     d: &mut Durable,
-    broker: &Broker<F>,
+    broker: &mut Broker<F>,
     writers: &HashMap<u32, Arc<OutQueue>>,
     stats: &StatsInner,
     pool: &FramePool,
@@ -454,12 +453,7 @@ fn pump_replays<F>(
                         let Ok(event) = F::Event::from_bytes(&payload) else {
                             continue; // undecodable record: skip it
                         };
-                        let wanted = broker
-                            .table()
-                            .entries()
-                            .iter()
-                            .any(|(p, f)| *p == Peer::Child(r.peer) && f.matches(&event));
-                        if wanted {
+                        if broker.peer_wants(Peer::Child(r.peer), &event) {
                             let m: Message<F, F::Event> = Message::Stamped { cursor, event };
                             r.pending.push_back(pool.encode(&m));
                         }
@@ -590,7 +584,15 @@ fn run_dispatcher<F>(
         // live path with a full replay budget per batch.
         if let Some(d) = durable.as_mut() {
             if d.has_replay_work() && last_pump.elapsed() >= REPLAY_STEP {
-                pump_replays(d, &broker, &writers, &stats, &pool, &mut dirty, nworkers);
+                pump_replays(
+                    d,
+                    &mut broker,
+                    &writers,
+                    &stats,
+                    &pool,
+                    &mut dirty,
+                    nworkers,
+                );
                 last_pump = Instant::now();
             }
         }

@@ -36,7 +36,12 @@ fn cleanup(dir: &PathBuf) {
 
 /// An event whose payload carries its publish index.
 fn numbered(i: u64) -> Event {
-    Event::builder("t")
+    numbered_on("t", i)
+}
+
+/// [`numbered`] on another topic.
+fn numbered_on(topic: &str, i: u64) -> Event {
+    Event::builder(topic)
         .payload(i.to_le_bytes().to_vec())
         .build()
 }
@@ -145,6 +150,65 @@ fn offline_subscriber_catches_up_exactly_once() {
         broker.stats().replayed_frames >= 4,
         "broker must count the replayed deliveries"
     );
+
+    broker.shutdown();
+    cleanup(&dir);
+}
+
+#[test]
+fn replay_selects_only_the_resuming_subscribers_own_topics() {
+    let dir = tmp_dir("per-peer");
+    let (broker, _) = spawn_broker_durable::<Filter>(
+        "127.0.0.1:0",
+        None,
+        TcpConfig::default(),
+        LogConfig::new(&dir),
+    )
+    .expect("spawn durable");
+    let publisher: TcpClient<Filter> = TcpClient::connect(broker.addr()).expect("connect");
+    // A second subscriber holds `b` the whole time: a replay that asked
+    // "does anyone want this record" would send it `b` events too.
+    let other: TcpClient<Filter> = TcpClient::connect(broker.addr()).expect("connect");
+    other
+        .subscribe_acked(Filter::for_topic("b"), ACK_WAIT)
+        .expect("acked");
+
+    // Session one holds only `a`. Its events are contiguous in the log,
+    // so its cursor ends on the last of them.
+    let sub: TcpClient<Filter> = TcpClient::connect(broker.addr()).expect("connect");
+    sub.subscribe_acked(Filter::for_topic("a"), ACK_WAIT)
+        .expect("acked");
+    for i in 1..=2u64 {
+        publisher.publish(numbered_on("a", i)).expect("publish");
+    }
+    assert_eq!(drain_indices(&sub), vec![1, 2]);
+    let cursor = sub.cursor().expect("cursor after deliveries");
+    assert_eq!(cursor.seq, 2);
+    drop(sub);
+
+    // The gap: both topics, interleaved; odd indices go to `a`.
+    for i in 3..=10u64 {
+        let topic = if i % 2 == 1 { "a" } else { "b" };
+        publisher.publish(numbered_on(topic, i)).expect("publish");
+    }
+    assert_eq!(drain_indices(&other), vec![4, 6, 8, 10]);
+
+    let sub2: TcpClient<Filter> =
+        TcpClient::connect_resuming(broker.addr(), TcpConfig::default(), Some(cursor))
+            .expect("reconnect");
+    sub2.subscribe_acked(Filter::for_topic("a"), ACK_WAIT)
+        .expect("acked");
+    sub2.catch_up().expect("catch up");
+    assert_eq!(
+        sub2.recv_resume(RECV_WAIT),
+        Some(ResumeOutcome::ContinuedAtCursor)
+    );
+    assert_eq!(
+        drain_indices(&sub2),
+        vec![3, 5, 7, 9],
+        "exactly the gap's `a` events, once each, in order"
+    );
+    assert!(other.recv_timeout(QUIET).is_none(), "replay is not fan-out");
 
     broker.shutdown();
     cleanup(&dir);

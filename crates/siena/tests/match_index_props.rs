@@ -1,12 +1,13 @@
 //! Property tests pinning the `MatchIndex` fast path to the linear-scan
 //! reference: for any table built from random subscriptions (with churn),
-//! `matching_peers` must return exactly what the original O(n) scan
-//! returns, in the same order, and `insert`'s covering verdict must agree
-//! with the brute-force covering test.
+//! a query must return exactly what an O(n) first-seen scan over a
+//! test-local model of the live registrations returns, in the same
+//! order, and `Broker::subscribe`'s covering verdict must agree with the
+//! brute-force covering test.
 
 use proptest::prelude::*;
 use psguard_model::{AttrValue, Constraint, Event, Filter, IntRange, Op};
-use psguard_siena::{MatchIndex, Peer, SubscriptionTable};
+use psguard_siena::{Action, Broker, MatchIndex, Peer};
 
 fn op_strategy() -> BoxedStrategy<Op> {
     prop_oneof![
@@ -50,6 +51,28 @@ fn value_strategy() -> BoxedStrategy<AttrValue> {
     .boxed()
 }
 
+/// The linear reference: distinct peers of the matching registrations,
+/// in first-seen registration order.
+fn linear_scan(live: &[(Peer, Filter)], event: &Event) -> Vec<Peer> {
+    let mut out: Vec<Peer> = Vec::new();
+    for (peer, filter) in live {
+        if filter.matches(event) && !out.contains(peer) {
+            out.push(*peer);
+        }
+    }
+    out
+}
+
+/// Registers `(peer, filter)` unless the model already holds it (the
+/// broker's duplicate rule), in the index and in the model alike.
+fn register(index: &mut MatchIndex<Filter>, live: &mut Vec<(Peer, Filter)>, peer: Peer, f: Filter) {
+    if index.find(peer, &f).is_none() {
+        assert!(!live.iter().any(|(p, g)| *p == peer && *g == f));
+        index.insert(peer, f.clone());
+        live.push((peer, f));
+    }
+}
+
 fn event_strategy() -> BoxedStrategy<Event> {
     (
         0u8..5,
@@ -73,14 +96,14 @@ proptest! {
         subs in prop::collection::vec((0u32..6, filter_strategy()), 0..40),
         events in prop::collection::vec(event_strategy(), 1..10),
     ) {
-        let mut table: SubscriptionTable<Filter> = SubscriptionTable::new();
+        let mut index: MatchIndex<Filter> = MatchIndex::new();
+        let mut live = Vec::new();
         for (peer, filter) in subs {
-            table.insert(Peer::Child(peer), filter);
+            register(&mut index, &mut live, Peer::Child(peer), filter);
         }
+        prop_assert_eq!(index.len(), live.len());
         for event in &events {
-            let fast = table.matching_peers(event);
-            let reference = table.matching_peers_linear(event);
-            prop_assert_eq!(fast, reference);
+            prop_assert_eq!(index.query(event), linear_scan(&live, event));
         }
     }
 
@@ -90,33 +113,36 @@ proptest! {
         removal_mask in any::<u64>(),
         events in prop::collection::vec(event_strategy(), 1..8),
     ) {
-        let mut table: SubscriptionTable<Filter> = SubscriptionTable::new();
+        let mut index: MatchIndex<Filter> = MatchIndex::new();
+        let mut live = Vec::new();
         let mut inserted: Vec<(Peer, Filter)> = Vec::new();
         for (peer, filter) in subs {
             let peer = Peer::Child(peer);
-            table.insert(peer, filter.clone());
+            register(&mut index, &mut live, peer, filter.clone());
             inserted.push((peer, filter));
         }
         for (i, (peer, filter)) in inserted.iter().enumerate() {
             if removal_mask >> (i % 64) & 1 == 1 {
-                table.remove(*peer, filter);
+                if let Some(id) = index.find(*peer, filter) {
+                    index.remove(id);
+                    live.retain(|(p, f)| !(p == peer && f == filter));
+                }
             }
         }
         // A full peer disconnect on top of the selective removals.
-        table.remove_peer(Peer::Child(0));
+        let held = live.iter().filter(|(p, _)| *p == Peer::Child(0)).count();
+        prop_assert_eq!(index.remove_peer(Peer::Child(0)), held);
+        live.retain(|(p, _)| *p != Peer::Child(0));
+        prop_assert_eq!(index.len(), live.len());
         for event in &events {
-            let fast = table.matching_peers(event);
-            let reference = table.matching_peers_linear(event);
-            prop_assert_eq!(fast, reference);
+            prop_assert_eq!(index.query(event), linear_scan(&live, event));
         }
         // Reinsertion after churn still agrees (slab slots are reused).
         for (peer, filter) in inserted {
-            table.insert(peer, filter);
+            register(&mut index, &mut live, peer, filter);
         }
         for event in &events {
-            let fast = table.matching_peers(event);
-            let reference = table.matching_peers_linear(event);
-            prop_assert_eq!(fast, reference);
+            prop_assert_eq!(index.query(event), linear_scan(&live, event));
         }
     }
 
@@ -180,20 +206,22 @@ proptest! {
     fn insert_covering_verdict_matches_brute_force(
         subs in prop::collection::vec((0u32..4, filter_strategy()), 0..25),
     ) {
-        let mut table: SubscriptionTable<Filter> = SubscriptionTable::new();
+        let mut broker: Broker<Filter> = Broker::new(false);
         let mut mirror: Vec<(Peer, Filter)> = Vec::new();
         for (peer, filter) in subs {
             let peer = Peer::Child(peer);
             let duplicate = mirror.iter().any(|(p, f)| *p == peer && *f == filter);
             let covered = mirror.iter().any(|(_, f)| f.covers(&filter));
-            let forwarded = table.insert(peer, filter.clone());
+            let actions = broker.subscribe(peer, filter.clone());
+            let forwarded = actions == vec![Action::ForwardSubscribe(filter.clone())];
+            prop_assert!(forwarded || actions.is_empty());
             if duplicate {
                 prop_assert!(!forwarded, "duplicate must never forward");
             } else {
                 prop_assert_eq!(forwarded, !covered);
                 mirror.push((peer, filter));
             }
-            prop_assert_eq!(table.len(), mirror.len());
+            prop_assert_eq!(broker.table().len(), mirror.len());
         }
     }
 }

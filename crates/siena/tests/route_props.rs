@@ -1,10 +1,10 @@
 //! Property tests pinning `Broker::route`, the one match driver, two
-//! ways: against a linear reference built without the `MatchIndex`
-//! (`SubscriptionTable::matching_peers_linear` plus the §2.1
-//! parent/sender rule), and against the `Deliver` actions of its cloning
-//! `Broker::publish` wrapper — same peers, same order, each carrying the
-//! published event. Root and non-root brokers, every sender kind, and a
-//! table churned by unsubscribes and `peer_down`.
+//! ways: against a linear reference built without the `MatchIndex` (a
+//! first-seen scan over a test-local model of the live registrations,
+//! plus the §2.1 parent/sender rule), and against the `Deliver` actions
+//! of its cloning `Broker::publish` wrapper — same peers, same order,
+//! each carrying the published event. Root and non-root brokers, every
+//! sender kind, and a table churned by unsubscribes and `peer_down`.
 
 use proptest::prelude::*;
 use psguard_model::{AttrValue, Constraint, Event, Filter, IntRange, Op};
@@ -85,27 +85,43 @@ fn subscriber(sel: u32) -> Peer {
     }
 }
 
+/// Registers `(peer, filter)` in the broker and in the test-local model
+/// of its live registrations, in registration order. The broker's table
+/// is idempotent per `(peer, filter)`, so the model dedups too.
+fn subscribe(broker: &mut Broker<Filter>, live: &mut Vec<(Peer, Filter)>, peer: Peer, f: &Filter) {
+    broker.subscribe(peer, f.clone());
+    if !live.iter().any(|(p, g)| *p == peer && g == f) {
+        live.push((peer, f.clone()));
+    }
+}
+
 /// The §2.1 rule over the linear scan: a non-root broker pushes an event
 /// from below to its parent first, then every matching peer gets it in
 /// first-seen registration order, except the sender and the parent.
-fn linear_reference(broker: &Broker<Filter>, is_root: bool, from: Peer, e: &Event) -> Vec<Peer> {
-    let parent = (from != Peer::Parent && !is_root).then_some(Peer::Parent);
-    let matched = broker.table().matching_peers_linear(e);
-    parent
+fn linear_reference(live: &[(Peer, Filter)], is_root: bool, from: Peer, e: &Event) -> Vec<Peer> {
+    let mut out: Vec<Peer> = (from != Peer::Parent && !is_root)
+        .then_some(Peer::Parent)
         .into_iter()
-        .chain(
-            matched
-                .into_iter()
-                .filter(|&p| p != from && p != Peer::Parent),
-        )
-        .collect()
+        .collect();
+    for (peer, filter) in live {
+        if *peer != from && *peer != Peer::Parent && filter.matches(e) && !out.contains(peer) {
+            out.push(*peer);
+        }
+    }
+    out
 }
 
 /// Routes every event and checks it against both references; also
 /// checks the routing counters `route` shares with `publish`.
-fn check_route(broker: &mut Broker<Filter>, is_root: bool, from: Peer, events: &[Event]) {
+fn check_route(
+    broker: &mut Broker<Filter>,
+    live: &[(Peer, Filter)],
+    is_root: bool,
+    from: Peer,
+    events: &[Event],
+) {
     for (i, e) in events.iter().enumerate() {
-        let expected = linear_reference(broker, is_root, from, e);
+        let expected = linear_reference(live, is_root, from, e);
         let before = broker.stats();
         let routed = broker.route(from, e).to_vec();
         assert_eq!(&routed, &expected, "route vs linear, event {}", i);
@@ -142,10 +158,12 @@ proptest! {
         from_sel in 0u8..3,
     ) {
         let mut broker: Broker<Filter> = Broker::new(is_root);
+        let mut live = Vec::new();
         for (peer, filter) in &subs {
-            broker.subscribe(subscriber(*peer), filter.clone());
+            subscribe(&mut broker, &mut live, subscriber(*peer), filter);
         }
-        check_route(&mut broker, is_root, sender(from_sel), &events);
+        prop_assert_eq!(broker.table().len(), live.len());
+        check_route(&mut broker, &live, is_root, sender(from_sel), &events);
     }
 
     #[test]
@@ -157,15 +175,9 @@ proptest! {
         from_sel in 0u8..3,
     ) {
         let mut broker: Broker<Filter> = Broker::new(is_root);
-        // Test-local model of the live registrations. The broker's table
-        // is idempotent per (peer, filter), so the model dedups too.
-        let mut live: Vec<(Peer, Filter)> = Vec::new();
+        let mut live = Vec::new();
         for (peer, filter) in &subs {
-            let peer = subscriber(*peer);
-            broker.subscribe(peer, filter.clone());
-            if !live.iter().any(|(p, f)| *p == peer && f == filter) {
-                live.push((peer, filter.clone()));
-            }
+            subscribe(&mut broker, &mut live, subscriber(*peer), filter);
         }
         let inserted = live.clone();
         for (i, (peer, filter)) in inserted.iter().enumerate() {
@@ -174,10 +186,11 @@ proptest! {
                 live.retain(|(p, f)| !(p == peer && f == filter));
             }
         }
-        broker.peer_down(Peer::Child(0));
+        let held = live.iter().filter(|(p, _)| *p == Peer::Child(0)).count();
+        prop_assert_eq!(broker.peer_down(Peer::Child(0)), held);
         live.retain(|(p, _)| *p != Peer::Child(0));
-        prop_assert_eq!(broker.table().entries(), &live[..]);
+        prop_assert_eq!(broker.table().len(), live.len());
 
-        check_route(&mut broker, is_root, sender(from_sel), &events);
+        check_route(&mut broker, &live, is_root, sender(from_sel), &events);
     }
 }
