@@ -31,15 +31,27 @@ fn bench_aes(c: &mut Criterion) {
     c.bench_function("aes128_block", |b| {
         b.iter(|| cipher.encrypt_block(black_box(&mut block)))
     });
+    // 64 B is a small event's payload, 4,112 B a `durable_bulk` ciphertext.
     let iv = [0u8; 16];
-    let payload = vec![0u8; 256];
-    c.bench_function("aes128_cbc_encrypt_256B", |b| {
-        b.iter(|| cbc_encrypt(&cipher, &iv, black_box(&payload)))
-    });
-    let ct = cbc_encrypt(&cipher, &iv, &payload);
-    c.bench_function("aes128_cbc_decrypt_256B", |b| {
-        b.iter(|| cbc_decrypt(&cipher, &iv, black_box(&ct)).expect("valid"))
-    });
+    let sizes = [64usize, 256, 4112];
+    let mut group = c.benchmark_group("aes128_cbc_encrypt");
+    for len in sizes {
+        let payload = vec![0u8; len];
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(len), &payload, |b, payload| {
+            b.iter(|| cbc_encrypt(&cipher, &iv, black_box(payload)))
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("aes128_cbc_decrypt");
+    for len in sizes {
+        let ct = cbc_encrypt(&cipher, &iv, &vec![0u8; len]);
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(len), &ct, |b, ct| {
+            b.iter(|| cbc_decrypt(&cipher, &iv, black_box(ct)).expect("valid"))
+        });
+    }
+    group.finish();
 }
 
 fn bench_tokenization(c: &mut Criterion) {

@@ -1,7 +1,7 @@
 //! Broker-substrate benchmarks: matching throughput, the covering
 //! optimization ablation, and the wire codec.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use psguard_bench::support::range_filter;
 use psguard_model::{Event, Filter};
 use psguard_siena::{Broker, Peer, Wire};
@@ -60,6 +60,21 @@ fn bench_wire_codec(c: &mut Criterion) {
     c.bench_function("wire_decode_event_256B", |b| {
         b.iter(|| Event::from_bytes(black_box(&bytes)).expect("valid"))
     });
+
+    // Payload sizes of a small event and of `durable_bulk`'s sealed one.
+    let mut group = c.benchmark_group("wire_decode_event");
+    for len in [64usize, 4112] {
+        let bytes = Event::builder("stocks")
+            .attr("price", 95i64)
+            .payload(vec![0u8; len])
+            .build()
+            .to_bytes();
+        group.throughput(Throughput::Bytes(bytes.len() as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(len), &bytes, |b, bytes| {
+            b.iter(|| Event::from_bytes(black_box(bytes)).expect("valid"))
+        });
+    }
+    group.finish();
 }
 
 criterion_group!(

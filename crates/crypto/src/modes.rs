@@ -102,18 +102,17 @@ pub fn ecb_decrypt_block(cipher: &Aes128, block: &[u8; BLOCK_SIZE]) -> [u8; BLOC
 /// assert_eq!(pt, b"patient record");
 /// ```
 pub fn cbc_encrypt(cipher: &Aes128, iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<u8> {
-    let mut buf = plaintext.to_vec();
+    // Room for the padding up front, so padding never reallocates.
+    let mut buf = Vec::with_capacity(plaintext.len() + BLOCK_SIZE);
+    buf.extend_from_slice(plaintext);
     pkcs7_pad(&mut buf);
     let mut prev = *iv;
-    for chunk in buf.chunks_exact_mut(BLOCK_SIZE) {
-        let mut block = [0u8; BLOCK_SIZE];
-        block.copy_from_slice(chunk);
-        for (c, p) in block.iter_mut().zip(prev.iter()) {
-            *c ^= p;
+    for block in buf.as_chunks_mut::<BLOCK_SIZE>().0 {
+        for (b, p) in block.iter_mut().zip(prev.iter()) {
+            *b ^= p;
         }
-        cipher.encrypt_block(&mut block);
-        chunk.copy_from_slice(&block);
-        prev = block;
+        cipher.encrypt_block(block);
+        prev = *block;
     }
     buf
 }
@@ -137,15 +136,12 @@ pub fn cbc_decrypt(
     }
     let mut buf = ciphertext.to_vec();
     let mut prev = *iv;
-    for chunk in buf.chunks_exact_mut(BLOCK_SIZE) {
-        let mut cipher_block = [0u8; BLOCK_SIZE];
-        cipher_block.copy_from_slice(chunk);
-        let mut block = cipher_block;
-        cipher.decrypt_block(&mut block);
+    for block in buf.as_chunks_mut::<BLOCK_SIZE>().0 {
+        let cipher_block = *block;
+        cipher.decrypt_block(block);
         for (b, p) in block.iter_mut().zip(prev.iter()) {
             *b ^= p;
         }
-        chunk.copy_from_slice(&block);
         prev = cipher_block;
     }
     pkcs7_unpad(&mut buf)?;

@@ -3,8 +3,7 @@
 
 use std::collections::HashMap;
 
-use psguard_crypto::DeriveKey;
-use psguard_crypto::{cbc_encrypt, Aes128, AesContext, PrfContext, Token};
+use psguard_crypto::{cbc_encrypt, Aes128, AesContext, DeriveKey, Hmac, PrfContext, Sha1, Token};
 use psguard_keys::{
     combine_master, event_key_addresses, mac_key, part_from_topic_key, AuthKey, EpochId,
     EventKeyAddress, KeyCache, KeyScope, Ktid, OpCounter, Schema,
@@ -151,6 +150,17 @@ fn derive_part_cached(
     part_from_topic_key(topic_key, schema, addr, ops)
 }
 
+/// The encrypt-then-MAC tag `KH_mk(iv ‖ ciphertext)`, streamed over the
+/// two parts instead of copying them into one buffer.
+pub(crate) fn mac_iv_ciphertext(mk: &DeriveKey, iv: &[u8; 16], ciphertext: &[u8]) -> [u8; 20] {
+    let mut mac = Hmac::<Sha1>::new(mk.as_bytes());
+    mac.update(iv);
+    mac.update(ciphertext);
+    let mut tag = [0u8; 20];
+    tag.copy_from_slice(&mac.finalize());
+    tag
+}
+
 /// Encrypts and tags one event inside a batch, drawing iv and nonce from
 /// the event's own deterministic `rng` (seeded by batch and index, so the
 /// output is independent of how events are chunked across workers).
@@ -168,10 +178,7 @@ fn encrypt_one(
     let mut iv = [0u8; 16];
     rng.fill_bytes(&mut iv);
     let ciphertext = keys.aes.encrypt_cbc(&iv, event.payload());
-    let mut mac_input = Vec::with_capacity(16 + ciphertext.len());
-    mac_input.extend_from_slice(&iv);
-    mac_input.extend_from_slice(&ciphertext);
-    let mac = psguard_crypto::kh(keys.mac.as_bytes(), &mac_input);
+    let mac = mac_iv_ciphertext(&keys.mac, &iv, &ciphertext);
     worker.ops.add_kh(1);
 
     let mut routed = Event::builder("")
@@ -372,10 +379,8 @@ impl Publisher {
         rng.fill_bytes(&mut iv);
         let ciphertext = cbc_encrypt(&Aes128::new(key.as_bytes()), &iv, event.payload());
         let mk = mac_key(&master, &mut self.ops);
-        let mut mac_input = iv.to_vec();
-        mac_input.extend_from_slice(&ciphertext);
         self.ops.add_kh(1);
-        let mac = psguard_crypto::kh(mk.as_bytes(), &mac_input);
+        let mac = mac_iv_ciphertext(&mk, &iv, &ciphertext);
 
         // Strip the plaintext topic; brokers see only the tag.
         let mut routed = Event::builder("")

@@ -1,8 +1,7 @@
 //! The subscriber: holds grants (authorization keys), derives event keys
 //! and decrypts matching events — with the §3.2.3 key cache.
 
-use psguard_crypto::DeriveKey;
-use psguard_crypto::{cbc_decrypt, Aes128, Token};
+use psguard_crypto::{cbc_decrypt, ct_eq, Aes128, DeriveKey, Token};
 use psguard_keys::{
     combine_master, event_key_addresses, mac_key, EventKeyAddress, Grant, KeyCache, KeyScope,
     OpCounter, Schema,
@@ -11,6 +10,7 @@ use psguard_model::{Event, Filter};
 use psguard_routing::{SecureEvent, SecureFilter};
 
 use crate::error::DecryptError;
+use crate::publisher::mac_iv_ciphertext;
 
 /// One installed subscription: routing token, original filter, grant.
 #[derive(Debug, Clone)]
@@ -123,83 +123,69 @@ impl Subscriber {
     /// the event does not match any granted filter, and
     /// [`DecryptError::EpochMismatch`] for stale grants (lazy revocation).
     pub fn decrypt(&mut self, secure: &SecureEvent) -> Result<Event, DecryptError> {
-        // Which subscription does this event belong to?
-        let matching: Vec<usize> = self
-            .subscriptions
+        // Disjoint borrows: the grants are read while the cache and the
+        // op counter are written.
+        let Subscriber {
+            schema,
+            subscriptions,
+            cache,
+            ops,
+            ..
+        } = self;
+        // Which subscriptions does this event belong to?
+        let mut matching = subscriptions
             .iter()
-            .enumerate()
-            .filter(|(_, s)| secure.tag.matches(&s.token))
-            .map(|(i, _)| i)
-            .collect();
-        if matching.is_empty() {
+            .filter(|s| secure.tag.matches(&s.token))
+            .peekable();
+        if matching.peek().is_none() {
             return Err(DecryptError::NoMatchingSubscription);
         }
 
-        let addrs = event_key_addresses(&self.schema, &secure.event)?;
+        let addrs = event_key_addresses(schema, &secure.event)?;
 
         let mut saw_epoch_mismatch = None;
         let mut saw_mac_failure = false;
-        for idx in matching {
-            let (grant_epoch, maybe_key) = {
-                let sub = &self.subscriptions[idx];
-                if sub.grant.epoch.0 != secure.epoch {
-                    (sub.grant.epoch.0, None)
-                } else {
-                    let grant = sub.grant.clone();
-                    let mut parts = Vec::with_capacity(addrs.len());
-                    let mut ok = true;
-                    for addr in &addrs {
-                        match Self::derive_part(
-                            &mut self.cache,
-                            &self.schema,
-                            &grant,
-                            addr,
-                            &mut self.ops,
-                        ) {
-                            Some(p) => parts.push(p),
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        (
-                            sub.grant.epoch.0,
-                            Some(combine_master(&parts, &mut self.ops)),
-                        )
-                    } else {
-                        (sub.grant.epoch.0, None)
-                    }
-                }
-            };
-            if self.subscriptions[idx].grant.epoch.0 != secure.epoch {
-                saw_epoch_mismatch = Some(grant_epoch);
+        for sub in matching {
+            let grant = &sub.grant;
+            if grant.epoch.0 != secure.epoch {
+                saw_epoch_mismatch = Some(grant.epoch.0);
                 continue;
             }
-            if let Some(master) = maybe_key {
-                // Verify the encrypt-then-MAC tag before decrypting: a
-                // wrong derivation (or tampering) is rejected here rather
-                // than risking a CBC padding false-positive.
-                let mk = mac_key(&master, &mut self.ops);
-                let mut mac_input = secure.iv.to_vec();
-                mac_input.extend_from_slice(secure.event.payload());
-                self.ops.add_kh(1);
-                let expect = psguard_crypto::kh(mk.as_bytes(), &mac_input);
-                if !psguard_crypto::ct_eq(&expect, &secure.mac) {
-                    saw_mac_failure = true;
-                    continue; // try other matching subscriptions, if any
-                }
-                let key = master.content_key();
-                let plaintext = cbc_decrypt(
-                    &Aes128::new(key.as_bytes()),
-                    &secure.iv,
-                    secure.event.payload(),
-                )?;
-                let mut restored = secure.event.clone();
-                restored.replace_payload(plaintext);
-                return Ok(restored);
+            let parts: Option<Vec<DeriveKey>> = addrs
+                .iter()
+                .map(|addr| Self::derive_part(cache, schema, grant, addr, ops))
+                .collect();
+            let Some(parts) = parts else {
+                continue;
+            };
+            let master = combine_master(&parts, ops);
+            // Verify the encrypt-then-MAC tag over ⟨iv ‖ ciphertext⟩
+            // before decrypting: a wrong derivation (or tampering) is
+            // rejected here rather than risking a CBC padding
+            // false-positive.
+            let mk = mac_key(&master, ops);
+            ops.add_kh(1);
+            let expect = mac_iv_ciphertext(&mk, &secure.iv, secure.event.payload());
+            if !ct_eq(&expect, &secure.mac) {
+                saw_mac_failure = true;
+                continue; // try other matching subscriptions, if any
             }
+            let key = master.content_key();
+            let plaintext = cbc_decrypt(
+                &Aes128::new(key.as_bytes()),
+                &secure.iv,
+                secure.event.payload(),
+            )?;
+            // The routed event with its plaintext back, built field by
+            // field so the ciphertext is never copied.
+            let routed = &secure.event;
+            let mut restored = Event::builder(routed.topic())
+                .id(routed.id())
+                .publisher(routed.publisher());
+            for (name, value) in routed.attrs() {
+                restored = restored.attr(name.clone(), value.clone());
+            }
+            return Ok(restored.payload(plaintext).build());
         }
 
         if saw_mac_failure {
@@ -276,6 +262,27 @@ mod tests {
         let stats = sub.cache_stats();
         assert!(stats.hits + stats.partial_hits > 0, "{stats:?}");
         assert!(stats.hash_ops_saved > 0);
+    }
+
+    #[test]
+    fn decrypt_restores_the_routed_event_with_its_plaintext() {
+        let ps = deployment(0);
+        let mut publisher = ps.publisher("P");
+        ps.authorize_publisher(&mut publisher, "w", 0);
+        let mut sub = ps.subscriber("S");
+        ps.authorize_subscriber(&mut sub, &Filter::for_topic("w"), 0)
+            .unwrap();
+        let e = Event::builder("w")
+            .id(psguard_model::EventId(42))
+            .publisher("hospital-a")
+            .attr("age", 7i64)
+            .attr("ward", "icu")
+            .payload(b"patient record".to_vec())
+            .build();
+        let secure = publisher.publish(&e, 0).unwrap();
+        let mut want = secure.event.clone();
+        want.replace_payload(b"patient record".to_vec());
+        assert_eq!(sub.decrypt(&secure).unwrap(), want);
     }
 
     #[test]

@@ -18,11 +18,14 @@ pub(crate) const BODY_PREFIX_LEN: usize = 12;
 pub(crate) const MAX_BODY_LEN: usize = crate::wire::MAX_FRAME + BODY_PREFIX_LEN;
 
 /// CRC-32 (IEEE, reflected — the zlib/ethernet polynomial) lookup
-/// table, built at compile time so the scan path is a table walk.
-const CRC_TABLE: [u32; 256] = crc_table();
+/// tables for slicing-by-8, built at compile time. `CRC_TABLES[0]` is the
+/// classic byte-at-a-time table; `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, so one step folds eight input bytes with
+/// eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -35,18 +38,41 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
 /// CRC-32/IEEE over `bytes`.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        let idx = ((c ^ b as u32) & 0xFF) as usize;
-        c = CRC_TABLE[idx] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][lo as u8 as usize]
+            ^ t[6][(lo >> 8) as u8 as usize]
+            ^ t[5][(lo >> 16) as u8 as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][hi as u8 as usize]
+            ^ t[2][(hi >> 8) as u8 as usize]
+            ^ t[1][(hi >> 16) as u8 as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][(c as u8 ^ b) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -87,6 +113,49 @@ pub(crate) fn parse_body(body: &[u8]) -> Option<(u32, u64, &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// CRC-32/IEEE one bit at a time, straight from the polynomial.
+    fn bitwise_crc32(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The sliced CRC equals the bitwise one for every length up to
+        /// past two record sizes, starting at each offset mod 8, so the
+        /// 8-byte steps meet every alignment and every remainder.
+        #[test]
+        fn sliced_crc_equals_bitwise(len in 0usize..=9_000, seed in any::<u32>()) {
+            let buf: Vec<u8> = (0..len + 8)
+                .map(|i| (i as u32).wrapping_mul(0x9E37_79B9).wrapping_add(seed).to_be_bytes()[0])
+                .collect();
+            for offset in 0..8 {
+                let bytes = &buf[offset..offset + len];
+                prop_assert_eq!(crc32(bytes), bitwise_crc32(bytes), "offset {}", offset);
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_crc_equals_bitwise_on_short_inputs() {
+        for len in 0..=64 {
+            let bytes: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
+            assert_eq!(crc32(&bytes), bitwise_crc32(&bytes), "len {len}");
+        }
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -26,7 +26,7 @@ use parking_lot::Mutex;
 
 use super::config::{jitter_step, OverflowPolicy, StatsInner, TcpConfig, TcpStats};
 use super::conn::{Conn, ConnStatus, OutQueue};
-use super::poller::{PollWaker, DEFAULT_MAX_PARK, PARK_BASE};
+use super::poller::{park_interval, PollWaker, DEFAULT_MAX_PARK};
 use crate::error::TcpError;
 use crate::fault::SeqDedup;
 use crate::frame::{FramePool, FramePoolStats, SharedFrame};
@@ -559,11 +559,8 @@ fn run_client_reactor<F>(
             idle_streak = 0;
             continue;
         }
-        idle_streak = idle_streak.saturating_add(1).min(16);
-        let shift = idle_streak.saturating_sub(1).min(10);
-        let mut park = PARK_BASE
-            .saturating_mul(1u32 << shift)
-            .min(DEFAULT_MAX_PARK);
+        idle_streak = idle_streak.saturating_add(1);
+        let mut park = park_interval(idle_streak, DEFAULT_MAX_PARK);
         // Never park past the nearest timer (heartbeat or backoff
         // deadline).
         let now = Instant::now();

@@ -7,9 +7,9 @@
 //! make a no-op scan cheap (a `read`/`write` that would block returns
 //! `WouldBlock` immediately). To keep an idle broker off the CPU, the
 //! scan parks adaptively — consecutive no-progress scans grow the park
-//! interval exponentially up to a cap, and any cross-thread event
-//! (frames queued, a new connection, shutdown) cuts the park short
-//! through a [`PollWaker`].
+//! interval by 5/4 each up to a cap (`park_interval`), and any
+//! cross-thread event (frames queued, a new connection, shutdown) cuts
+//! the park short through a [`PollWaker`].
 //!
 //! The trait contract is deliberately level-triggered and conservative:
 //! `wait` may over-report (tokens that turn out not to be ready cost one
@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-/// Base park interval after the first no-progress scan; doubles per
+/// Park interval after the first no-progress scan; grows by 5/4 per
 /// additional idle scan.
 pub(crate) const PARK_BASE: Duration = Duration::from_micros(50);
 
@@ -35,6 +35,30 @@ pub(crate) const PARK_BASE: Duration = Duration::from_micros(50);
 /// latency for readiness the waker cannot announce (bytes arriving from
 /// the kernel while parked).
 pub(crate) const DEFAULT_MAX_PARK: Duration = Duration::from_millis(5);
+
+/// Idle scans past which the park stops growing: 50 µs × (5/4)^63 is
+/// about a minute, past any cap a reactor uses.
+const IDLE_STREAK_CAP: u32 = 64;
+
+/// The park after the `idle_streak`-th consecutive no-progress scan
+/// (`idle_streak >= 1`): [`PARK_BASE`] × (5/4)^(idle_streak − 1), capped
+/// at `max_park`. The one schedule of every reactor loop that parks.
+///
+/// Growth by 5/4 makes each park exactly a quarter of the parks before it
+/// plus [`PARK_BASE`], so a park never adds more than a quarter of the
+/// time already spent idle (plus 50 µs) to the latency of readiness no
+/// waker announces — bytes arriving from the kernel. The 5 ms default
+/// cap is reached after about 20 ms of idleness.
+pub(crate) fn park_interval(idle_streak: u32, max_park: Duration) -> Duration {
+    let mut park = PARK_BASE;
+    for _ in 1..idle_streak.min(IDLE_STREAK_CAP) {
+        if park >= max_park {
+            break;
+        }
+        park = park.saturating_mul(5) / 4;
+    }
+    park.min(max_park)
+}
 
 #[derive(Debug, Default)]
 struct WakeInner {
@@ -141,11 +165,6 @@ impl ScanPoller {
     pub fn is_empty(&self) -> bool {
         self.tokens.is_empty()
     }
-
-    fn park_interval(&self) -> Duration {
-        let shift = self.idle_streak.saturating_sub(1).min(10);
-        PARK_BASE.saturating_mul(1u32 << shift).min(self.max_park)
-    }
 }
 
 impl Default for ScanPoller {
@@ -174,7 +193,7 @@ impl Poller for ScanPoller {
         }
         // Park only when the recent past was idle AND nobody woke us.
         if !self.waker.take_pending() && self.idle_streak > 0 {
-            std::thread::park_timeout(self.park_interval());
+            std::thread::park_timeout(park_interval(self.idle_streak, self.max_park));
             self.waker.take_pending();
         }
         ready.extend_from_slice(&self.tokens);
@@ -184,7 +203,7 @@ impl Poller for ScanPoller {
         if progress {
             self.idle_streak = 0;
         } else {
-            self.idle_streak = self.idle_streak.saturating_add(1).min(16);
+            self.idle_streak = self.idle_streak.saturating_add(1);
         }
     }
 
@@ -219,7 +238,7 @@ mod tests {
 
     #[test]
     fn idle_scans_park_and_progress_resets_backoff() {
-        let mut p = ScanPoller::new(Duration::from_millis(2));
+        let mut p = ScanPoller::new(DEFAULT_MAX_PARK);
         p.register(1);
         // Busy poller never parks.
         p.note_progress(true);
@@ -227,11 +246,34 @@ mod tests {
         let mut ready = Vec::new();
         p.wait(&mut ready);
         assert!(t0.elapsed() < Duration::from_millis(50));
-        // Repeated idleness grows the park up to the cap.
-        for _ in 0..8 {
+        // Each park is at most a quarter of the idle time before it plus
+        // the base, grows until the cap, and then stays there.
+        let mut idle = Duration::ZERO;
+        let mut prev = Duration::ZERO;
+        for streak in 1..=IDLE_STREAK_CAP + 4 {
             p.note_progress(false);
+            let park = park_interval(p.idle_streak, p.max_park);
+            assert!(
+                park <= idle / 4 + PARK_BASE,
+                "streak {streak}: {park:?} after {idle:?}"
+            );
+            assert!(park >= prev && park <= DEFAULT_MAX_PARK, "streak {streak}");
+            if streak >= 22 {
+                assert_eq!(park, DEFAULT_MAX_PARK, "streak {streak}: cap not reached");
+            } else {
+                assert!(
+                    park < DEFAULT_MAX_PARK,
+                    "streak {streak}: cap reached early"
+                );
+            }
+            idle += park;
+            prev = park;
         }
-        assert_eq!(p.park_interval(), Duration::from_millis(2));
+        // The cap arrives after roughly 20 ms of idleness, not 6 ms.
+        let to_cap: Duration = (1..22).map(|n| park_interval(n, DEFAULT_MAX_PARK)).sum();
+        assert!(to_cap > Duration::from_millis(15) && to_cap < Duration::from_millis(25));
+        // A cap above a minute stops where the streak stops counting.
+        assert!(park_interval(u32::MAX, Duration::MAX) < Duration::from_secs(120));
         p.note_progress(true);
         assert_eq!(p.idle_streak, 0);
     }
@@ -240,7 +282,7 @@ mod tests {
     fn wake_cuts_park_short_even_before_parking() {
         let mut p = ScanPoller::new(Duration::from_secs(1));
         p.register(1);
-        for _ in 0..16 {
+        for _ in 0..IDLE_STREAK_CAP {
             p.note_progress(false); // would park ~1s
         }
         p.waker().wake();
@@ -255,8 +297,8 @@ mod tests {
     fn wake_from_another_thread_unparks() {
         let mut p = ScanPoller::new(Duration::from_secs(2));
         p.register(9);
-        for _ in 0..16 {
-            p.note_progress(false);
+        for _ in 0..IDLE_STREAK_CAP {
+            p.note_progress(false); // would park 2s
         }
         // Attach by waiting once (pending from registration reset: force a
         // first wait to bind the thread handle).

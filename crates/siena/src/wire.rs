@@ -98,6 +98,23 @@ pub fn encode_str(s: &str, buf: &mut Vec<u8>) {
     encode_bytes(s.as_bytes(), buf);
 }
 
+/// Parses a length-prefixed byte string with one copy: the counterpart of
+/// [`encode_bytes`], and byte-for-byte what `Vec::<u8>::decode` accepts.
+/// The declared length is checked against [`MAX_FRAME`] and against the
+/// input left *before* anything is allocated.
+///
+/// # Errors
+///
+/// [`WireError::BadLength`] for a length over [`MAX_FRAME`],
+/// [`WireError::Truncated`] for one past the end of `input`.
+pub(crate) fn decode_bytes(input: &mut &[u8]) -> Result<Vec<u8>, WireError> {
+    let len = u32::decode(input)? as usize;
+    if len > MAX_FRAME {
+        return Err(WireError::BadLength(len));
+    }
+    Ok(take(input, len)?.to_vec())
+}
+
 pub(crate) fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
     if input.len() < n {
         return Err(WireError::Truncated);
@@ -158,8 +175,7 @@ impl Wire for String {
         encode_str(self, buf);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let bytes = Vec::<u8>::decode(input)?;
-        String::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
+        String::from_utf8(decode_bytes(input)?).map_err(|_| WireError::BadUtf8)
     }
 }
 
@@ -391,8 +407,7 @@ impl Wire for Event {
             let value = AttrValue::decode(input)?;
             builder = builder.attr(name, value);
         }
-        let payload = Vec::<u8>::decode(input)?;
-        Ok(builder.payload(payload).build())
+        Ok(builder.payload(decode_bytes(input)?).build())
     }
 }
 

@@ -4,11 +4,64 @@
 
 use proptest::prelude::*;
 use psguard_model::{AttrValue, Constraint, Event, Filter, IntRange, Op};
-use psguard_siena::wire::{read_frame, read_frame_into, write_frame, MAX_FRAME};
+use psguard_siena::wire::{read_frame, read_frame_into, write_frame, WireError, MAX_FRAME};
 use psguard_siena::{FramePool, Message, Wire};
+
+/// A byte string's declared length is checked before its bytes are
+/// copied: past the end of the input it is `Truncated`, over
+/// `MAX_FRAME` it is `BadLength`, however much input follows.
+#[test]
+fn declared_byte_lengths_are_bounded() {
+    let bytes = Event::builder("t").build().to_bytes();
+    // An event encoding ends with its payload's length prefix.
+    let head = &bytes[..bytes.len() - 4];
+    let with_payload = |declared: u32, body: usize| {
+        let mut b = head.to_vec();
+        b.extend_from_slice(&declared.to_be_bytes());
+        b.resize(b.len() + body, 0xab);
+        b
+    };
+    assert!(Event::from_bytes(&with_payload(3, 3)).is_ok());
+    assert_eq!(
+        Event::from_bytes(&with_payload(1, 0)),
+        Err(WireError::Truncated)
+    );
+    assert_eq!(
+        Event::from_bytes(&with_payload(4112, 4111)),
+        Err(WireError::Truncated)
+    );
+    let over = MAX_FRAME as u32 + 1;
+    assert_eq!(
+        Event::from_bytes(&with_payload(over, 64)),
+        Err(WireError::BadLength(over as usize))
+    );
+    assert_eq!(
+        Event::from_bytes(&with_payload(u32::MAX, 0)),
+        Err(WireError::BadLength(u32::MAX as usize))
+    );
+    // Strings take the same path.
+    let mut s = 5u32.to_be_bytes().to_vec();
+    s.extend_from_slice(b"abc");
+    assert_eq!(String::from_bytes(&s), Err(WireError::Truncated));
+    assert_eq!(
+        String::from_bytes(&over.to_be_bytes()),
+        Err(WireError::BadLength(over as usize))
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Payloads from empty to past 64 KiB round-trip through the event
+    /// codec, alone and inside a publish message.
+    #[test]
+    fn payloads_of_any_size_roundtrip(len in 0usize..=70_000, seed in any::<u8>()) {
+        let payload: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+        let event = Event::builder("t").attr("x", 1i64).payload(payload).build();
+        prop_assert_eq!(&Event::from_bytes(&event.to_bytes()).expect("valid"), &event);
+        let msg: Message<Filter, Event> = Message::Publish(event);
+        prop_assert_eq!(<Message<Filter, Event>>::from_bytes(&msg.to_bytes()).expect("valid"), msg);
+    }
 
     /// Totally random bytes: decode returns, never panics.
     #[test]
