@@ -6,10 +6,10 @@
 //! route tokenized envelopes with *measured* key-derivation, encryption
 //! and token-matching costs folded into the per-node service times.
 
-use psguard::{secure_cost_model, CryptoCosts, SecureEngine};
+use psguard::{secure_cost_model, CryptoCosts};
 use psguard_analysis::TopicKind;
 use psguard_model::{Event, Filter};
-use psguard_routing::SecureEvent;
+use psguard_routing::{SecureEvent, SecureFilter};
 use psguard_siena::{CostModel, Engine, EngineConfig};
 
 use crate::PaperSetup;
@@ -199,7 +199,7 @@ pub fn run_perf_point(variant: PerfVariant, brokers: u32, seed: u64) -> PerfPoin
         cost.broker_match_us += 4;
     }
 
-    let mut engine = SecureEngine::new(EngineConfig {
+    let mut engine = Engine::<SecureFilter>::new(EngineConfig {
         broker_nodes: brokers,
         subscribers: SUBSCRIBERS,
         seed,
@@ -349,7 +349,7 @@ pub fn run_cache_sweep(cache_kbs: &[usize], seed: u64) -> Vec<CachePoint> {
         };
         let cost = secure_cost_model(&costs);
 
-        let mut engine = SecureEngine::new(EngineConfig {
+        let mut engine = Engine::<SecureFilter>::new(EngineConfig {
             broker_nodes: 30,
             subscribers: SUBSCRIBERS,
             seed,

@@ -234,24 +234,6 @@ impl Nonce {
     }
 }
 
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::Nonce;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    impl Serialize for Nonce {
-        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            self.0.serialize(serializer)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for Nonce {
-        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-            <[u8; 16]>::deserialize(deserializer).map(Nonce)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

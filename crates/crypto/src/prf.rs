@@ -56,28 +56,6 @@ impl std::fmt::Debug for Token {
     }
 }
 
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::Token;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    impl Serialize for Token {
-        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            serde::Serialize::serialize(&self.0[..], serializer)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for Token {
-        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-            let v: Vec<u8> = Deserialize::deserialize(deserializer)?;
-            let arr: [u8; 20] = v
-                .try_into()
-                .map_err(|_| serde::de::Error::custom("token must be 20 bytes"))?;
-            Ok(Token(arr))
-        }
-    }
-}
-
 /// The PRF `F`: HMAC-SHA1 keyed by `key`.
 pub fn prf(key: &[u8], data: &[u8]) -> Token {
     Token(hmac_sha1(key, data))

@@ -23,7 +23,6 @@
 /// assert_eq!(lung.depth(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CategoryPath(Vec<u32>);
 
 impl CategoryPath {

@@ -6,7 +6,6 @@ use crate::value::{AttrName, AttrValue};
 
 /// A monotonically assigned event identifier (publisher-local).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EventId(pub u64);
 
 impl std::fmt::Display for EventId {
@@ -36,7 +35,6 @@ impl std::fmt::Display for EventId {
 /// assert_eq!(e.attr("age").and_then(|v| v.as_int()), Some(25));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Event {
     id: EventId,
     topic: String,

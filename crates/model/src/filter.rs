@@ -12,7 +12,6 @@ use crate::value::{AttrName, AttrValue};
 /// / `StrSuffix` are the string matchers; `CategoryIn` is ontology subtree
 /// matching.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Op {
     /// Exact equality with a value of any family.
     Eq(AttrValue),
@@ -180,7 +179,6 @@ impl std::fmt::Display for Op {
 /// assert!(c.covers(&Constraint::new("age", Op::Gt(30))));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Constraint {
     name: AttrName,
     op: Op,
@@ -243,7 +241,6 @@ impl std::fmt::Display for Constraint {
 /// assert!(f.matches(&e));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Filter {
     /// `None` matches any topic (a wildcard used by infrastructure
     /// subscriptions); `Some(w)` requires `⟨topic, EQ, w⟩`.

@@ -16,7 +16,6 @@
 /// assert!(IntRange::new(0, 100).unwrap().covers(&r));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IntRange {
     lo: i64,
     hi: i64,

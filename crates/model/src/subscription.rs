@@ -18,7 +18,6 @@ use crate::filter::Filter;
 /// assert!(!sub.matches(&Event::builder("sports").build()));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Subscription {
     subscriber: String,
     filters: Vec<Filter>,

@@ -13,7 +13,6 @@ use crate::category::CategoryPath;
 /// assert_eq!(n.as_str(), "age");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AttrName(String);
 
 impl AttrName {
@@ -68,7 +67,6 @@ impl std::fmt::Display for AttrName {
 /// Topics are modeled at the [`crate::Event`] level; the other three are
 /// value variants here.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AttrValue {
     /// A numeric value, e.g. `⟨age, 25⟩`.
     Int(i64),

@@ -1,5 +1,6 @@
-//! The secure overlay engine: the Siena performance engine instantiated
-//! with PSGuard's tokenized filters, plus measured crypto costs.
+//! Measured crypto costs for the secure overlay engine: the Siena
+//! performance engine instantiated with PSGuard's tokenized filters
+//! (`psguard_siena::Engine<SecureFilter>`).
 //!
 //! Figures 9–11 compare baseline Siena against PSGuard under identical
 //! overlay conditions; the only difference is the per-message service
@@ -10,8 +11,7 @@
 use std::time::Instant;
 
 use psguard_model::Event;
-use psguard_routing::{SecureEvent, SecureFilter};
-use psguard_siena::{CostModel, Engine, EngineConfig, RunReport};
+use psguard_siena::CostModel;
 
 use crate::error::MeasureError;
 use crate::publisher::Publisher;
@@ -100,80 +100,14 @@ pub fn secure_cost_model(costs: &CryptoCosts) -> CostModel {
     }
 }
 
-/// The overlay engine carrying PSGuard's secure envelopes.
-///
-/// A thin wrapper over [`Engine`]`<`[`SecureFilter`]`>` so benches and
-/// examples don't need the generic type.
-pub struct SecureEngine {
-    inner: Engine<SecureFilter>,
-}
-
-impl SecureEngine {
-    /// Builds the overlay (see [`EngineConfig`]).
-    pub fn new(config: EngineConfig) -> Self {
-        SecureEngine {
-            inner: Engine::new(config),
-        }
-    }
-
-    /// Registers a subscriber's secure filter at its leaf broker.
-    pub fn subscribe(&mut self, client: u32, filter: SecureFilter) {
-        self.inner.subscribe(client, filter);
-    }
-
-    /// Runs a workload of secure events at a fixed rate (deterministic
-    /// arrivals; capacity measurements).
-    pub fn run(
-        &mut self,
-        events: &[SecureEvent],
-        rate_eps: f64,
-        duration_s: f64,
-        cost: &CostModel,
-    ) -> RunReport {
-        self.inner.run(events, rate_eps, duration_s, cost)
-    }
-
-    /// Runs with Poisson arrivals (latency measurements).
-    pub fn run_poisson(
-        &mut self,
-        events: &[SecureEvent],
-        rate_eps: f64,
-        duration_s: f64,
-        cost: &CostModel,
-    ) -> RunReport {
-        self.inner.run_poisson(events, rate_eps, duration_s, cost)
-    }
-
-    /// Saturation-throughput search (Figure 9 methodology).
-    pub fn find_max_throughput(
-        &mut self,
-        events: &[SecureEvent],
-        duration_s: f64,
-        cost: &CostModel,
-    ) -> f64 {
-        self.inner.find_max_throughput(events, duration_s, cost)
-    }
-
-    /// Per-broker subscription table sizes (covering diagnostics).
-    pub fn table_sizes(&self) -> Vec<usize> {
-        self.inner.table_sizes()
-    }
-}
-
-impl std::fmt::Debug for SecureEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SecureEngine")
-            .field("tables", &self.inner.table_sizes())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::PsGuardConfig;
     use psguard_keys::Schema;
     use psguard_model::{Constraint, Filter, IntRange, Op};
+    use psguard_routing::{SecureEvent, SecureFilter};
+    use psguard_siena::{Engine, EngineConfig};
 
     fn deployment() -> PsGuard {
         let schema = Schema::builder()
@@ -234,7 +168,7 @@ mod tests {
         let mut publisher = ps.publisher("P");
         ps.authorize_publisher(&mut publisher, "w", 0);
 
-        let mut engine = SecureEngine::new(EngineConfig {
+        let mut engine = Engine::<SecureFilter>::new(EngineConfig {
             broker_nodes: 6,
             subscribers: 4,
             seed: 3,
@@ -271,7 +205,7 @@ mod tests {
         let ps = deployment();
         let mut publisher = ps.publisher("P");
         ps.authorize_publisher(&mut publisher, "w", 0);
-        let mut engine = SecureEngine::new(EngineConfig {
+        let mut engine = Engine::<SecureFilter>::new(EngineConfig {
             broker_nodes: 2,
             subscribers: 2,
             seed: 5,

@@ -21,8 +21,8 @@
 //!
 //! This crate is the facade tying those layers together: a [`PsGuard`]
 //! deployment hands out [`Publisher`] and [`Subscriber`] handles, and
-//! [`SecureEngine`] runs the full encrypted pipeline over a broker
-//! overlay.
+//! [`secure_cost_model`] prices the encrypted pipeline for the overlay
+//! engine (`psguard_siena::Engine<SecureFilter>`).
 //!
 //! # Quickstart
 //!
@@ -64,7 +64,7 @@ mod publisher;
 mod service;
 mod subscriber;
 
-pub use engine::{secure_cost_model, CryptoCosts, SecureEngine};
+pub use engine::{secure_cost_model, CryptoCosts};
 pub use error::{DecryptError, MeasureError, PublishError, SubscribeError};
 pub use publisher::{Publisher, PublisherCredential};
 pub use service::{PsGuard, PsGuardConfig};

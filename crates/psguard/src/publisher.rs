@@ -3,10 +3,10 @@
 
 use std::collections::HashMap;
 
-use psguard_crypto::{cbc_encrypt, Aes128, AesContext, DeriveKey, Hmac, PrfContext, Sha1, Token};
+use psguard_crypto::{AesContext, DeriveKey, Hmac, PrfContext, Sha1, Token};
 use psguard_keys::{
-    combine_master, event_key_addresses, mac_key, part_from_topic_key, AuthKey, EpochId,
-    EventKeyAddress, KeyCache, KeyScope, Ktid, OpCounter, Schema,
+    combine_master, event_key_addresses, mac_key, part_from_topic_key, AuthKey, CacheStats,
+    EpochId, EventKeyAddress, KeyCache, KeyScope, Ktid, OpCounter, Schema,
 };
 use psguard_model::Event;
 use psguard_routing::{RoutableTag, SecureEvent};
@@ -21,10 +21,6 @@ const EVENT_KEY_CACHE_CAP: usize = 256;
 /// KH label separating the per-topic IV-derivation key from every other
 /// use of the topic key.
 const IV_SEED_LABEL: &[u8] = b"psguard-iv-seed";
-
-/// Stream id for serial [`Publisher::publish`] calls; batch streams use
-/// the 1-based batch counter, so the two can never collide.
-const SERIAL_STREAM: u64 = 0;
 
 /// A per-(topic, epoch) publishing credential issued by the KDC: the
 /// topic key `K(w)` (or `K_P(w)`) and the routing token `T(w)`.
@@ -59,11 +55,11 @@ struct EventKeys {
 struct BatchWorker {
     cache: KeyCache,
     ops: OpCounter,
-    /// Keyed by (stable topic id, epoch, address vector). The topic id is
-    /// the publisher-lifetime id from [`Publisher::topic_ids`] — never a
-    /// per-batch index, because these entries outlive the batch and a
-    /// later batch may see topics in a different order.
-    keys: HashMap<(u64, u64, Vec<EventKeyAddress>), EventKeys>,
+    /// Keyed by (credential id, address vector). The id names one
+    /// installed credential for the publisher's lifetime — never a
+    /// per-batch index (entries outlive the batch) and never the topic
+    /// name (a reinstalled `(topic, epoch)` carries a new topic key).
+    keys: HashMap<(u64, Vec<EventKeyAddress>), EventKeys>,
 }
 
 impl BatchWorker {
@@ -76,24 +72,23 @@ impl BatchWorker {
     }
 
     /// The AES/MAC material for an event with key parts at `addrs`,
-    /// derived on first sight and cached for the rest of the batch.
+    /// derived on first sight and cached across batches.
     fn event_keys(
         &mut self,
         schema: &Schema,
-        topic_key: &DeriveKey,
-        topic_id: u64,
+        cred: &ResolvedCredential,
         epoch: u64,
         addrs: Vec<EventKeyAddress>,
     ) -> &EventKeys {
-        let key = (topic_id, epoch, addrs);
+        let key = (cred.id, addrs);
         if self.keys.len() >= EVENT_KEY_CACHE_CAP && !self.keys.contains_key(&key) {
             self.keys.clear();
         }
         let BatchWorker { cache, ops, keys } = self;
         keys.entry(key).or_insert_with_key(|k| {
             let parts: Vec<DeriveKey> =
-                k.2.iter()
-                    .map(|a| derive_part_cached(schema, cache, ops, topic_key, epoch, a))
+                k.1.iter()
+                    .map(|a| derive_part_cached(schema, cache, ops, &cred.topic_key, epoch, a))
                     .collect();
             let master = combine_master(&parts, ops);
             EventKeys {
@@ -104,14 +99,15 @@ impl BatchWorker {
     }
 }
 
-/// A per-topic credential resolved once per batch: the topic key, the
-/// publisher-lifetime stable topic id (cache identity across batches),
+/// A [`PublisherCredential`] resolved once, at install: the topic key,
+/// an id never reused by a later install (the event-key cache identity),
 /// plus [`PrfContext`]s so tagging each event and seeding its RNG cost
 /// two SHA-1 compressions each instead of re-deriving HMAC pads per
 /// event.
+#[derive(Debug)]
 struct ResolvedCredential {
+    id: u64,
     topic_key: DeriveKey,
-    topic_id: u64,
     tag_ctx: PrfContext,
     iv_ctx: PrfContext,
 }
@@ -173,7 +169,7 @@ fn encrypt_one(
     rng: &mut StdRng,
 ) -> Result<SecureEvent, PublishError> {
     let addrs = event_key_addresses(schema, event)?;
-    let keys = worker.event_keys(schema, &cred.topic_key, cred.topic_id, epoch, addrs);
+    let keys = worker.event_keys(schema, cred, epoch, addrs);
 
     let mut iv = [0u8; 16];
     rng.fill_bytes(&mut iv);
@@ -204,18 +200,18 @@ fn encrypt_one(
 }
 
 /// One event's private iv/nonce RNG, seeded by the topic's secret IV
-/// context over ⟨publisher id ‖ stream ‖ index⟩.
+/// context over ⟨publisher id ‖ batch ‖ index⟩.
 ///
 /// The PRF is keyed under `K(w)`-derived material, so brokers (who see
 /// only tokens and ciphertext) cannot predict any iv or nonce. The input
-/// encodes the stream and index in separate 8-byte fields — injective,
+/// encodes the batch and index in separate 8-byte fields — injective,
 /// unlike a 64-bit fold, so no two events of one publisher can collide
 /// onto the same seed — and two PRF calls stretch the output to the full
 /// 32-byte `StdRng` seed.
-fn event_rng(iv_ctx: &PrfContext, base: u64, stream: u64, idx: u64) -> StdRng {
+fn event_rng(iv_ctx: &PrfContext, base: u64, batch: u64, idx: u64) -> StdRng {
     let mut input = [0u8; 25];
     input[..8].copy_from_slice(&base.to_be_bytes());
-    input[8..16].copy_from_slice(&stream.to_be_bytes());
+    input[8..16].copy_from_slice(&batch.to_be_bytes());
     input[16..24].copy_from_slice(&idx.to_be_bytes());
     let mut seed = [0u8; 32];
     input[24] = 0;
@@ -233,22 +229,15 @@ fn event_rng(iv_ctx: &PrfContext, base: u64, stream: u64, idx: u64) -> StdRng {
 pub struct Publisher {
     name: String,
     schema: Schema,
-    credentials: HashMap<(String, u64), PublisherCredential>,
+    /// Installed credentials by epoch, then topic, resolved at install.
+    credentials: HashMap<u64, HashMap<String, ResolvedCredential>>,
+    /// Credentials installed so far; the next install's credential id.
+    installs: u64,
     seed_base: u64,
     ops: OpCounter,
-    cache: KeyCache,
-    /// Stable per-topic ids, assigned on first publish and kept for the
-    /// publisher's lifetime; the worker event-key caches are keyed by
-    /// these so entries can never be confused across topics.
-    topic_ids: HashMap<String, u64>,
-    /// Per-(topic, epoch) IV-derivation contexts for the serial path.
-    iv_ctxs: HashMap<(String, u64), PrfContext>,
-    /// Serial publishes so far; the index within [`SERIAL_STREAM`].
-    serial_seq: u64,
     /// Per-worker derivation caches persisted across batches.
     workers: Vec<BatchWorker>,
-    /// Batches published so far; the stream id of every batched event's
-    /// RNG seed (1-based, so it never collides with [`SERIAL_STREAM`]).
+    /// Batches published so far; the stream id of every event's RNG seed.
     batch_counter: u64,
 }
 
@@ -267,52 +256,28 @@ impl Publisher {
             name,
             schema,
             credentials: HashMap::new(),
+            installs: 0,
             seed_base,
             ops: OpCounter::new(),
-            // Publisher-side derived-key cache (§3.2.3 applies to
-            // "the KDC, the publishers and the subscribers").
-            cache: KeyCache::new(64 * 1024),
-            topic_ids: HashMap::new(),
-            iv_ctxs: HashMap::new(),
-            serial_seq: 0,
             workers: Vec::new(),
             batch_counter: 0,
         }
     }
 
-    /// The stable publisher-lifetime id for `topic`, assigned on first
-    /// sight.
-    fn topic_id(&mut self, topic: &str) -> u64 {
-        if let Some(&id) = self.topic_ids.get(topic) {
-            return id;
-        }
-        let id = self.topic_ids.len() as u64;
-        self.topic_ids.insert(topic.to_owned(), id);
-        id
-    }
-
-    /// Publisher-side key-cache statistics.
-    pub fn cache_stats(&self) -> psguard_keys::CacheStats {
-        self.cache.stats()
-    }
-
-    /// Derives one per-attribute key part, routing numeric parts through
-    /// the publisher's key cache (consecutive events with nearby values
-    /// share long NAKT prefixes).
-    fn derive_part(
-        &mut self,
-        topic_key: &psguard_crypto::DeriveKey,
-        epoch: u64,
-        addr: &EventKeyAddress,
-    ) -> DeriveKey {
-        derive_part_cached(
-            &self.schema,
-            &mut self.cache,
-            &mut self.ops,
-            topic_key,
-            epoch,
-            addr,
-        )
+    /// Publisher-side key-cache statistics (§3.2.3 applies to "the KDC,
+    /// the publishers and the subscribers"), summed over the per-worker
+    /// caches that [`publish_batch`](Self::publish_batch) derives through.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.workers
+            .iter()
+            .map(|w| w.cache.stats())
+            .fold(CacheStats::default(), |acc, s| CacheStats {
+                hits: acc.hits + s.hits,
+                misses: acc.misses + s.misses,
+                partial_hits: acc.partial_hits + s.partial_hits,
+                hash_ops_saved: acc.hash_ops_saved + s.hash_ops_saved,
+                evictions: acc.evictions + s.evictions,
+            })
     }
 
     /// The publisher's principal name.
@@ -320,10 +285,26 @@ impl Publisher {
         &self.name
     }
 
-    /// Installs a credential (called by the service facade).
+    /// Installs a credential (called by the service facade), replacing
+    /// any earlier one for the same `(topic, epoch)`.
     pub fn install_credential(&mut self, credential: PublisherCredential) {
+        let PublisherCredential {
+            topic,
+            epoch,
+            topic_key,
+            token,
+        } = credential;
+        let resolved = ResolvedCredential {
+            id: self.installs,
+            tag_ctx: PrfContext::for_token(&token),
+            iv_ctx: iv_context(&topic_key),
+            topic_key,
+        };
+        self.installs += 1;
         self.credentials
-            .insert((credential.topic.clone(), credential.epoch), credential);
+            .entry(epoch)
+            .or_default()
+            .insert(topic, resolved);
     }
 
     /// Cumulative key-derivation cost since creation.
@@ -331,7 +312,8 @@ impl Publisher {
         self.ops
     }
 
-    /// Encrypts and tags an event for dissemination during `epoch`.
+    /// Encrypts and tags an event for dissemination during `epoch`: a
+    /// [`publish_batch`](Self::publish_batch) of one.
     ///
     /// The returned [`SecureEvent`] carries the routable attributes in the
     /// clear (brokers match on them), the topic only as a pseudonymous
@@ -343,82 +325,31 @@ impl Publisher {
     ///   `(topic, epoch)`;
     /// * [`PublishError::EventKey`] when the event violates the schema.
     pub fn publish(&mut self, event: &Event, epoch: u64) -> Result<SecureEvent, PublishError> {
-        let credential = self
-            .credentials
-            .get(&(event.topic().to_owned(), epoch))
-            .ok_or_else(|| PublishError::UnknownTopic {
-                topic: event.topic().to_owned(),
-            })?
-            .clone();
-
-        // K(e): fold the per-attribute event keys (numeric parts go
-        // through the publisher's key cache).
-        let addrs = event_key_addresses(&self.schema, event)?;
-        let parts: Vec<DeriveKey> = addrs
-            .iter()
-            .map(|a| self.derive_part(&credential.topic_key, epoch, a))
-            .collect();
-        let master = combine_master(&parts, &mut self.ops);
-        let key = master.content_key();
-
-        // iv and nonce come from a per-event RNG keyed under the topic
-        // key — deterministic for a seeded KDC, unpredictable to brokers.
-        let seq = self.serial_seq;
-        self.serial_seq += 1;
-        let mut rng = {
-            let iv_ctx = self
-                .iv_ctxs
-                .entry((credential.topic.clone(), epoch))
-                .or_insert_with(|| iv_context(&credential.topic_key));
-            event_rng(iv_ctx, self.seed_base, SERIAL_STREAM, seq)
-        };
-
-        // Encrypt the payload, then MAC ⟨iv ‖ ciphertext⟩ so receivers can
-        // verify key agreement and integrity before decrypting.
-        let mut iv = [0u8; 16];
-        rng.fill_bytes(&mut iv);
-        let ciphertext = cbc_encrypt(&Aes128::new(key.as_bytes()), &iv, event.payload());
-        let mk = mac_key(&master, &mut self.ops);
-        self.ops.add_kh(1);
-        let mac = mac_iv_ciphertext(&mk, &iv, &ciphertext);
-
-        // Strip the plaintext topic; brokers see only the tag.
-        let mut routed = Event::builder("")
-            .id(event.id())
-            .publisher(event.publisher());
-        for (name, value) in event.attrs() {
-            routed = routed.attr(name.clone(), value.clone());
-        }
-        let routed = routed.payload(ciphertext).build();
-
-        Ok(SecureEvent {
-            tag: RoutableTag::new(&credential.token, &mut rng),
-            event: routed,
-            iv,
-            epoch,
-            mac,
-        })
+        // A batch of one seals exactly one event.
+        self.publish_batch(std::slice::from_ref(event), epoch, 1)
+            .map(|mut sealed| sealed.swap_remove(0))
     }
 
     /// Encrypts and tags a whole batch of events across `workers` threads,
     /// each with its own KDC derivation cache and reusable crypto contexts
-    /// (per-topic [`PrfContext`], per-event-key [`AesContext`]).
+    /// (per-credential [`PrfContext`], per-event-key [`AesContext`]).
     ///
     /// The output is **bit-identical for any worker count**: every event's
     /// iv and nonce come from a private RNG keyed under the topic key and
     /// seeded by the publisher identity, the batch counter, and the
     /// event's index — never by how events happen to be chunked across
-    /// threads. (It therefore differs from the iv/nonce stream of serial
-    /// [`publish`](Self::publish) calls, which occupy their own stream.)
+    /// threads.
     ///
     /// Worker caches persist across batches, so a steady stream of batches
-    /// amortizes NAKT chain walks and AES key schedules the same way the
-    /// serial path's cache does.
+    /// (or of single [`publish`](Self::publish) calls) amortizes NAKT
+    /// chain walks and AES key schedules.
     ///
     /// # Errors
     ///
-    /// As [`publish`](Self::publish); on failure the earliest failing
-    /// event's error is returned, independent of worker count.
+    /// As [`publish`](Self::publish); an unknown topic anywhere in the
+    /// batch fails it before any event is encrypted, and otherwise the
+    /// earliest failing event's error is returned, independent of worker
+    /// count.
     pub fn publish_batch(
         &mut self,
         events: &[Event],
@@ -432,34 +363,19 @@ impl Publisher {
             return Ok(Vec::new());
         }
 
-        // Resolve each distinct topic once, failing fast before any
+        // Look up each event's credential, failing fast before any
         // thread is spawned.
-        let mut topic_idx: HashMap<&str, usize> = HashMap::new();
-        let mut creds: Vec<ResolvedCredential> = Vec::new();
-        let mut event_topic: Vec<usize> = Vec::with_capacity(events.len());
-        for e in events {
-            let idx = if let Some(&i) = topic_idx.get(e.topic()) {
-                i
-            } else {
-                let c = self
-                    .credentials
-                    .get(&(e.topic().to_owned(), epoch))
+        let installed = self.credentials.get(&epoch);
+        let creds = events
+            .iter()
+            .map(|e| {
+                installed
+                    .and_then(|by_topic| by_topic.get(e.topic()))
                     .ok_or_else(|| PublishError::UnknownTopic {
                         topic: e.topic().to_owned(),
-                    })?;
-                let topic_key = c.topic_key.clone();
-                let tag_ctx = PrfContext::for_token(&c.token);
-                creds.push(ResolvedCredential {
-                    topic_id: self.topic_id(e.topic()),
-                    iv_ctx: iv_context(&topic_key),
-                    topic_key,
-                    tag_ctx,
-                });
-                topic_idx.insert(e.topic(), creds.len() - 1);
-                creds.len() - 1
-            };
-            event_topic.push(idx);
-        }
+                    })
+            })
+            .collect::<Result<Vec<&ResolvedCredential>, _>>()?;
 
         while self.workers.len() < workers {
             self.workers.push(BatchWorker::new());
@@ -474,13 +390,12 @@ impl Publisher {
         let seed_base = self.seed_base;
         let states = &mut self.workers;
         let creds = &creds;
-        let event_topic = &event_topic;
         if n_chunks == 1 {
             // Single worker: run inline; no thread overhead.
             let out = &mut outs[0];
             let state = &mut states[0];
             for (i, e) in events.iter().enumerate() {
-                let cred = &creds[event_topic[i]];
+                let cred = creds[i];
                 let mut rng = event_rng(&cred.iv_ctx, seed_base, batch, i as u64);
                 out.push(encrypt_one(schema, cred, state, e, epoch, &mut rng));
             }
@@ -495,7 +410,7 @@ impl Publisher {
                     s.spawn(move || {
                         for (j, e) in chunk_events.iter().enumerate() {
                             let i = chunk_no * chunk + j;
-                            let cred = &creds[event_topic[i]];
+                            let cred = creds[i];
                             let mut rng = event_rng(&cred.iv_ctx, seed_base, batch, i as u64);
                             out.push(encrypt_one(schema, cred, state, e, epoch, &mut rng));
                         }
@@ -607,6 +522,7 @@ mod tests {
             let e = Event::builder("w").attr("age", v).payload(vec![1]).build();
             p.publish(&e, 0).unwrap();
         }
+        // Summed over the worker caches the publishes derived through.
         let stats = p.cache_stats();
         assert!(stats.hits + stats.partial_hits > 0, "{stats:?}");
         assert!(stats.hash_ops_saved > 0);
@@ -809,17 +725,76 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_batch_streams_never_share_ivs_or_nonces() {
+    fn interleaved_publishes_and_batches_never_reuse_ivs_or_nonces() {
         let (mut p, _) = publisher_with_credential();
         let events = batch_events(8);
-        let serial: Vec<_> = events.iter().map(|e| p.publish(e, 0).unwrap()).collect();
-        let batch = p.publish_batch(&events, 0, 2).unwrap();
+        let mut sealed = Vec::new();
+        for (i, e) in events.iter().enumerate() {
+            sealed.push(p.publish(e, 0).unwrap());
+            sealed.extend(p.publish_batch(&events[..i + 1], 0, 2).unwrap());
+        }
         let mut ivs = std::collections::HashSet::new();
         let mut nonces = std::collections::HashSet::new();
-        for s in serial.iter().chain(&batch) {
-            assert!(ivs.insert(s.iv), "iv reused across streams");
-            assert!(nonces.insert(s.tag.nonce), "nonce reused across streams");
+        for s in &sealed {
+            assert!(ivs.insert(s.iv), "iv reused");
+            assert!(nonces.insert(s.tag.nonce), "nonce reused");
         }
+    }
+
+    #[test]
+    fn publish_is_a_batch_of_one() {
+        let (mut serial, _) = publisher_with_credential();
+        let (mut batched, _) = publisher_with_credential();
+        // Warm both through the same mixed history first.
+        let warm = batch_events(5);
+        serial.publish_batch(&warm, 0, 2).unwrap();
+        batched.publish_batch(&warm, 0, 2).unwrap();
+        for e in batch_events(6) {
+            let one = batched
+                .publish_batch(std::slice::from_ref(&e), 0, 1)
+                .unwrap();
+            assert_eq!(vec![serial.publish(&e, 0).unwrap()], one);
+        }
+        assert_eq!(serial.ops(), batched.ops());
+    }
+
+    #[test]
+    fn reinstalled_credential_takes_effect_on_the_next_batch() {
+        // Regression: worker event-key caches persist across batches, so
+        // replacing the topic key of an already-published `(topic, epoch)`
+        // must not keep encrypting under the old K(e) while tagging with
+        // the new token.
+        use crate::{PsGuard, PsGuardConfig};
+        let schema = Schema::builder()
+            .numeric("age", IntRange::new(0, 255).unwrap(), 1)
+            .unwrap()
+            .build();
+        let old = PsGuard::new(b"old-master", schema.clone(), PsGuardConfig::default());
+        let new = PsGuard::new(b"new-master", schema, PsGuardConfig::default());
+        let mut publisher = old.publisher("P");
+        old.authorize_publisher(&mut publisher, "w", 0);
+        let e = Event::builder("w")
+            .attr("age", 10i64)
+            .payload(b"x".to_vec())
+            .build();
+        publisher
+            .publish_batch(std::slice::from_ref(&e), 0, 1)
+            .unwrap();
+
+        new.authorize_publisher(&mut publisher, "w", 0);
+        let mut sub = new.subscriber("S");
+        new.authorize_subscriber(&mut sub, &psguard_model::Filter::for_topic("w"), 0)
+            .unwrap();
+        let sealed = publisher
+            .publish_batch(std::slice::from_ref(&e), 0, 1)
+            .unwrap();
+        assert_eq!(sub.decrypt(&sealed[0]).unwrap().payload(), b"x");
+        assert_eq!(
+            sub.decrypt(&publisher.publish(&e, 0).unwrap())
+                .unwrap()
+                .payload(),
+            b"x"
+        );
     }
 
     #[test]

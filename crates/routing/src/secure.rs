@@ -17,7 +17,6 @@
 use psguard_crypto::{prf, prf_verify, ProbeTable, Token};
 use psguard_model::{AttrName, AttrValue, Constraint, Event, Filter};
 use psguard_siena::{FilterSemantics, IndexableFilter, KeyQuery};
-use rand::RngCore;
 
 /// The routable tag on a secure event: `⟨r, F_{T(w)}(r)⟩`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -29,16 +28,6 @@ pub struct RoutableTag {
 }
 
 impl RoutableTag {
-    /// Publisher-side: tags an event under topic token `T(w)`.
-    pub fn new(topic_token: &Token, rng: &mut impl RngCore) -> Self {
-        let mut nonce = [0u8; 16];
-        rng.fill_bytes(&mut nonce);
-        RoutableTag {
-            nonce,
-            tag: prf(topic_token.as_bytes(), &nonce),
-        }
-    }
-
     /// Deterministic construction from an explicit nonce (tests, replay).
     pub fn with_nonce(topic_token: &Token, nonce: [u8; 16]) -> Self {
         RoutableTag {
@@ -234,17 +223,14 @@ mod tests {
     use super::*;
     use psguard_model::Op;
     use psguard_siena::wire::Wire;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn token(seed: &str) -> Token {
         prf(b"master", seed.as_bytes())
     }
 
     fn secure_event(topic_token: &Token, age: i64) -> SecureEvent {
-        let mut rng = StdRng::seed_from_u64(1);
         SecureEvent {
-            tag: RoutableTag::new(topic_token, &mut rng),
+            tag: RoutableTag::with_nonce(topic_token, [1; 16]),
             event: Event::builder("")
                 .attr("age", age)
                 .payload(vec![0xaa; 32])
@@ -259,8 +245,7 @@ mod tests {
     fn tag_matches_only_its_topic() {
         let t1 = token("cancerTrail");
         let t2 = token("weather");
-        let mut rng = StdRng::seed_from_u64(2);
-        let tag = RoutableTag::new(&t1, &mut rng);
+        let tag = RoutableTag::with_nonce(&t1, [2; 16]);
         assert!(tag.matches(&t1));
         assert!(!tag.matches(&t2));
     }
@@ -268,9 +253,8 @@ mod tests {
     #[test]
     fn fresh_nonces_give_unlinkable_tags() {
         let t = token("w");
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = RoutableTag::new(&t, &mut rng);
-        let b = RoutableTag::new(&t, &mut rng);
+        let a = RoutableTag::with_nonce(&t, [3; 16]);
+        let b = RoutableTag::with_nonce(&t, [4; 16]);
         assert_ne!(a.nonce, b.nonce);
         assert_ne!(a.tag, b.tag);
         assert!(a.matches(&t) && b.matches(&t));
