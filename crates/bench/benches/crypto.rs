@@ -3,13 +3,13 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use psguard_crypto::{
-    cbc_decrypt, cbc_encrypt, hmac_sha1, prf, prf_verify, Aes128, DeriveKey, Md5, ProbeTable, Sha1,
+    cbc_decrypt, cbc_encrypt, hmac_sha1, prf, Aes128, DeriveKey, ProbeTable, Sha1,
 };
+use psguard_routing::RoutableTag;
 
 fn bench_hashes(c: &mut Criterion) {
     let data = [0xabu8; 64];
     c.bench_function("sha1_64B", |b| b.iter(|| Sha1::digest(black_box(&data))));
-    c.bench_function("md5_64B", |b| b.iter(|| Md5::digest(black_box(&data))));
     c.bench_function("hmac_sha1_64B", |b| {
         b.iter(|| hmac_sha1(black_box(b"key"), black_box(&data)))
     });
@@ -56,9 +56,10 @@ fn bench_aes(c: &mut Criterion) {
 
 fn bench_tokenization(c: &mut Criterion) {
     let token = prf(b"master", b"topic");
-    let tag = prf(token.as_bytes(), b"nonce-bytes-0123");
-    c.bench_function("token_match_prf_verify", |b| {
-        b.iter(|| prf_verify(black_box(&token), black_box(b"nonce-bytes-0123"), &tag))
+    let routable = RoutableTag::with_nonce(&token, *b"nonce-bytes-0123");
+    let tag = routable.tag;
+    c.bench_function("token_match_oneshot", |b| {
+        b.iter(|| black_box(&routable).matches(black_box(&token)))
     });
 
     // What a broker pays per event: every live token probed against one

@@ -8,8 +8,8 @@
 //! `Broker::route` (recipients as a slice over reused scratch — what the
 //! reactor dispatcher runs). Both sides probe tokens through the index's
 //! one `ProbeTable` sweep; what that sweep buys is microbenchmarked
-//! separately: one-shot `prf_verify` per live token (re-deriving HMAC
-//! pads per probe) vs. one sweep over the same tokens.
+//! separately: one-shot `RoutableTag::matches` per live token
+//! (re-deriving HMAC pads per probe) vs. one sweep over the same tokens.
 //!
 //! Writes machine-readable results to `BENCH_pipeline.json` in the
 //! current directory — run it from a scratch directory: the committed
@@ -17,7 +17,7 @@
 //! for a seconds-long CI variant that skips the throughput assertions.
 
 use psguard_bench::support::{assert_floor, measure, write_bench_json, Json, Measured};
-use psguard_crypto::{prf, prf_verify, ProbeTable, Token};
+use psguard_crypto::{prf, ProbeTable, Token};
 use psguard_model::{Constraint, Event, Op};
 use psguard_routing::{RoutableTag, SecureEvent, SecureFilter};
 use psguard_siena::{Broker, Peer};
@@ -142,7 +142,7 @@ fn main() {
     let oneshot = measure(1, 8, min_ms, |_| {
         for tag in &tags {
             for token in &tokens {
-                std::hint::black_box(prf_verify(token, &tag.nonce, &tag.tag));
+                std::hint::black_box(tag.matches(token));
             }
         }
     });
@@ -216,5 +216,5 @@ fn main() {
     // The sweep's lane kernels measured 5.49x here (3.02x with one scalar
     // token at a time, 3.18x recorded before them): a refactor that
     // leaves the round loops scalar lands near 3x and fails this floor.
-    assert_floor("ProbeTable sweep vs one-shot prf_verify", prf_speedup, 4.0);
+    assert_floor("ProbeTable sweep vs one-shot matches", prf_speedup, 4.0);
 }

@@ -1,97 +1,31 @@
 //! Reusable keyed crypto contexts that amortize per-key setup across events.
 //!
-//! The one-shot APIs (`prf`, `hmac_sha1`, `Aes128::new` + `cbc_encrypt`)
-//! redo key setup on every call: HMAC hashes the padded key block twice
-//! (two compression-function calls) before touching the message, and AES
-//! expands the full round-key schedule. On the hot paths the *same* key is
-//! used for thousands of events — a subscription token probes every event
-//! a broker routes, a publisher tags and encrypts a stream of events under
-//! the same topic token and content key. The contexts here precompute the
-//! keyed state once:
+//! The one-shot APIs (`prf`, `hmac_sha1`) redo key setup on every call:
+//! HMAC hashes the padded key block twice (two compression-function calls)
+//! before touching the message. On the hot paths the *same* key is used
+//! for thousands of messages — a publisher tags a stream of events under
+//! one topic token, a broker probes every event against every live
+//! subscription token. The contexts here precompute the keyed state once:
 //!
-//! * [`HmacContext`] — keyed inner/outer digest states per RFC 2104,
-//!   cloned per MAC instead of re-deriving the pads;
-//! * [`PrfContext`] — the same idea specialized to the tokenization PRF
-//!   `F` (HMAC-SHA1), allocation-free: two SHA-1 compressions per call
-//!   instead of four, and zero heap traffic;
-//! * [`ProbeTable`] — the broker's per-event form of the same idea: the
-//!   pad states of every live subscription token in one dense table,
-//!   swept against an event tag with the nonce block's message schedule
-//!   expanded once and shared by all tokens;
-//! * [`AesContext`] — an expanded AES-128 round-key schedule reused across
-//!   CBC calls.
+//! * [`PrfContext`] — one key, many messages: the pad-absorbed SHA-1
+//!   states of the tokenization PRF `F` (HMAC-SHA1), two compressions per
+//!   call instead of four, and no heap traffic;
+//! * [`ProbeTable`] — many keys, one message: the broker's per-event form
+//!   of the same idea, the pad states of every live subscription token in
+//!   one dense table, swept against an event tag with the nonce block's
+//!   message schedule expanded once and shared by all tokens.
 //!
-//! All of them hold key-equivalent material (pad-absorbed digest states are
-//! as good as the key for forging MACs; round keys invert to the AES key),
-//! so they wipe themselves on drop, print redacted `Debug` forms, and are
-//! on the psguard-xtask secret-hygiene taint list.
+//! Both hold key-equivalent material (pad-absorbed digest states are as
+//! good as the key for forging MACs), so they wipe themselves on drop,
+//! print redacted `Debug` forms, and are on the psguard-xtask
+//! secret-hygiene taint list.
 
-use crate::aes::Aes128;
 use crate::ct::ct_eq;
-use crate::digest::Digest;
-use crate::hmac::{keyed_pads, Hmac};
-use crate::modes::{cbc_decrypt, cbc_encrypt, CipherError};
+use crate::hmac::{finish, keyed_pads};
 use crate::prf::{Token, TOKEN_LEN};
 use crate::sha1::{compress_lanes_digest, compress_lanes_shared, expand, load_be, Sha1, LANES};
 use crate::zeroize::zeroize_u32;
 use crate::BLOCK_SIZE;
-
-/// A reusable HMAC key context: the inner/outer digest states with the
-/// padded key block already absorbed.
-///
-/// Creating the context costs the same as one [`Hmac::new`]; every
-/// subsequent [`mac`](Self::mac) skips the key-block preparation and the
-/// two pad-absorbing compression calls.
-///
-/// # Example
-///
-/// ```
-/// use psguard_crypto::{hmac_sha1, HmacContext, Sha1};
-///
-/// let ctx = HmacContext::<Sha1>::new(b"key");
-/// for msg in [b"first".as_slice(), b"second"] {
-///     assert_eq!(ctx.mac(msg), hmac_sha1(b"key", msg).to_vec());
-/// }
-/// ```
-#[derive(Clone)]
-pub struct HmacContext<D: Digest> {
-    inner: D,
-    outer: D,
-}
-
-impl<D: Digest> std::fmt::Debug for HmacContext<D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HmacContext").finish_non_exhaustive()
-    }
-}
-
-impl<D: Digest> HmacContext<D> {
-    /// Precomputes the keyed pad states for `key` (RFC 2104 key prep).
-    pub fn new(key: &[u8]) -> Self {
-        let (inner, outer) = keyed_pads::<D>(key);
-        Self { inner, outer }
-    }
-
-    /// One-shot MAC over `message`, reusing the precomputed pad states.
-    pub fn mac(&self, message: &[u8]) -> Vec<u8> {
-        let mut mac = self.streaming();
-        mac.update(message);
-        mac.finalize()
-    }
-
-    /// A streaming [`Hmac`] resumed from the precomputed pad states.
-    pub fn streaming(&self) -> Hmac<D> {
-        Hmac::from_parts(self.inner.clone(), self.outer.clone())
-    }
-}
-
-impl<D: Digest> Drop for HmacContext<D> {
-    fn drop(&mut self) {
-        // The pad-absorbed states are key-equivalent: wipe them.
-        self.inner.wipe();
-        self.outer.wipe();
-    }
-}
 
 /// A reusable context for the tokenization PRF `F` (HMAC-SHA1), keyed by a
 /// subscription token or PRF key.
@@ -99,13 +33,12 @@ impl<D: Digest> Drop for HmacContext<D> {
 /// A publisher tags a stream of events under one topic token, a KDC
 /// derives many keys under one parent: the context holds the pad-absorbed
 /// SHA-1 states, cutting each call from four compressions (two pads +
-/// message block + outer block) to two, and the
-/// [`Sha1::finalize_fixed`] path keeps it entirely allocation-free. (The
+/// message block + outer block) to two, with no heap allocation. (The
 /// broker side, many tokens against one tag, is [`ProbeTable`].)
 ///
-/// Output is byte-identical to the one-shot [`crate::prf`] /
-/// [`crate::prf_verify`] for every input (asserted against the RFC 2202
-/// vectors in this module's tests).
+/// Output is byte-identical to the one-shot [`crate::prf`] for every
+/// input (asserted against the RFC 2202 vectors in the crate's vector
+/// table).
 ///
 /// # Example
 ///
@@ -133,7 +66,7 @@ impl std::fmt::Debug for PrfContext {
 impl PrfContext {
     /// Precomputes the keyed pad states for a raw PRF key.
     pub fn new(key: &[u8]) -> Self {
-        let (inner, outer) = keyed_pads::<Sha1>(key);
+        let (inner, outer) = keyed_pads(key);
         Self { inner, outer }
     }
 
@@ -147,14 +80,10 @@ impl PrfContext {
     pub fn prf(&self, data: &[u8]) -> Token {
         let mut inner = self.inner.clone();
         inner.update(data);
-        let inner_digest = inner.finalize_fixed();
-        let mut outer = self.outer.clone();
-        outer.update(&inner_digest);
-        Token::from_raw(outer.finalize_fixed())
+        Token::from_raw(finish(inner, self.outer.clone()))
     }
 
-    /// Constant-time probe `F_key(r) == matched`, byte-identical to
-    /// [`crate::prf_verify`] with this context's key.
+    /// Constant-time probe `F_key(r) == matched`.
     pub fn verify(&self, r: &[u8], matched: &Token) -> bool {
         ct_eq(self.prf(r).as_bytes(), matched.as_bytes())
     }
@@ -205,7 +134,7 @@ const NO_LANE: u32 = u32::MAX;
 /// by OR-folding word differences, so the time of a sweep depends on the
 /// number of live tokens alone.
 ///
-/// Hits are byte-identical to [`crate::prf_verify`] per token.
+/// Hits are exactly the tokens `tok` with `prf(tok, nonce) == tag`.
 ///
 /// # Example
 ///
@@ -379,114 +308,23 @@ impl Drop for ProbeTable {
     }
 }
 
-/// A reusable AES-128 context: the expanded round-key schedule, shared
-/// across CBC calls instead of re-running the key schedule per event.
-///
-/// [`Aes128`] already zeroizes its round keys on drop; this wrapper gives
-/// the reuse pattern a name the secret-hygiene tooling can track and adds
-/// the CBC conveniences the publish path wants.
-///
-/// # Example
-///
-/// ```
-/// use psguard_crypto::AesContext;
-///
-/// let ctx = AesContext::new(&[7u8; 16]);
-/// let iv = [9u8; 16];
-/// let ct = ctx.encrypt_cbc(&iv, b"attribute payload");
-/// assert_eq!(ctx.decrypt_cbc(&iv, &ct).unwrap(), b"attribute payload");
-/// ```
-#[derive(Clone)]
-pub struct AesContext {
-    cipher: Aes128,
-}
-
-impl std::fmt::Debug for AesContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AesContext").finish_non_exhaustive()
-    }
-}
-
-impl AesContext {
-    /// Expands `key` into a reusable round-key schedule.
-    pub fn new(key: &[u8; 16]) -> Self {
-        Self {
-            cipher: Aes128::new(key),
-        }
-    }
-
-    /// The underlying block cipher, for use with [`crate::ctr_apply`] and
-    /// friends.
-    pub fn cipher(&self) -> &Aes128 {
-        &self.cipher
-    }
-
-    /// AES-128-CBC encryption with PKCS#7 padding, reusing the schedule.
-    pub fn encrypt_cbc(&self, iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<u8> {
-        cbc_encrypt(&self.cipher, iv, plaintext)
-    }
-
-    /// AES-128-CBC decryption with PKCS#7 unpadding, reusing the schedule.
-    pub fn decrypt_cbc(
-        &self,
-        iv: &[u8; BLOCK_SIZE],
-        ciphertext: &[u8],
-    ) -> Result<Vec<u8>, CipherError> {
-        cbc_decrypt(&self.cipher, iv, ciphertext)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hmac::{hmac_md5, hmac_sha1};
-    use crate::prf::{prf, prf_verify};
-    use crate::Md5;
-
-    /// RFC 2202 HMAC-SHA1 cases as (key, data) pairs. Expected digests are
-    /// covered by the hmac module's tests; here they anchor the
-    /// context-equality satellite: `PrfContext` must be byte-identical to
-    /// the one-shot `prf` on each of them.
-    fn rfc2202_sha1_cases() -> Vec<(Vec<u8>, Vec<u8>)> {
-        vec![
-            (vec![0x0b; 20], b"Hi There".to_vec()),
-            (b"Jefe".to_vec(), b"what do ya want for nothing?".to_vec()),
-            (vec![0xaa; 20], vec![0xdd; 50]),
-            (
-                (1..=25).collect(),
-                vec![0xcd; 50], // case 4: 25-byte key
-            ),
-            (vec![0x0c; 20], b"Test With Truncation".to_vec()),
-            (
-                vec![0xaa; 80], // case 6: key longer than the block size
-                b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
-            ),
-            (
-                vec![0xaa; 80],
-                b"Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data"
-                    .to_vec(),
-            ),
-        ]
-    }
-
-    #[test]
-    fn prf_context_equals_oneshot_on_rfc2202_vectors() {
-        for (i, (key, data)) in rfc2202_sha1_cases().into_iter().enumerate() {
-            let ctx = PrfContext::new(&key);
-            assert_eq!(ctx.prf(&data), prf(&key, &data), "case {}", i + 1);
-        }
-    }
+    use crate::prf::prf;
 
     #[test]
     fn prf_context_verify_matches_oneshot_verify() {
         let token = prf(b"rk(KDC)", b"stockQuote");
         let ctx = PrfContext::for_token(&token);
+        let oneshot =
+            |r: &[u8], tag: &Token| ct_eq(prf(token.as_bytes(), r).as_bytes(), tag.as_bytes());
         for r in [b"r1".as_slice(), b"r2", &[0u8; 16], &[0xff; 64]] {
             let tag = prf(token.as_bytes(), r);
-            assert_eq!(ctx.verify(r, &tag), prf_verify(&token, r, &tag));
+            assert_eq!(ctx.verify(r, &tag), oneshot(r, &tag));
             assert!(ctx.verify(r, &tag));
             let wrong = prf(b"other key", r);
-            assert_eq!(ctx.verify(r, &wrong), prf_verify(&token, r, &wrong));
+            assert_eq!(ctx.verify(r, &wrong), oneshot(r, &wrong));
             assert!(!ctx.verify(r, &wrong));
         }
     }
@@ -554,54 +392,11 @@ mod tests {
     }
 
     #[test]
-    fn hmac_context_equals_oneshot_sha1_and_md5() {
-        for (key, data) in rfc2202_sha1_cases() {
-            let ctx = HmacContext::<Sha1>::new(&key);
-            assert_eq!(ctx.mac(&data), hmac_sha1(&key, &data).to_vec());
-            let ctx = HmacContext::<Md5>::new(&key);
-            assert_eq!(ctx.mac(&data), hmac_md5(&key, &data).to_vec());
-        }
-    }
-
-    #[test]
-    fn hmac_context_streaming_matches_oneshot() {
-        let ctx = HmacContext::<Sha1>::new(b"key");
-        let mut mac = ctx.streaming();
-        mac.update(b"hello ");
-        mac.update(b"world");
-        assert_eq!(mac.finalize(), hmac_sha1(b"key", b"hello world").to_vec());
-    }
-
-    #[test]
-    fn aes_context_equals_fresh_schedule() {
-        let key = [0x2bu8; 16];
-        let iv = [0x01u8; 16];
-        let pt = b"the quick brown fox jumps over the lazy dog";
-        let ctx = AesContext::new(&key);
-        let fresh = cbc_encrypt(&Aes128::new(&key), &iv, pt);
-        assert_eq!(ctx.encrypt_cbc(&iv, pt), fresh);
-        assert_eq!(ctx.decrypt_cbc(&iv, &fresh).unwrap(), pt.to_vec());
-    }
-
-    #[test]
     fn contexts_debug_is_redacted() {
         let p = PrfContext::new(b"secret key material");
         assert_eq!(format!("{p:?}"), "PrfContext { .. }");
-        let h = HmacContext::<Sha1>::new(b"secret key material");
-        assert_eq!(format!("{h:?}"), "HmacContext { .. }");
-        let a = AesContext::new(&[3u8; 16]);
-        assert_eq!(format!("{a:?}"), "AesContext { .. }");
         let mut t = ProbeTable::new();
         t.set(3, &prf(b"rk(KDC)", b"stockQuote"));
         assert_eq!(format!("{t:?}"), "ProbeTable { live: 1, .. }");
-    }
-
-    #[test]
-    fn wipe_resets_digest_to_initial_state() {
-        use crate::digest::Digest;
-        let mut s = <Sha1 as Digest>::new();
-        s.update(b"key-equivalent material");
-        s.wipe();
-        assert_eq!(s.finalize(), <Sha1 as Digest>::new().finalize());
     }
 }

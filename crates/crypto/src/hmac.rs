@@ -1,51 +1,42 @@
-//! HMAC (RFC 2104), generic over any [`Digest`].
+//! HMAC-SHA1 (RFC 2104).
 //!
 //! HMAC-SHA1 instantiates the paper's keyed pseudo-random function `KH`
 //! (rooting the key hierarchies) and the tokenization PRF `F`.
 
-use crate::digest::Digest;
-use crate::md5::Md5;
 use crate::sha1::Sha1;
 use crate::zeroize::zeroize;
 
-/// Largest digest block size the stack-allocated key schedule supports.
-/// Both MD5 and SHA-1 use 64-byte blocks.
-const MAX_BLOCK: usize = 64;
+/// SHA-1's block size in bytes.
+const BLOCK: usize = 64;
 
 /// Prepares the inner/outer digests keyed per RFC 2104: hash-or-pad the
 /// key into a block, then absorb `key ⊕ ipad` and `key ⊕ opad`.
 ///
 /// All key-equivalent scratch lives in fixed stack buffers that are wiped
-/// in place before returning — no per-call heap allocation on the short-key
-/// path. Shared by [`Hmac::new`] and the reusable contexts in
-/// [`crate::context`].
-pub(crate) fn keyed_pads<D: Digest>(key: &[u8]) -> (D, D) {
-    let block = D::BLOCK_LEN;
-    assert!(
-        block <= MAX_BLOCK,
-        "digest block size exceeds the stack key schedule"
-    );
-    let mut key_block = [0u8; MAX_BLOCK];
-    if key.len() > block {
-        let mut hashed = D::digest_vec(key);
+/// in place before returning — no heap allocation. Shared by [`Hmac::new`]
+/// and the reusable contexts in [`crate::context`].
+pub(crate) fn keyed_pads(key: &[u8]) -> (Sha1, Sha1) {
+    let mut key_block = [0u8; BLOCK];
+    if key.len() > BLOCK {
+        let mut hashed = Sha1::digest(key);
         key_block[..hashed.len()].copy_from_slice(&hashed);
         zeroize(&mut hashed);
     } else {
         key_block[..key.len()].copy_from_slice(key);
     }
 
-    let mut pad = [0u8; MAX_BLOCK];
+    let mut pad = [0u8; BLOCK];
     for (p, k) in pad.iter_mut().zip(key_block.iter()) {
         *p = k ^ 0x36;
     }
-    let mut inner = D::new();
-    inner.update(&pad[..block]);
+    let mut inner = Sha1::new();
+    inner.update(&pad);
 
     for (p, k) in pad.iter_mut().zip(key_block.iter()) {
         *p = k ^ 0x5c;
     }
-    let mut outer = D::new();
-    outer.update(&pad[..block]);
+    let mut outer = Sha1::new();
+    outer.update(&pad);
 
     // The padded key blocks are key-equivalent; wipe them in place before
     // the stack frame is reused.
@@ -55,45 +46,51 @@ pub(crate) fn keyed_pads<D: Digest>(key: &[u8]) -> (D, D) {
     (inner, outer)
 }
 
-/// Streaming HMAC computation generic over the underlying hash.
+/// Finishes a MAC from its inner state (message absorbed) and its outer
+/// pad state: `H(opad ‖ H(ipad ‖ message))`.
+pub(crate) fn finish(inner: Sha1, mut outer: Sha1) -> [u8; 20] {
+    outer.update(&inner.finalize());
+    outer.finalize()
+}
+
+/// Streaming HMAC-SHA1.
+///
+/// The pad-absorbed states are as good as the key for forging MACs, so
+/// they are wiped on drop, and `Debug` prints nothing of them.
 ///
 /// # Example
 ///
 /// ```
-/// use psguard_crypto::{Hmac, Sha1};
+/// use psguard_crypto::{hmac_sha1, Hmac};
 ///
-/// let mut mac = Hmac::<Sha1>::new(b"key");
+/// let mut mac = Hmac::new(b"key");
 /// mac.update(b"The quick brown fox ");
 /// mac.update(b"jumps over the lazy dog");
-/// let tag = mac.finalize();
-/// assert_eq!(tag.len(), 20);
+/// assert_eq!(
+///     mac.finalize(),
+///     hmac_sha1(b"key", b"The quick brown fox jumps over the lazy dog")
+/// );
 /// ```
 #[derive(Clone)]
-pub struct Hmac<D: Digest> {
-    inner: D,
-    outer: D,
+pub struct Hmac {
+    inner: Sha1,
+    outer: Sha1,
 }
 
-impl<D: Digest> std::fmt::Debug for Hmac<D> {
+impl std::fmt::Debug for Hmac {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Hmac").finish_non_exhaustive()
     }
 }
 
-impl<D: Digest> Hmac<D> {
+impl Hmac {
     /// Creates an HMAC instance keyed with `key`.
     ///
     /// Keys longer than the hash block size are first hashed, per RFC 2104.
     /// Key-block preparation runs entirely in stack buffers (wiped in
-    /// place), so keying allocates nothing on the short-key path.
+    /// place), so keying allocates nothing.
     pub fn new(key: &[u8]) -> Self {
-        let (inner, outer) = keyed_pads::<D>(key);
-        Self { inner, outer }
-    }
-
-    /// Rebuilds an HMAC from already-keyed inner/outer digest states.
-    /// Used by [`crate::HmacContext`] to resume from precomputed pads.
-    pub(crate) fn from_parts(inner: D, outer: D) -> Self {
+        let (inner, outer) = keyed_pads(key);
         Self { inner, outer }
     }
 
@@ -102,119 +99,34 @@ impl<D: Digest> Hmac<D> {
         self.inner.update(data);
     }
 
-    /// Finishes the MAC and returns the tag ([`Digest::OUTPUT_LEN`] bytes).
-    pub fn finalize(mut self) -> Vec<u8> {
-        let inner_digest = self.inner.finalize();
-        self.outer.update(&inner_digest);
-        self.outer.finalize()
+    /// Finishes the MAC and returns the tag.
+    pub fn finalize(mut self) -> [u8; 20] {
+        // Take the states out: `Drop` then wipes the fresh ones left behind.
+        finish(
+            std::mem::take(&mut self.inner),
+            std::mem::take(&mut self.outer),
+        )
     }
 }
 
-/// One-shot HMAC over any digest.
-///
-/// # Example
-///
-/// ```
-/// use psguard_crypto::{hmac, Sha1};
-/// let tag = hmac::<Sha1>(b"key", b"message");
-/// assert_eq!(tag.len(), 20);
-/// ```
-pub fn hmac<D: Digest>(key: &[u8], message: &[u8]) -> Vec<u8> {
-    let mut mac = Hmac::<D>::new(key);
-    mac.update(message);
-    mac.finalize()
+impl Drop for Hmac {
+    fn drop(&mut self) {
+        // The pad-absorbed states are key-equivalent: wipe them.
+        self.inner.wipe();
+        self.outer.wipe();
+    }
 }
 
 /// One-shot HMAC-SHA1 (the paper's `KH` and `F`).
 pub fn hmac_sha1(key: &[u8], message: &[u8]) -> [u8; 20] {
-    let v = hmac::<Sha1>(key, message);
-    let mut out = [0u8; 20];
-    out.copy_from_slice(&v);
-    out
-}
-
-/// One-shot HMAC-MD5 (the paper's alternative `KH`).
-pub fn hmac_md5(key: &[u8], message: &[u8]) -> [u8; 16] {
-    let v = hmac::<Md5>(key, message);
-    let mut out = [0u8; 16];
-    out.copy_from_slice(&v);
-    out
+    let (mut inner, outer) = keyed_pads(key);
+    inner.update(message);
+    finish(inner, outer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
-    // RFC 2202 test vectors for HMAC-SHA1.
-    #[test]
-    fn rfc2202_sha1_case1() {
-        let key = [0x0bu8; 20];
-        assert_eq!(
-            hex(&hmac_sha1(&key, b"Hi There")),
-            "b617318655057264e28bc0b6fb378c8ef146be00"
-        );
-    }
-
-    #[test]
-    fn rfc2202_sha1_case2() {
-        assert_eq!(
-            hex(&hmac_sha1(b"Jefe", b"what do ya want for nothing?")),
-            "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
-        );
-    }
-
-    #[test]
-    fn rfc2202_sha1_case3() {
-        let key = [0xaau8; 20];
-        let data = [0xddu8; 50];
-        assert_eq!(
-            hex(&hmac_sha1(&key, &data)),
-            "125d7342b9ac11cd91a39af48aa17b4f63f175d3"
-        );
-    }
-
-    #[test]
-    fn rfc2202_sha1_case6_long_key() {
-        let key = [0xaau8; 80];
-        assert_eq!(
-            hex(&hmac_sha1(
-                &key,
-                b"Test Using Larger Than Block-Size Key - Hash Key First"
-            )),
-            "aa4ae5e15272d00e95705637ce8a3b55ed402112"
-        );
-    }
-
-    // RFC 2202 test vectors for HMAC-MD5.
-    #[test]
-    fn rfc2202_md5_case1() {
-        let key = [0x0bu8; 16];
-        assert_eq!(
-            hex(&hmac_md5(&key, b"Hi There")),
-            "9294727a3638bb1c13f48ef8158bfc9d"
-        );
-    }
-
-    #[test]
-    fn rfc2202_md5_case2() {
-        assert_eq!(
-            hex(&hmac_md5(b"Jefe", b"what do ya want for nothing?")),
-            "750c783e6ab0b503eaa86e310a5db738"
-        );
-    }
-
-    #[test]
-    fn streaming_matches_oneshot() {
-        let expect = hmac_sha1(b"key", b"hello world");
-        let mut mac = Hmac::<Sha1>::new(b"key");
-        mac.update(b"hello");
-        mac.update(b" world");
-        assert_eq!(mac.finalize(), expect.to_vec());
-    }
 
     #[test]
     fn key_exactly_block_size() {
@@ -222,19 +134,35 @@ mod tests {
         // Must not be rehashed: check against the definition directly.
         let tag = hmac_sha1(&key, b"msg");
         let manual = {
-            use crate::digest::Digest;
-            use crate::sha1::Sha1;
             let ipad: Vec<u8> = key.iter().map(|b| b ^ 0x36).collect();
             let opad: Vec<u8> = key.iter().map(|b| b ^ 0x5c).collect();
-            let mut inner = <Sha1 as Digest>::new();
+            let mut inner = Sha1::new();
             inner.update(&ipad);
             inner.update(b"msg");
             let id = inner.finalize();
-            let mut outer = <Sha1 as Digest>::new();
+            let mut outer = Sha1::new();
             outer.update(&opad);
             outer.update(&id);
             outer.finalize()
         };
-        assert_eq!(tag.to_vec(), manual);
+        assert_eq!(tag, manual);
+    }
+
+    #[test]
+    fn hmac_wipes_its_pad_states_on_drop() {
+        assert!(std::mem::needs_drop::<Hmac>());
+        let mut mac = Hmac::new(b"secret key material");
+        mac.update(b"message");
+        // What `Drop` runs, observed in place: nothing of the key remains.
+        mac.inner.wipe();
+        mac.outer.wipe();
+        for state in [&mac.inner, &mac.outer] {
+            assert_eq!(state.clone().finalize(), Sha1::digest(b""));
+        }
+    }
+
+    #[test]
+    fn debug_is_redacted() {
+        assert_eq!(format!("{:?}", Hmac::new(b"secret")), "Hmac { .. }");
     }
 }

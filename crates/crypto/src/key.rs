@@ -1,5 +1,5 @@
-//! Typed key material: derivation keys (hierarchy nodes), AES content keys,
-//! and nonces.
+//! Typed key material: derivation keys (hierarchy nodes) and AES content
+//! keys.
 
 use crate::aes::BLOCK_SIZE;
 use crate::hmac::hmac_sha1;
@@ -213,27 +213,6 @@ impl Drop for AesKey {
     }
 }
 
-/// A 16-byte nonce / IV.
-///
-/// Nonces are public values, so `Debug`, ordering and hashing are all
-/// derived normally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Nonce(pub [u8; BLOCK_SIZE]);
-
-impl Nonce {
-    /// Builds a nonce from a counter value (low 8 bytes big-endian).
-    pub fn from_counter(counter: u64) -> Self {
-        let mut n = [0u8; BLOCK_SIZE];
-        n[8..].copy_from_slice(&counter.to_be_bytes());
-        Nonce(n)
-    }
-
-    /// Raw nonce bytes.
-    pub fn as_bytes(&self) -> &[u8; BLOCK_SIZE] {
-        &self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,11 +299,5 @@ mod tests {
         assert!(buf.iter().any(|&b| b != 0));
         crate::zeroize::zeroize(&mut buf);
         assert!(buf.iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn nonce_from_counter_is_distinct() {
-        assert_ne!(Nonce::from_counter(1), Nonce::from_counter(2));
-        assert_eq!(Nonce::from_counter(7), Nonce::from_counter(7));
     }
 }

@@ -4,17 +4,19 @@
 //! derivation and event encryption with the following concrete algorithms
 //! (§5.1 of the paper):
 //!
-//! * `H`  — a one-way hash function, approximated by MD5 or **SHA-1**;
+//! * `H`  — a one-way hash function, approximated by MD5 or **SHA-1**
+//!   (this reproduction uses SHA-1);
 //! * `KH` — a keyed pseudo-random function, approximated by **HMAC-SHA1**;
 //! * `E`  — an encryption algorithm, **AES-128-CBC**;
 //! * `F`  — a PRF used for tokenization (Song–Wagner–Perrig searchable
 //!   encryption), instantiated here as HMAC-SHA1.
 //!
 //! This crate implements all of them from first principles so that the
-//! reproduction has no external cryptographic dependencies. Every primitive
-//! is validated against the published test vectors (RFC 1321 for MD5,
-//! RFC 3174 for SHA-1, RFC 2202 for HMAC, FIPS-197 and NIST SP 800-38A for
-//! AES).
+//! reproduction has no external cryptographic dependencies, and ships
+//! nothing else. Every primitive is validated against the published test
+//! vectors, one table per family: RFC 3174 for SHA-1 and RFC 2202 for
+//! HMAC-SHA1 in `tests/vectors_and_props.rs`, FIPS-197 and NIST SP 800-38A
+//! for AES-128, CBC and CTR in `tests/aes_oracle.rs`.
 //!
 //! **Scope note:** these implementations aim for correctness and clarity,
 //! which is what a systems-paper reproduction needs. They are *not* hardened
@@ -24,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use psguard_crypto::{Sha1, Digest, hmac_sha1, DeriveKey};
+//! use psguard_crypto::{Sha1, hmac_sha1, DeriveKey};
 //!
 //! // One-way hash H.
 //! let digest = Sha1::digest(b"cancerTrail");
@@ -49,33 +51,24 @@
 mod aes;
 mod context;
 mod ct;
-mod digest;
 mod hmac;
 mod key;
-mod md5;
 mod modes;
-mod modexp;
 mod prf;
 mod redact;
 mod sha1;
 mod zeroize;
 
 pub use aes::{Aes128, BLOCK_SIZE};
-pub use context::{AesContext, HmacContext, PrfContext, ProbeTable};
+pub use context::{PrfContext, ProbeTable};
 pub use ct::ct_eq;
-pub use digest::Digest;
-pub use hmac::{hmac, hmac_md5, hmac_sha1, Hmac};
-pub use key::{AesKey, DeriveKey, KeyError, Nonce, DERIVE_KEY_LEN};
-pub use md5::Md5;
-pub use modes::{
-    cbc_decrypt, cbc_encrypt, ctr_apply, ecb_decrypt_block, ecb_encrypt_block, pkcs7_pad,
-    pkcs7_unpad, CipherError,
-};
-pub use modexp::{mod_exp, mod_inv_prime, mod_mul};
-pub use prf::{prf, prf_verify, Token, TOKEN_LEN};
+pub use hmac::{hmac_sha1, Hmac};
+pub use key::{AesKey, DeriveKey, KeyError, DERIVE_KEY_LEN};
+pub use modes::{cbc_decrypt, cbc_encrypt, ctr_apply, pkcs7_pad, CipherError};
+pub use prf::{prf, Token, TOKEN_LEN};
 pub use redact::Redacted;
 pub use sha1::Sha1;
-pub use zeroize::{zeroize, zeroize_u32};
+pub use zeroize::zeroize;
 
 /// Number of bytes produced by the one-way hash `H` (SHA-1).
 pub const HASH_LEN: usize = 20;

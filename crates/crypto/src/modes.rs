@@ -1,5 +1,5 @@
-//! Block-cipher modes of operation for AES-128: ECB (single block), CBC
-//! with PKCS#7 padding (the paper's `E` = AES-128-CBC), and CTR.
+//! Block-cipher modes of operation for AES-128: CBC with PKCS#7 padding
+//! (the paper's `E` = AES-128-CBC) and CTR.
 
 use crate::aes::{Aes128, BLOCK_SIZE};
 
@@ -54,7 +54,7 @@ pub fn pkcs7_pad(buf: &mut Vec<u8>) {
 ///
 /// Returns [`CipherError::BadPadding`] when the final byte is not a valid
 /// pad length or the padding bytes disagree.
-pub fn pkcs7_unpad(buf: &mut Vec<u8>) -> Result<(), CipherError> {
+pub(crate) fn pkcs7_unpad(buf: &mut Vec<u8>) -> Result<(), CipherError> {
     let &last = buf.last().ok_or(CipherError::BadPadding)?;
     let pad = last as usize;
     if pad == 0 || pad > BLOCK_SIZE || pad > buf.len() {
@@ -72,20 +72,6 @@ pub fn pkcs7_unpad(buf: &mut Vec<u8>) -> Result<(), CipherError> {
     }
     buf.truncate(start);
     Ok(())
-}
-
-/// Encrypts a single raw block (ECB). Used by unit tests and the CTR mode.
-pub fn ecb_encrypt_block(cipher: &Aes128, block: &[u8; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
-    let mut b = *block;
-    cipher.encrypt_block(&mut b);
-    b
-}
-
-/// Decrypts a single raw block (ECB).
-pub fn ecb_decrypt_block(cipher: &Aes128, block: &[u8; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
-    let mut b = *block;
-    cipher.decrypt_block(&mut b);
-    b
 }
 
 /// AES-128-CBC encryption with PKCS#7 padding — the paper's `E`.
@@ -174,51 +160,6 @@ pub fn ctr_apply(cipher: &Aes128, nonce: &[u8; BLOCK_SIZE], data: &[u8]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn from_hex(s: &str) -> Vec<u8> {
-        (0..s.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
-            .collect()
-    }
-
-    // NIST SP 800-38A F.2.1 (CBC-AES128.Encrypt), first two blocks.
-    #[test]
-    fn nist_cbc_vectors() {
-        let key: [u8; 16] = from_hex("2b7e151628aed2a6abf7158809cf4f3c")
-            .try_into()
-            .unwrap();
-        let iv: [u8; 16] = from_hex("000102030405060708090a0b0c0d0e0f")
-            .try_into()
-            .unwrap();
-        let pt = from_hex("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51");
-        let cipher = Aes128::new(&key);
-        let ct = cbc_encrypt(&cipher, &iv, &pt);
-        // Our output includes a third block of PKCS#7 padding; the first two
-        // blocks must match the NIST vector exactly.
-        assert_eq!(
-            ct[..32].to_vec(),
-            from_hex("7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2")
-        );
-        assert_eq!(ct.len(), 48);
-        assert_eq!(cbc_decrypt(&cipher, &iv, &ct).unwrap(), pt);
-    }
-
-    // NIST SP 800-38A F.5.1 (CTR-AES128.Encrypt), first block.
-    #[test]
-    fn nist_ctr_vector() {
-        let key: [u8; 16] = from_hex("2b7e151628aed2a6abf7158809cf4f3c")
-            .try_into()
-            .unwrap();
-        let nonce: [u8; 16] = from_hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
-            .try_into()
-            .unwrap();
-        let pt = from_hex("6bc1bee22e409f96e93d7e117393172a");
-        let cipher = Aes128::new(&key);
-        let ct = ctr_apply(&cipher, &nonce, &pt);
-        assert_eq!(ct, from_hex("874d6191b620e3261bef6864990db6ce"));
-        assert_eq!(ctr_apply(&cipher, &nonce, &ct), pt);
-    }
 
     #[test]
     fn cbc_roundtrip_various_lengths() {

@@ -5,7 +5,6 @@
 //! the subscription token `tok` tests `F_tok(r) == match` — learning only
 //! whether the event matches, never the topic `w` itself.
 
-use crate::ct_eq;
 use crate::hmac::hmac_sha1;
 
 /// Length in bytes of a PRF output / routing token.
@@ -16,19 +15,19 @@ pub const TOKEN_LEN: usize = 20;
 ///
 /// Tokens are pseudonymous but not secret from the broker that matches on
 /// them, so normal `Debug`/`Ord`/`Hash` are provided; equality used for
-/// *matching* should go through [`prf_verify`], which is constant time.
+/// *matching* should go through [`crate::ct_eq`], which is constant time.
 ///
 /// # Example
 ///
 /// ```
-/// use psguard_crypto::{prf, prf_verify, Token};
+/// use psguard_crypto::{ct_eq, prf};
 ///
 /// let master = b"rk(KDC)";
 /// let token = prf(master, b"cancerTrail");
 /// let r = b"random nonce";
 /// let tag = prf(token.as_bytes(), r);
-/// assert!(prf_verify(&token, r, &tag));
-/// assert!(!prf_verify(&token, b"other nonce", &tag));
+/// assert!(ct_eq(prf(token.as_bytes(), r).as_bytes(), tag.as_bytes()));
+/// assert!(!ct_eq(prf(token.as_bytes(), b"other nonce").as_bytes(), tag.as_bytes()));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Token([u8; TOKEN_LEN]);
@@ -61,39 +60,18 @@ pub fn prf(key: &[u8], data: &[u8]) -> Token {
     Token(hmac_sha1(key, data))
 }
 
-/// Verifies an event's routable attribute `⟨r, match⟩` against a
-/// subscription token, in constant time: `F_tok(r) == match`.
-pub fn prf_verify(token: &Token, r: &[u8], matched: &Token) -> bool {
-    let expect = prf(token.as_bytes(), r);
-    ct_eq(expect.as_bytes(), matched.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn match_succeeds_for_correct_token() {
-        let token = prf(b"master", b"stockQuote");
-        let r = b"nonce-123";
-        let tag = prf(token.as_bytes(), r);
-        assert!(prf_verify(&token, r, &tag));
-    }
-
-    #[test]
-    fn match_fails_for_wrong_token() {
+    fn tag_is_bound_to_token_and_nonce() {
         let token = prf(b"master", b"stockQuote");
         let other = prf(b"master", b"weather");
-        let r = b"nonce-123";
-        let tag = prf(token.as_bytes(), r);
-        assert!(!prf_verify(&other, r, &tag));
-    }
-
-    #[test]
-    fn match_fails_for_replayed_nonce_with_other_tag() {
-        let token = prf(b"master", b"stockQuote");
-        let tag1 = prf(token.as_bytes(), b"r1");
-        assert!(!prf_verify(&token, b"r2", &tag1));
+        let tag = prf(token.as_bytes(), b"r1");
+        assert_eq!(prf(token.as_bytes(), b"r1"), tag);
+        assert_ne!(prf(other.as_bytes(), b"r1"), tag);
+        assert_ne!(prf(token.as_bytes(), b"r2"), tag);
     }
 
     #[test]

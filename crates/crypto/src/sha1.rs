@@ -3,7 +3,6 @@
 //! SHA-1 instantiates the paper's one-way hash `H` used for hierarchical
 //! child-key derivation and, through HMAC, the keyed hash `KH` and PRF `F`.
 
-use crate::digest::Digest;
 use crate::zeroize::{zeroize, zeroize_u32};
 
 /// Streaming SHA-1 hasher.
@@ -40,7 +39,7 @@ impl std::fmt::Debug for Sha1 {
 
 impl Default for Sha1 {
     fn default() -> Self {
-        <Self as Digest>::new()
+        Self::new()
     }
 }
 
@@ -305,18 +304,31 @@ pub(crate) fn compress_lanes_digest(
 }
 
 impl Sha1 {
-    /// One-shot SHA-1 digest returning a fixed-size array.
-    pub fn digest(data: &[u8]) -> [u8; 20] {
-        let mut s = <Self as Digest>::new();
-        Digest::update(&mut s, data);
-        s.finalize_fixed()
+    /// A fresh hasher in its initial state.
+    pub fn new() -> Self {
+        Self {
+            state: H0,
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: 0,
+        }
     }
 
-    /// Consumes the hasher and returns the digest as a fixed-size array
-    /// without any heap allocation. This is the hot-path finalize used by
-    /// [`crate::PrfContext`], where the per-call `Vec`s of
-    /// [`Digest::finalize`] would dominate the amortized cost.
-    pub fn finalize_fixed(mut self) -> [u8; 20] {
+    /// One-shot SHA-1 digest.
+    pub fn digest(data: &[u8]) -> [u8; 20] {
+        let mut s = Self::new();
+        s.update(data);
+        s.finalize()
+    }
+
+    /// Absorbs `data` into the hash state.
+    pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data);
+    }
+
+    /// Consumes the hasher and returns the digest. The padding is built on
+    /// the stack: finalizing allocates nothing.
+    pub fn finalize(mut self) -> [u8; 20] {
         let bit_len = self.total_len.wrapping_mul(8);
         // Merkle–Damgård padding on the stack: 0x80, zeros to 56 mod 64,
         // then the 8-byte big-endian bit length (≤ 72 bytes total).
@@ -333,6 +345,15 @@ impl Sha1 {
             chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
+    }
+
+    /// Erases any absorbed (possibly key-equivalent) material with
+    /// volatile writes and resets the hasher to its initial state. Holders
+    /// of keyed pad states call this from `Drop`.
+    pub(crate) fn wipe(&mut self) {
+        zeroize(&mut self.buffer);
+        zeroize_u32(&mut self.state);
+        *self = Self::new();
     }
 
     /// The chaining state after the whole blocks absorbed so far — for
@@ -378,78 +399,9 @@ impl Sha1 {
     }
 }
 
-impl Digest for Sha1 {
-    const OUTPUT_LEN: usize = 20;
-    const BLOCK_LEN: usize = 64;
-
-    fn new() -> Self {
-        Self {
-            state: H0,
-            buffer: [0u8; 64],
-            buffer_len: 0,
-            total_len: 0,
-        }
-    }
-
-    fn update(&mut self, data: &[u8]) {
-        self.absorb(data);
-    }
-
-    fn finalize(self) -> Vec<u8> {
-        self.finalize_fixed().to_vec()
-    }
-
-    fn wipe(&mut self) {
-        zeroize(&mut self.buffer);
-        zeroize_u32(&mut self.state);
-        *self = <Self as Digest>::new();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
-    // RFC 3174 and FIPS 180-1 test vectors.
-    #[test]
-    fn rfc3174_abc() {
-        assert_eq!(
-            hex(&Sha1::digest(b"abc")),
-            "a9993e364706816aba3e25717850c26c9cd0d89d"
-        );
-    }
-
-    #[test]
-    fn rfc3174_two_block() {
-        assert_eq!(
-            hex(&Sha1::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-        );
-    }
-
-    #[test]
-    fn rfc3174_million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&Sha1::digest(&data)),
-            "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
-        );
-    }
-
-    #[test]
-    fn rfc3174_eighty_repeats() {
-        let data = b"01234567".repeat(80);
-        assert_eq!(
-            hex(&Sha1::digest(&data)),
-            "dea356a2cddd90c7a7ecedc5ebb563934f460452"
-        );
-    }
 
     #[test]
     fn lane_kernels_equal_scalar_compress_per_lane() {
@@ -507,22 +459,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_input() {
-        assert_eq!(
-            hex(&Sha1::digest(b"")),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-        );
-    }
-
-    #[test]
     fn streaming_matches_oneshot_at_all_split_points() {
         let data: Vec<u8> = (0..=255u8).cycle().take(300).collect();
         let expect = Sha1::digest(&data);
         for split in 0..data.len() {
-            let mut s = <Sha1 as Digest>::new();
+            let mut s = Sha1::new();
             s.update(&data[..split]);
             s.update(&data[split..]);
-            assert_eq!(Digest::finalize(s), expect.to_vec(), "split={split}");
+            assert_eq!(s.finalize(), expect, "split={split}");
         }
     }
 
@@ -531,15 +475,11 @@ mod tests {
         // Exercise the 55/56/64-byte padding boundaries.
         for len in [55usize, 56, 63, 64, 65, 119, 120, 128] {
             let data = vec![0xABu8; len];
-            let mut s = <Sha1 as Digest>::new();
+            let mut s = Sha1::new();
             for b in &data {
                 s.update(std::slice::from_ref(b));
             }
-            assert_eq!(
-                Digest::finalize(s),
-                Sha1::digest(&data).to_vec(),
-                "len={len}"
-            );
+            assert_eq!(s.finalize(), Sha1::digest(&data), "len={len}");
         }
     }
 }

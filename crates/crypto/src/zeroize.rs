@@ -25,7 +25,7 @@ pub fn zeroize(buf: &mut [u8]) {
 /// Overwrites a word buffer with zeros in a way the optimizer must
 /// preserve. Used to wipe digest chaining state (`[u32; N]`) that has
 /// absorbed key material, e.g. HMAC pad states held by reusable contexts.
-pub fn zeroize_u32(buf: &mut [u32]) {
+pub(crate) fn zeroize_u32(buf: &mut [u32]) {
     for w in buf.iter_mut() {
         // SAFETY: `w` is a valid, aligned, exclusive reference obtained
         // from the iterator; writing a plain word through it is sound.

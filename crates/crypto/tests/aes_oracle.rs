@@ -1,10 +1,12 @@
 //! The table-driven `Aes128` against a spec-literal AES-128: FIPS-197
 //! transcribed byte by byte (SubBytes, ShiftRows, MixColumns with GF(2^8)
 //! multiply loops), kept here as the oracle the shipped cipher must match
-//! on every key, block and CBC length.
+//! on every key, block and CBC length; and the crate's one table of
+//! published AES vectors: FIPS-197 for the block cipher, NIST SP 800-38A
+//! for CBC and CTR.
 
 use proptest::prelude::*;
-use psguard_crypto::{cbc_decrypt, cbc_encrypt, pkcs7_pad, Aes128, BLOCK_SIZE};
+use psguard_crypto::{cbc_decrypt, cbc_encrypt, ctr_apply, pkcs7_pad, Aes128, BLOCK_SIZE};
 
 /// FIPS-197 as written: a column-major state, `state[4c + r]` holding row
 /// `r` of column `c`, and one function per step of §5.1 and §5.3.
@@ -184,12 +186,15 @@ fn oracle_cbc_encrypt(key: &[u8; 16], iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -
     buf
 }
 
-fn block(hex: &str) -> [u8; 16] {
-    let bytes: Vec<u8> = (0..hex.len())
+fn from_hex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-        .collect();
-    bytes.try_into().unwrap()
+        .collect()
+}
+
+fn block(hex: &str) -> [u8; 16] {
+    from_hex(hex).try_into().unwrap()
 }
 
 // FIPS-197 appendices B and C.1, in both directions, for the oracle and
@@ -231,6 +236,54 @@ fn fips197_known_answers_both_directions() {
 fn fips197_appendix_a1_last_round_key_word() {
     let oracle = spec::Aes::new(&block("2b7e151628aed2a6abf7158809cf4f3c"));
     assert_eq!(oracle.round_keys[10][12..], [0xb6, 0x63, 0x0c, 0xa6]);
+}
+
+/// The NIST SP 800-38A AES-128 examples share one key and one plaintext.
+const SP800_38A_KEY: &str = "2b7e151628aed2a6abf7158809cf4f3c";
+const SP800_38A_PLAIN: [&str; 4] = [
+    "6bc1bee22e409f96e93d7e117393172a",
+    "ae2d8a571e03ac9c9eb76fac45af8e51",
+    "30c81c46a35ce411e5fbc1191a0a52ef",
+    "f69f2445df4f9b17ad2b417be66c3710",
+];
+
+// NIST SP 800-38A F.2.1/F.2.2 (CBC-AES128): the shipped CBC appends a
+// PKCS#7 block, so a vector of n blocks is the first n of n + 1 cipher
+// blocks. Both the two-block prefix and all four blocks are checked.
+#[test]
+fn sp800_38a_cbc() {
+    let cipher = Aes128::new(&block(SP800_38A_KEY));
+    let iv = block("000102030405060708090a0b0c0d0e0f");
+    let want = [
+        "7649abac8119b246cee98e9b12e9197d",
+        "5086cb9b507219ee95db113a917678b2",
+        "73bed6b8e3c1743b7116e69e22229516",
+        "3ff1caa1681fac09120eca307586e1a7",
+    ];
+    for blocks in [2, 4] {
+        let plain = from_hex(&SP800_38A_PLAIN[..blocks].concat());
+        let ct = cbc_encrypt(&cipher, &iv, &plain);
+        assert_eq!(ct.len(), 16 * (blocks + 1));
+        assert_eq!(ct[..16 * blocks], from_hex(&want[..blocks].concat()));
+        assert_eq!(cbc_decrypt(&cipher, &iv, &ct).unwrap(), plain);
+    }
+}
+
+// NIST SP 800-38A F.5.1/F.5.2 (CTR-AES128): the low 64 bits of the
+// counter block count up, which is what the vector's counter blocks do.
+#[test]
+fn sp800_38a_ctr() {
+    let cipher = Aes128::new(&block(SP800_38A_KEY));
+    let counter = block("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+    let plain = from_hex(&SP800_38A_PLAIN.concat());
+    let want = from_hex(concat!(
+        "874d6191b620e3261bef6864990db6ce",
+        "9806f66b7970fdff8617187bb9fffdff",
+        "5ae4df3edbd5d35e5b4f09020db03eab",
+        "1e031dda2fbe03d1792170a0f3009cee",
+    ));
+    assert_eq!(ctr_apply(&cipher, &counter, &plain), want);
+    assert_eq!(ctr_apply(&cipher, &counter, &want), plain);
 }
 
 #[test]

@@ -1,17 +1,20 @@
-//! Extended vector tests and property tests for the crypto crate.
+//! The published test vectors for SHA-1 and HMAC-SHA1, each checked
+//! through every form the crate ships, and property tests for the crate.
 
 use proptest::prelude::*;
 use psguard_crypto::{
-    cbc_decrypt, cbc_encrypt, ct_eq, hmac_md5, hmac_sha1, mod_exp, mod_mul, prf, prf_verify,
-    Aes128, DeriveKey, Digest, Md5, ProbeTable, Sha1, Token,
+    cbc_encrypt, ct_eq, hmac_sha1, kh, prf, Aes128, DeriveKey, Hmac, PrfContext, ProbeTable, Sha1,
+    Token,
 };
 
-/// Slots whose token verifies `tag` under `nonce`, one `prf_verify` each.
+/// Slots whose token verifies `tag` under `nonce`, one one-shot `prf` each.
 fn oracle(mirror: &[Option<Token>], nonce: &[u8; 16], tag: &Token) -> Vec<u32> {
     mirror
         .iter()
         .enumerate()
-        .filter(|(_, tok)| tok.is_some_and(|tok| prf_verify(&tok, nonce, tag)))
+        .filter(|(_, tok)| {
+            tok.is_some_and(|tok| ct_eq(prf(tok.as_bytes(), nonce).as_bytes(), tag.as_bytes()))
+        })
         .map(|(slot, _)| slot as u32)
         .collect()
 }
@@ -20,101 +23,148 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-// RFC 2202 cases 4, 5, 7 for HMAC-SHA1 (the ones not covered by the unit
-// tests).
-#[test]
-fn rfc2202_sha1_case4() {
-    let key: Vec<u8> = (0x01..=0x19).collect();
-    let data = [0xcdu8; 50];
-    assert_eq!(
-        hex(&hmac_sha1(&key, &data)),
-        "4c9007f4026250c6bc8414f9bf50c86c2d7235da"
-    );
+/// SHA-1 vectors: (source, message as `piece` repeated `count` times,
+/// digest). RFC 3174 §7.3 TEST1–TEST4; the empty message is FIPS 180's.
+const SHA1_VECTORS: &[(&str, &[u8], usize, &str)] = &[
+    (
+        "RFC 3174 TEST1",
+        b"abc",
+        1,
+        "a9993e364706816aba3e25717850c26c9cd0d89d",
+    ),
+    (
+        "RFC 3174 TEST2",
+        b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        1,
+        "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+    ),
+    (
+        "RFC 3174 TEST3",
+        b"a",
+        1_000_000,
+        "34aa973cd4c4daa4f61eeb2bdbad27316534016f",
+    ),
+    (
+        "RFC 3174 TEST4",
+        b"0123456701234567012345670123456701234567012345670123456701234567",
+        10,
+        "dea356a2cddd90c7a7ecedc5ebb563934f460452",
+    ),
+    ("empty", b"", 1, "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+];
+
+/// RFC 2202 §3 HMAC-SHA1 test cases 1–7: (case, key, data, digest).
+fn hmac_sha1_vectors() -> [(u8, Vec<u8>, Vec<u8>, &'static str); 7] {
+    [
+        (
+            1,
+            vec![0x0b; 20],
+            b"Hi There".to_vec(),
+            "b617318655057264e28bc0b6fb378c8ef146be00",
+        ),
+        (
+            2,
+            b"Jefe".to_vec(),
+            b"what do ya want for nothing?".to_vec(),
+            "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79",
+        ),
+        (
+            3,
+            vec![0xaa; 20],
+            vec![0xdd; 50],
+            "125d7342b9ac11cd91a39af48aa17b4f63f175d3",
+        ),
+        (
+            4,
+            (0x01..=0x19).collect(),
+            vec![0xcd; 50],
+            "4c9007f4026250c6bc8414f9bf50c86c2d7235da",
+        ),
+        (
+            5,
+            vec![0x0c; 20],
+            b"Test With Truncation".to_vec(),
+            "4c1a03424b55e07fe7f27be1d58bb9324a9a5a04",
+        ),
+        (
+            6,
+            vec![0xaa; 80],
+            b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
+            "aa4ae5e15272d00e95705637ce8a3b55ed402112",
+        ),
+        (
+            7,
+            vec![0xaa; 80],
+            b"Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data".to_vec(),
+            "e8e99d0f45237d786d6bbaa7965c7808bbff1a91",
+        ),
+    ]
 }
 
+/// Every SHA-1 vector through the one-shot digest and the streaming
+/// hasher: split in two at every point, and fed piece by piece as RFC
+/// 3174's own harness does. TEST3 is a million bytes, so it is split at
+/// the block boundaries only.
 #[test]
-fn rfc2202_sha1_case5_truncation_source() {
-    let key = [0x0cu8; 20];
-    assert_eq!(
-        hex(&hmac_sha1(&key, b"Test With Truncation")),
-        "4c1a03424b55e07fe7f27be1d58bb9324a9a5a04"
-    );
-}
+fn sha1_vectors_through_every_form() {
+    for &(source, piece, count, want) in SHA1_VECTORS {
+        let message = piece.repeat(count);
+        assert_eq!(hex(&Sha1::digest(&message)), want, "{source} digest");
 
-#[test]
-fn rfc2202_sha1_case7() {
-    let key = [0xaau8; 80];
-    assert_eq!(
-        hex(&hmac_sha1(
-            &key,
-            b"Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data"
-        )),
-        "e8e99d0f45237d786d6bbaa7965c7808bbff1a91"
-    );
-}
+        let mut pieces = Sha1::new();
+        for _ in 0..count {
+            pieces.update(piece);
+        }
+        assert_eq!(hex(&pieces.finalize()), want, "{source} piece by piece");
 
-#[test]
-fn rfc2202_md5_case3() {
-    let key = [0xaau8; 16];
-    let data = [0xddu8; 50];
-    assert_eq!(
-        hex(&hmac_md5(&key, &data)),
-        "56be34521d144c88dbb8c733f0e8b3f6"
-    );
-}
-
-// NIST SP 800-38A F.2.2 (CBC-AES128.Decrypt) — all four blocks.
-#[test]
-fn nist_cbc_four_blocks() {
-    fn from_hex(s: &str) -> Vec<u8> {
-        (0..s.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
-            .collect()
+        let step = if message.len() > 4096 { 64 * 1024 } else { 1 };
+        for split in (0..=message.len()).step_by(step) {
+            let mut s = Sha1::new();
+            s.update(&message[..split]);
+            s.update(&message[split..]);
+            assert_eq!(hex(&s.finalize()), want, "{source} split at {split}");
+        }
     }
-    let key: [u8; 16] = from_hex("2b7e151628aed2a6abf7158809cf4f3c")
-        .try_into()
-        .unwrap();
-    let iv: [u8; 16] = from_hex("000102030405060708090a0b0c0d0e0f")
-        .try_into()
-        .unwrap();
-    let pt = from_hex(
-        "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
-         30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710",
-    );
-    let expect_ct = from_hex(
-        "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2\
-         73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7",
-    );
-    let cipher = Aes128::new(&key);
-    let ct = cbc_encrypt(&cipher, &iv, &pt);
-    assert_eq!(&ct[..64], expect_ct.as_slice());
-    assert_eq!(cbc_decrypt(&cipher, &iv, &ct).unwrap(), pt);
+}
+
+/// Every RFC 2202 HMAC-SHA1 case through the one-shot MAC, the streaming
+/// `Hmac` split at every point, `PrfContext::prf`, the root `kh`, and
+/// `DeriveKey::kh` where the key is a derivation key's length.
+#[test]
+fn hmac_sha1_vectors_through_every_form() {
+    for (case, key, data, want) in hmac_sha1_vectors() {
+        assert_eq!(hex(&hmac_sha1(&key, &data)), want, "case {case} hmac_sha1");
+        for split in 0..=data.len() {
+            let mut mac = Hmac::new(&key);
+            mac.update(&data[..split]);
+            mac.update(&data[split..]);
+            assert_eq!(hex(&mac.finalize()), want, "case {case} split at {split}");
+        }
+        let ctx = PrfContext::new(&key);
+        assert_eq!(
+            hex(ctx.prf(&data).as_bytes()),
+            want,
+            "case {case} PrfContext"
+        );
+        assert_eq!(hex(&kh(&key, &data)), want, "case {case} kh");
+        if let Ok(node) = DeriveKey::from_raw(&key) {
+            assert_eq!(
+                hex(node.kh(&data).as_bytes()),
+                want,
+                "case {case} DeriveKey::kh"
+            );
+        }
+    }
 }
 
 proptest! {
     #[test]
     fn sha1_streaming_equals_oneshot(data in prop::collection::vec(any::<u8>(), 0..600), split in 0usize..600) {
         let split = split.min(data.len());
-        let mut s = <Sha1 as Digest>::new();
+        let mut s = Sha1::new();
         s.update(&data[..split]);
         s.update(&data[split..]);
-        prop_assert_eq!(Digest::finalize(s), Sha1::digest(&data).to_vec());
-    }
-
-    #[test]
-    fn md5_streaming_equals_oneshot(data in prop::collection::vec(any::<u8>(), 0..600), splits in prop::collection::vec(0usize..600, 0..4)) {
-        let mut s = <Md5 as Digest>::new();
-        let mut prev = 0usize;
-        let mut splits = splits;
-        splits.sort_unstable();
-        for sp in splits {
-            let sp = sp.min(data.len()).max(prev);
-            s.update(&data[prev..sp]);
-            prev = sp;
-        }
-        s.update(&data[prev..]);
-        prop_assert_eq!(Digest::finalize(s), Md5::digest(&data).to_vec());
+        prop_assert_eq!(s.finalize(), Sha1::digest(&data));
     }
 
     #[test]
@@ -125,12 +175,12 @@ proptest! {
         prop_assert_ne!(hmac_sha1(&k1, &msg), hmac_sha1(&k2, &msg));
     }
 
-    /// One sweep decides exactly like `prf_verify` run per live token,
+    /// One sweep decides exactly like a one-shot `prf` run per live token,
     /// across set / clear / re-set churn of the slots. Up to 200 tokens
     /// span several 64-lane chunks, and each clear moves the last lane
     /// into the cleared one, across chunk boundaries.
     #[test]
-    fn probe_sweep_equals_per_token_prf_verify(
+    fn probe_sweep_equals_per_token_prf(
         stored in 0usize..=200,
         clears in prop::collection::vec(any::<u16>(), 0..80),
         reuses in prop::collection::vec(any::<u16>(), 0..40),
@@ -213,15 +263,6 @@ proptest! {
         let i = flip % altered.len();
         altered[i] = (altered[i] + 1) % 4;
         prop_assert_ne!(k1, walk(&altered));
-    }
-
-    #[test]
-    fn mod_exp_multiplicative(base in 1u64..1_000_000, e1 in 0u64..64, e2 in 0u64..64) {
-        const P: u64 = 1_000_000_007;
-        // base^(e1+e2) == base^e1 · base^e2 (mod p)
-        let lhs = mod_exp(base, e1 + e2, P);
-        let rhs = mod_mul(mod_exp(base, e1, P), mod_exp(base, e2, P), P);
-        prop_assert_eq!(lhs, rhs);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use psguard_crypto::{AesContext, DeriveKey, Hmac, PrfContext, Sha1, Token};
+use psguard_crypto::{cbc_encrypt, Aes128, DeriveKey, Hmac, PrfContext, Token};
 use psguard_keys::{
     combine_master, event_key_addresses, mac_key, part_from_topic_key, AuthKey, CacheStats,
     EpochId, EventKeyAddress, KeyCache, KeyScope, Ktid, OpCounter, Schema,
@@ -44,7 +44,7 @@ pub struct PublisherCredential {
 /// impls, so no key material can leak into logs.
 #[derive(Debug)]
 struct EventKeys {
-    aes: AesContext,
+    aes: Aes128,
     mac: DeriveKey,
 }
 
@@ -92,7 +92,7 @@ impl BatchWorker {
                     .collect();
             let master = combine_master(&parts, ops);
             EventKeys {
-                aes: AesContext::new(master.content_key().as_bytes()),
+                aes: Aes128::new(master.content_key().as_bytes()),
                 mac: mac_key(&master, ops),
             }
         })
@@ -149,12 +149,10 @@ fn derive_part_cached(
 /// The encrypt-then-MAC tag `KH_mk(iv ‖ ciphertext)`, streamed over the
 /// two parts instead of copying them into one buffer.
 pub(crate) fn mac_iv_ciphertext(mk: &DeriveKey, iv: &[u8; 16], ciphertext: &[u8]) -> [u8; 20] {
-    let mut mac = Hmac::<Sha1>::new(mk.as_bytes());
+    let mut mac = Hmac::new(mk.as_bytes());
     mac.update(iv);
     mac.update(ciphertext);
-    let mut tag = [0u8; 20];
-    tag.copy_from_slice(&mac.finalize());
-    tag
+    mac.finalize()
 }
 
 /// Encrypts and tags one event inside a batch, drawing iv and nonce from
@@ -173,7 +171,7 @@ fn encrypt_one(
 
     let mut iv = [0u8; 16];
     rng.fill_bytes(&mut iv);
-    let ciphertext = keys.aes.encrypt_cbc(&iv, event.payload());
+    let ciphertext = cbc_encrypt(&keys.aes, &iv, event.payload());
     let mac = mac_iv_ciphertext(&keys.mac, &iv, &ciphertext);
     worker.ops.add_kh(1);
 
@@ -332,7 +330,7 @@ impl Publisher {
 
     /// Encrypts and tags a whole batch of events across `workers` threads,
     /// each with its own KDC derivation cache and reusable crypto contexts
-    /// (per-credential [`PrfContext`], per-event-key [`AesContext`]).
+    /// (per-credential [`PrfContext`], per-event-key [`Aes128`] schedule).
     ///
     /// The output is **bit-identical for any worker count**: every event's
     /// iv and nonce come from a private RNG keyed under the topic key and

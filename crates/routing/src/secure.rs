@@ -14,7 +14,7 @@
 //! (e.g. a numeric `age`) stay visible for in-network range matching; the
 //! secret payload is AES-encrypted under the hierarchy key.
 
-use psguard_crypto::{prf, prf_verify, ProbeTable, Token};
+use psguard_crypto::{ct_eq, prf, ProbeTable, Token};
 use psguard_model::{AttrName, AttrValue, Constraint, Event, Filter};
 use psguard_siena::{FilterSemantics, IndexableFilter, KeyQuery};
 
@@ -36,10 +36,11 @@ impl RoutableTag {
         }
     }
 
-    /// Broker-side: does this tag match a subscription token? Constant
-    /// time in the comparison.
+    /// Broker-side: does this tag match a subscription token, i.e.
+    /// `F_tok(r) == match`? Constant time in the comparison.
     pub fn matches(&self, subscription_token: &Token) -> bool {
-        prf_verify(subscription_token, &self.nonce, &self.tag)
+        let expect = prf(subscription_token.as_bytes(), &self.nonce);
+        ct_eq(expect.as_bytes(), self.tag.as_bytes())
     }
 }
 
