@@ -144,6 +144,7 @@ pub struct ChurnModel {
 
 impl ChurnModel {
     /// Average number of active subscribers `NS = N·λ/(λ+µ)`.
+    // DEAD-PUB-OK: closed-form NS the churn simulation test checks against
     pub fn active_subscribers(&self) -> f64 {
         self.n * self.lambda / (self.lambda + self.mu)
     }
@@ -151,16 +152,6 @@ impl ChurnModel {
     /// Steady-state join (= leave) rate `N·λµ/(λ+µ)`.
     pub fn join_rate(&self) -> f64 {
         self.n * self.lambda * self.mu / (self.lambda + self.mu)
-    }
-
-    /// Total messaging cost over an epoch of length `t` for both schemes:
-    /// `(C_subscribergroup, C_psguard)`.
-    pub fn epoch_messaging_costs(&self, t: f64, r: f64, phi: f64) -> (f64, f64) {
-        let joins = self.join_rate() * t;
-        let ns = self.active_subscribers();
-        let group = joins * 6.0 * ns * phi / r;
-        let psguard = joins * phi.log2();
-        (group, psguard)
     }
 }
 
@@ -233,8 +224,6 @@ mod tests {
         };
         assert!((m.active_subscribers() - 250.0).abs() < 1e-9);
         assert!((m.join_rate() - 750.0).abs() < 1e-9);
-        let (group, psguard) = m.epoch_messaging_costs(1.0, 1e4, 100.0);
-        assert!(group > psguard);
     }
 
     #[test]

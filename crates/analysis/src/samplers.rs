@@ -43,6 +43,7 @@ impl ZipfSampler {
     }
 
     /// The probability of rank `r`.
+    // DEAD-PUB-OK: the Zipf reference the sampler and workload tests check against
     pub fn probability(&self, r: usize) -> f64 {
         let prev = if r == 0 { 0.0 } else { self.cdf[r - 1] };
         self.cdf[r] - prev

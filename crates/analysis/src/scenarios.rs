@@ -82,23 +82,6 @@ pub struct ScenarioConfig {
     pub seed: u64,
 }
 
-impl ScenarioConfig {
-    /// A small default sized for tests: 16 topics, 32 subscribers,
-    /// 200 events.
-    pub fn small(kind: ScenarioKind, seed: u64) -> Self {
-        ScenarioConfig {
-            kind,
-            topics: 16,
-            zipf_s: 1.1,
-            subscribers: 32,
-            events: 200,
-            value_range: 256,
-            sub_width: 96,
-            seed,
-        }
-    }
-}
-
 /// One subscription: a client interested in `topic` with an inclusive
 /// value range `[lo, hi]` on the numeric attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -316,21 +299,25 @@ impl ScenarioTrace {
             revocations,
         }
     }
-
-    /// The highest client id the trace touches (initial or churned-in),
-    /// or `None` for an empty trace.
-    pub fn max_client(&self) -> Option<u32> {
-        self.initial
-            .iter()
-            .map(|s| s.client)
-            .chain(self.churn.iter().map(|c| c.sub.client))
-            .max()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A small config: 16 topics, 32 subscribers, 200 events.
+    fn small(kind: ScenarioKind, seed: u64) -> ScenarioConfig {
+        ScenarioConfig {
+            kind,
+            topics: 16,
+            zipf_s: 1.1,
+            subscribers: 32,
+            events: 200,
+            value_range: 256,
+            sub_width: 96,
+            seed,
+        }
+    }
 
     fn counts_by_topic(trace: &ScenarioTrace, topics: usize) -> Vec<usize> {
         let mut counts = vec![0usize; topics];
@@ -343,14 +330,14 @@ mod tests {
     #[test]
     fn same_seed_is_bit_identical_and_seeds_differ() {
         for kind in ScenarioKind::ALL {
-            let a = ScenarioTrace::generate(&ScenarioConfig::small(kind, 7));
-            let b = ScenarioTrace::generate(&ScenarioConfig::small(kind, 7));
+            let a = ScenarioTrace::generate(&small(kind, 7));
+            let b = ScenarioTrace::generate(&small(kind, 7));
             assert_eq!(a.initial, b.initial, "{}", kind.name());
             assert_eq!(a.publishes, b.publishes, "{}", kind.name());
             assert_eq!(a.churn, b.churn, "{}", kind.name());
             assert_eq!(a.revocations, b.revocations, "{}", kind.name());
 
-            let c = ScenarioTrace::generate(&ScenarioConfig::small(kind, 8));
+            let c = ScenarioTrace::generate(&small(kind, 8));
             assert!(
                 a.initial != c.initial || a.publishes != c.publishes,
                 "{}: different seeds should differ",
@@ -361,7 +348,7 @@ mod tests {
 
     #[test]
     fn steady_is_zipf_skewed_with_no_churn() {
-        let cfg = ScenarioConfig::small(ScenarioKind::Steady, 3);
+        let cfg = small(ScenarioKind::Steady, 3);
         let trace = ScenarioTrace::generate(&cfg);
         assert!(trace.churn.is_empty());
         assert!(trace.revocations.is_empty());
@@ -375,7 +362,7 @@ mod tests {
 
     #[test]
     fn flash_crowd_concentrates_middle_third_on_topic_zero() {
-        let cfg = ScenarioConfig::small(ScenarioKind::FlashCrowd, 11);
+        let cfg = small(ScenarioKind::FlashCrowd, 11);
         let trace = ScenarioTrace::generate(&cfg);
         let (start, end) = (cfg.events / 3, 2 * cfg.events / 3);
         assert!(trace.publishes[start..end].iter().all(|p| p.topic == 0));
@@ -396,7 +383,7 @@ mod tests {
 
     #[test]
     fn churn_wave_pairs_every_leave_with_a_rejoin() {
-        let cfg = ScenarioConfig::small(ScenarioKind::ChurnWave, 5);
+        let cfg = small(ScenarioKind::ChurnWave, 5);
         let trace = ScenarioTrace::generate(&cfg);
         let leaves: Vec<_> = trace
             .churn
@@ -421,7 +408,7 @@ mod tests {
 
     #[test]
     fn revocation_storm_revokes_distinct_clients_mid_trace() {
-        let cfg = ScenarioConfig::small(ScenarioKind::RevocationStorm, 9);
+        let cfg = small(ScenarioKind::RevocationStorm, 9);
         let trace = ScenarioTrace::generate(&cfg);
         assert!(!trace.revocations.is_empty());
         let mut clients: Vec<u32> = trace.revocations.iter().map(|r| r.client).collect();
@@ -436,7 +423,7 @@ mod tests {
 
     #[test]
     fn publisher_burst_runs_share_topic_and_id() {
-        let cfg = ScenarioConfig::small(ScenarioKind::PublisherBurst, 13);
+        let cfg = small(ScenarioKind::PublisherBurst, 13);
         let trace = ScenarioTrace::generate(&cfg);
         let mut bursts = 0u32;
         for pair in trace.publishes.windows(2) {
@@ -478,10 +465,15 @@ mod tests {
     }
 
     #[test]
-    fn max_client_covers_churned_in_clients() {
-        let cfg = ScenarioConfig::small(ScenarioKind::FlashCrowd, 2);
+    fn churned_in_clients_extend_the_client_space() {
+        let cfg = small(ScenarioKind::FlashCrowd, 2);
         let trace = ScenarioTrace::generate(&cfg);
-        let max = trace.max_client().expect("non-empty");
+        let max = trace
+            .churn
+            .iter()
+            .map(|c| c.sub.client)
+            .max()
+            .expect("joiners");
         assert!(max >= cfg.subscribers, "joiners extend the client space");
     }
 }

@@ -86,14 +86,6 @@ impl TextTable {
         self
     }
 
-    /// Appends a row of formatted floats (2 decimal places).
-    pub fn row_f64(&mut self, label: &str, values: &[f64]) -> &mut Self {
-        let mut cells = vec![label.to_string()];
-        cells.extend(values.iter().map(|v| format!("{v:.2}")));
-        self.rows.push(cells);
-        self
-    }
-
     /// Renders the table with aligned columns and a separator rule.
     pub fn render(&self) -> String {
         let cols = self
@@ -169,7 +161,7 @@ mod tests {
     fn table_renders_aligned() {
         let mut t = TextTable::new(&["name", "value"]);
         t.row(&["alpha", "1"]);
-        t.row_f64("beta", &[1.23456]);
+        t.row(&["beta", &format!("{:.2}", 1.23456)]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);

@@ -54,6 +54,7 @@ impl CategoryTree {
     }
 
     /// Total number of elements (internal + leaves).
+    // DEAD-PUB-OK: observer of the paper's category-tree size (avg 82 elements)
     pub fn element_count(&self) -> usize {
         // Internal nodes plus the leaves below the deepest internal level.
         let internal = self.fanout.len();
@@ -206,14 +207,6 @@ impl Workload {
         &self.topics
     }
 
-    /// Topic-popularity probabilities (Zipf), index-aligned with
-    /// [`Workload::topics`].
-    pub fn topic_frequencies(&self) -> Vec<f64> {
-        (0..self.topics.len())
-            .map(|r| self.popularity.probability(r))
-            .collect()
-    }
-
     fn random_string(&mut self) -> String {
         let len = self.string_len.sample(&mut self.rng) + 1;
         (0..len)
@@ -301,20 +294,10 @@ impl Workload {
     }
 
     /// An event on a popularity-drawn topic.
+    // DEAD-PUB-OK: the paper workload's Zipf event draw (workload_scale.rs)
     pub fn random_event(&mut self) -> Event {
         let t = self.popularity.sample(&mut self.rng);
         self.event_for_topic(t)
-    }
-
-    /// A batch of events restricted to one topic family (the per-family
-    /// series of Figures 9–10).
-    pub fn events_of_kind(&mut self, kind: TopicKind, count: usize) -> Vec<Event> {
-        let idxs: Vec<usize> = (0..self.topics.len())
-            .filter(|&i| self.topics[i].kind == kind)
-            .collect();
-        (0..count)
-            .map(|i| self.event_for_topic(idxs[i % idxs.len()]))
-            .collect()
     }
 }
 
@@ -385,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn per_family_event_batches() {
+    fn per_family_events_carry_their_attribute() {
         let mut w = workload();
         for kind in [
             TopicKind::Plain,
@@ -393,13 +376,13 @@ mod tests {
             TopicKind::Category,
             TopicKind::Str,
         ] {
-            let evs = w.events_of_kind(kind, 10);
-            assert_eq!(evs.len(), 10);
+            let idx = w.topics().iter().position(|t| t.kind == kind).unwrap();
+            let ev = w.event_for_topic(idx);
             match kind {
-                TopicKind::Numeric => assert!(evs[0].attr("value").is_some()),
-                TopicKind::Category => assert!(evs[0].attr("category").is_some()),
-                TopicKind::Str => assert!(evs[0].attr("str").is_some()),
-                TopicKind::Plain => assert_eq!(evs[0].attr_count(), 0),
+                TopicKind::Numeric => assert!(ev.attr("value").is_some()),
+                TopicKind::Category => assert!(ev.attr("category").is_some()),
+                TopicKind::Str => assert!(ev.attr("str").is_some()),
+                TopicKind::Plain => assert_eq!(ev.attr_count(), 0),
             }
         }
     }
@@ -418,7 +401,9 @@ mod tests {
     #[test]
     fn frequencies_align_with_topics() {
         let w = workload();
-        let f = w.topic_frequencies();
+        let f: Vec<f64> = (0..w.topics.len())
+            .map(|r| w.popularity.probability(r))
+            .collect();
         assert_eq!(f.len(), 128);
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(f[0] > f[127]);

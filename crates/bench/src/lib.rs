@@ -226,7 +226,7 @@ mod tests {
         let child = category_leaf_range(&CategoryPath::from_indices([1, 2]));
         assert!(parent.covers(&child));
         let sibling = category_leaf_range(&CategoryPath::from_indices([2]));
-        assert!(!parent.overlaps(&sibling));
+        assert!(parent.intersect(&sibling).is_none());
     }
 
     #[test]
@@ -235,7 +235,7 @@ mod tests {
         let goo = string_prefix_range("bcd", 5, 8);
         assert!(go.covers(&goo));
         let ms = string_prefix_range("a", 5, 8);
-        assert!(!go.overlaps(&ms));
+        assert!(go.intersect(&ms).is_none());
     }
 
     #[test]

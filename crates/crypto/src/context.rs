@@ -20,7 +20,6 @@
 //! print redacted `Debug` forms, and are on the psguard-xtask
 //! secret-hygiene taint list.
 
-use crate::ct::ct_eq;
 use crate::hmac::{finish, keyed_pads};
 use crate::prf::{Token, TOKEN_LEN};
 use crate::sha1::{compress_lanes_digest, compress_lanes_shared, expand, load_be, Sha1, LANES};
@@ -48,7 +47,6 @@ use crate::BLOCK_SIZE;
 /// let token = prf(b"rk(KDC)", b"cancerTrail");
 /// let ctx = PrfContext::for_token(&token);
 /// let tag = prf(token.as_bytes(), b"nonce");
-/// assert!(ctx.verify(b"nonce", &tag));
 /// assert_eq!(ctx.prf(b"nonce"), tag);
 /// ```
 #[derive(Clone)]
@@ -81,11 +79,6 @@ impl PrfContext {
         let mut inner = self.inner.clone();
         inner.update(data);
         Token::from_raw(finish(inner, self.outer.clone()))
-    }
-
-    /// Constant-time probe `F_key(r) == matched`.
-    pub fn verify(&self, r: &[u8], matched: &Token) -> bool {
-        ct_eq(self.prf(r).as_bytes(), matched.as_bytes())
     }
 }
 
@@ -314,18 +307,12 @@ mod tests {
     use crate::prf::prf;
 
     #[test]
-    fn prf_context_verify_matches_oneshot_verify() {
+    fn prf_context_matches_oneshot_prf() {
         let token = prf(b"rk(KDC)", b"stockQuote");
         let ctx = PrfContext::for_token(&token);
-        let oneshot =
-            |r: &[u8], tag: &Token| ct_eq(prf(token.as_bytes(), r).as_bytes(), tag.as_bytes());
         for r in [b"r1".as_slice(), b"r2", &[0u8; 16], &[0xff; 64]] {
-            let tag = prf(token.as_bytes(), r);
-            assert_eq!(ctx.verify(r, &tag), oneshot(r, &tag));
-            assert!(ctx.verify(r, &tag));
-            let wrong = prf(b"other key", r);
-            assert_eq!(ctx.verify(r, &wrong), oneshot(r, &wrong));
-            assert!(!ctx.verify(r, &wrong));
+            assert_eq!(ctx.prf(r), prf(token.as_bytes(), r));
+            assert_ne!(ctx.prf(r), prf(b"other key", r));
         }
     }
 

@@ -131,11 +131,6 @@ impl DeriveKey {
     pub fn as_bytes(&self) -> &[u8; DERIVE_KEY_LEN] {
         &self.0
     }
-
-    /// A short hex fingerprint for logs and `Debug` output.
-    pub fn fingerprint(&self) -> String {
-        self.0[..4].iter().map(|b| format!("{b:02x}")).collect()
-    }
 }
 
 impl PartialEq for DeriveKey {

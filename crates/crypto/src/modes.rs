@@ -137,6 +137,7 @@ pub fn cbc_decrypt(
 /// AES-128-CTR keystream application (encryption and decryption are the same
 /// operation). The 16-byte `nonce` forms the initial counter block; the low
 /// 64 bits are incremented per block.
+// DEAD-PUB-OK: CBC/CTR are the AES modes DESIGN.md §2 lists; SP 800-38A F.5 checks it
 pub fn ctr_apply(cipher: &Aes128, nonce: &[u8; BLOCK_SIZE], data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len());
     let mut counter = nonce[8..16]

@@ -8,10 +8,11 @@
 //! G3 = {S2}). Every join splits segments and forces key updates to every
 //! member of every affected group — the cost PSGuard eliminates.
 //!
-//! Membership changes can be applied eagerly ([`SubscriberGroupManager::join`],
-//! [`SubscriberGroupManager::leave_immediate`]) or queued in the per-epoch
-//! [`RekeyBatch`] ([`SubscriberGroupManager::queue_join`],
-//! [`SubscriberGroupManager::leave_lazy`]) and settled at the epoch flush.
+//! Joins can be applied eagerly ([`SubscriberGroupManager::join`]) or
+//! queued in the per-epoch [`RekeyBatch`]
+//! ([`SubscriberGroupManager::queue_join`]); leaves are lazy
+//! ([`SubscriberGroupManager::leave_lazy`]). Queued changes settle at the
+//! epoch flush.
 //! [`SubscriberGroupManager::epoch_rekey`] settles the whole batch with one
 //! dirty-path-union LKH update per touched segment;
 //! [`SubscriberGroupManager::epoch_rekey_naive`] replays the identical
@@ -135,16 +136,19 @@ impl SubscriberGroupManager {
     }
 
     /// Number of active subscribers.
+    // DEAD-PUB-OK: observer of batched-vs-naive membership parity (batch_props.rs)
     pub fn subscriber_count(&self) -> usize {
         self.subs.len()
     }
 
     /// Number of elementary segments (groups).
+    // DEAD-PUB-OK: observer of segment pruning on revocation
     pub fn segment_count(&self) -> usize {
         self.segments.len()
     }
 
     /// Number of membership changes queued for the next epoch flush.
+    // DEAD-PUB-OK: observer of the queued batch (batch_props.rs)
     pub fn pending_changes(&self) -> usize {
         self.pending.len()
     }
@@ -175,15 +179,6 @@ impl SubscriberGroupManager {
             .sum()
     }
 
-    /// Average keys per active subscriber.
-    pub fn avg_keys_per_subscriber(&self) -> f64 {
-        if self.subs.is_empty() {
-            return 0.0;
-        }
-        let total: u64 = self.subs.keys().map(|&s| self.keys_per_subscriber(s)).sum();
-        total as f64 / self.subs.len() as f64
-    }
-
     /// Keys a publisher must hold to encrypt for any event value: one per
     /// group (Figure 4).
     pub fn publisher_key_count(&self) -> u64 {
@@ -192,6 +187,7 @@ impl SubscriberGroupManager {
 
     /// The group key used to encrypt an event carrying value `v`, or
     /// `None` when no subscriber covers `v` (nothing to deliver).
+    // DEAD-PUB-OK: observer of revocation (batch_props.rs, chaos.rs)
     pub fn group_key_for_value(&self, v: i64) -> Option<&DeriveKey> {
         self.segments
             .iter()
@@ -203,6 +199,7 @@ impl SubscriberGroupManager {
     /// (leaf-first per segment, segments in range order) — the full key
     /// state the equivalence proptests compare between the batched and
     /// naive rekey paths.
+    // DEAD-PUB-OK: observer of revocation (batch_props.rs, chaos.rs)
     pub fn subscriber_keys(&self, s: SubscriberId) -> Vec<DeriveKey> {
         let mut keys = Vec::new();
         for seg in &self.segments {
@@ -216,6 +213,7 @@ impl SubscriberGroupManager {
     }
 
     /// Whether subscriber `s` can decrypt an event carrying value `v`.
+    // DEAD-PUB-OK: observer of revocation (lkh_props.rs, batch_props.rs)
     pub fn can_decrypt(&self, s: SubscriberId, v: i64) -> bool {
         self.segments
             .iter()
@@ -397,12 +395,6 @@ impl SubscriberGroupManager {
         }
     }
 
-    /// Immediately evicts a subscriber, rekeying every group it belonged
-    /// to (eager revocation). Any ops it had queued are cancelled.
-    pub fn leave_immediate(&mut self, s: SubscriberId) -> RekeyReport {
-        self.apply_leave(s, FlushMode::PerOp)
-    }
-
     /// Replays the pending batch, settling rekey costs per `mode`.
     fn flush_pending(&mut self, mode: FlushMode) -> RekeyReport {
         let ops = self.pending.take_ops();
@@ -449,6 +441,7 @@ impl SubscriberGroupManager {
     /// same trees as [`SubscriberGroupManager::epoch_rekey`] (every key
     /// is a pure function of the leaf layout), which the equivalence
     /// proptest checks; only the cost differs.
+    // DEAD-PUB-OK: the per-op reference for batch_props.rs and chaos.rs
     pub fn epoch_rekey_naive(&mut self) -> RekeyReport {
         self.flush_pending(FlushMode::PerOp)
     }
@@ -540,11 +533,12 @@ mod tests {
     }
 
     #[test]
-    fn immediate_leave_rekeys_and_prunes() {
+    fn epoch_rekey_after_leave_prunes_segments() {
         let mut m = mgr();
         m.join(1, IntRange::new(0, 9).unwrap());
         m.join(2, IntRange::new(5, 14).unwrap());
-        let r = m.leave_immediate(2);
+        m.leave_lazy(2);
+        let r = m.epoch_rekey();
         assert!(r.keys_generated > 0);
         assert!(!m.can_decrypt(2, 7));
         assert!(m.can_decrypt(1, 7));

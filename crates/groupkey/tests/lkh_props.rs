@@ -47,8 +47,8 @@ proptest! {
     }
 
     /// The interval-group manager's decryption predicate tracks the
-    /// latest subscription exactly, under joins, re-subscriptions,
-    /// eager leaves, and lazy leaves + epoch rekeys.
+    /// latest subscription exactly, under joins, re-subscriptions, and
+    /// lazy leaves + epoch rekeys.
     #[test]
     fn group_manager_tracks_membership_exactly(
         ops in prop::collection::vec((0u8..4, 0u64..6, 0i64..60, 1i64..30), 1..40),
@@ -69,11 +69,6 @@ proptest! {
                     let r = IntRange::new(lo, (lo + w).min(63)).expect("valid");
                     mgr.join(id, r);
                     active.insert(id, r);
-                    lingering.remove(&id);
-                }
-                1 => {
-                    mgr.leave_immediate(id);
-                    active.remove(&id);
                     lingering.remove(&id);
                 }
                 _ => {

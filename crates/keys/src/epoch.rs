@@ -6,9 +6,7 @@
 //! "lazy revocation" of group-key systems, without any rekey messages.
 //!
 //! To avoid flash crowds at epoch boundaries, boundaries are spread
-//! per topic ([`EpochSchedule::offset_for`]); the schedule can also adapt
-//! the epoch length per topic from subscription history
-//! ([`EpochSchedule::adaptive_len`]).
+//! per topic ([`EpochSchedule::offset_for`]).
 
 /// An epoch number for some topic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -78,34 +76,6 @@ impl EpochSchedule {
     /// The epoch holding instant `now_ms` for `topic`.
     pub fn epoch_at(&self, topic: &str, now_ms: u64) -> EpochId {
         EpochId((now_ms + self.offset_for(topic)) / self.len_ms)
-    }
-
-    /// Milliseconds until `topic`'s next epoch boundary after `now_ms`.
-    pub fn until_next_boundary(&self, topic: &str, now_ms: u64) -> u64 {
-        let shifted = now_ms + self.offset_for(topic);
-        self.len_ms - (shifted % self.len_ms)
-    }
-
-    /// Adapts the epoch length from subscription history: topics with high
-    /// churn (many subscriptions per epoch) get shorter epochs so pricing
-    /// and revocation track demand; quiet topics get longer epochs. The
-    /// result is clamped to `[len/4, len*4]`.
-    ///
-    /// The paper leaves the concrete policy open ("outside the scope");
-    /// this simple inverse-proportional rule reproduces the intent.
-    pub fn adaptive_len(&self, recent_subscriptions_per_epoch: &[u64]) -> u64 {
-        if recent_subscriptions_per_epoch.is_empty() {
-            return self.len_ms;
-        }
-        let avg = recent_subscriptions_per_epoch.iter().sum::<u64>()
-            / recent_subscriptions_per_epoch.len() as u64;
-        // Target ~16 subscriptions per epoch.
-        let scaled = if avg == 0 {
-            self.len_ms * 4
-        } else {
-            self.len_ms * 16 / avg.max(1)
-        };
-        scaled.clamp(self.len_ms / 4, self.len_ms * 4).max(1)
     }
 }
 
@@ -226,23 +196,11 @@ mod tests {
     fn boundary_countdown_consistent() {
         let s = EpochSchedule::new(1000);
         let now = 12_345;
-        let dt = s.until_next_boundary("t", now);
+        let dt = 1000 - (now + s.offset_for("t")) % 1000;
         assert!((1..=1000).contains(&dt));
         let before = s.epoch_at("t", now + dt - 1);
         let after = s.epoch_at("t", now + dt);
         assert_eq!(after.0, before.0 + 1);
-    }
-
-    #[test]
-    fn adaptive_len_scales_inverse_to_churn() {
-        let s = EpochSchedule::new(1000);
-        let busy = s.adaptive_len(&[64, 64, 64]);
-        let quiet = s.adaptive_len(&[1, 1]);
-        assert!(busy < quiet);
-        assert_eq!(s.adaptive_len(&[]), 1000);
-        // Clamped into [250, 4000].
-        assert!(busy >= 250);
-        assert!(quiet <= 4000);
     }
 
     #[test]

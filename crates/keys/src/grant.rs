@@ -5,7 +5,7 @@
 //! encryption key `K(e)` from the topic key; an authorized subscriber
 //! derives the *same* key from its grant — without the KDC knowing the
 //! event, and without the publisher knowing the subscribers. Both sides
-//! meet at [`combine_parts`].
+//! meet at [`combine_master`].
 
 use psguard_crypto::{AesKey, DeriveKey};
 use psguard_model::{CategoryPath, Event};
@@ -317,28 +317,23 @@ impl AuthKey {
             (KeyScope::StrPrefix { attr: a, prefix }, EventKeyAddress::Str { attr: b, value })
                 if a == b =>
             {
-                if !value.starts_with(prefix.as_str()) {
-                    return None;
-                }
-                let suffix: Vec<u8> = value.bytes().skip(prefix.len()).collect();
-                ops.add_hash(suffix.len() as u64);
-                Some(
-                    suffix
-                        .iter()
-                        .fold(self.key.clone(), |k, &b| k.child_n(b as u32)),
+                StringKeySpace::derive_extension(
+                    ChainDirection::Prefix,
+                    &self.key,
+                    prefix,
+                    value,
+                    ops,
                 )
             }
             (KeyScope::StrSuffix { attr: a, suffix }, EventKeyAddress::Str { attr: b, value })
                 if a == b =>
             {
-                if !value.ends_with(suffix.as_str()) {
-                    return None;
-                }
-                let rest: Vec<u8> = value.bytes().rev().skip(suffix.len()).collect();
-                ops.add_hash(rest.len() as u64);
-                Some(
-                    rest.iter()
-                        .fold(self.key.clone(), |k, &b| k.child_n(b as u32)),
+                StringKeySpace::derive_extension(
+                    ChainDirection::Suffix,
+                    &self.key,
+                    suffix,
+                    value,
+                    ops,
                 )
             }
             _ => None,
@@ -364,16 +359,6 @@ pub fn combine_master(parts: &[DeriveKey], ops: &mut OpCounter) -> DeriveKey {
         acc = acc.kh(p.as_bytes());
     }
     acc
-}
-
-/// Folds per-attribute key parts (already sorted by attribute name) into
-/// the final AES-128 content key `K(e)`.
-///
-/// # Panics
-///
-/// Panics on an empty part list.
-pub fn combine_parts(parts: &[DeriveKey], ops: &mut OpCounter) -> AesKey {
-    combine_master(parts, ops).content_key()
 }
 
 /// The integrity key paired with `K(e)`: used to MAC the ciphertext
@@ -691,18 +676,15 @@ mod tests {
     }
 
     #[test]
-    fn combine_parts_is_order_sensitive_and_deterministic() {
+    fn combine_master_is_order_sensitive_and_deterministic() {
         let mut ops = OpCounter::new();
         let a = DeriveKey::from_bytes(b"a");
         let b = DeriveKey::from_bytes(b"b");
-        let ab = combine_parts(&[a.clone(), b.clone()], &mut ops);
-        let ba = combine_parts(&[b.clone(), a.clone()], &mut ops);
+        let ab = combine_master(&[a.clone(), b.clone()], &mut ops);
+        let ba = combine_master(&[b.clone(), a.clone()], &mut ops);
         assert_ne!(ab, ba);
-        assert_eq!(combine_parts(&[a.clone(), b.clone()], &mut ops), ab);
-        assert_eq!(
-            combine_parts(std::slice::from_ref(&a), &mut ops),
-            a.content_key()
-        );
+        assert_eq!(combine_master(&[a.clone(), b.clone()], &mut ops), ab);
+        assert_eq!(combine_master(std::slice::from_ref(&a), &mut ops), a);
     }
 
     #[test]

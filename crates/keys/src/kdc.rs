@@ -11,8 +11,8 @@
 //!   filter.
 //!
 //! Because every answer is a pure function of `(master, request)`, the KDC
-//! keeps **no state** about subscribers or subscriptions — it can be
-//! replicated on demand with no consistency protocol ([`Kdc::replicate`]).
+//! keeps **no state** about subscribers or subscriptions — a clone is a
+//! replica, with no consistency protocol.
 
 use psguard_crypto::{prf, DeriveKey, Token};
 use psguard_model::{Filter, IntRange, Op};
@@ -110,17 +110,6 @@ impl Kdc {
         Kdc {
             master: DeriveKey::from_bytes(seed),
         }
-    }
-
-    /// Creates a KDC from an existing master key (e.g. loaded from an HSM).
-    pub fn from_master(master: DeriveKey) -> Self {
-        Kdc { master }
-    }
-
-    /// Clones this KDC as a replica. Replicas share only the master key and
-    /// need no consistency protocol — the KDC is stateless by construction.
-    pub fn replicate(&self) -> Kdc {
-        self.clone()
     }
 
     /// The epoch-ratcheted topic key for the given lineage. Handed to
@@ -588,7 +577,7 @@ mod tests {
     fn replicas_agree_without_shared_state() {
         let mut ops = OpCounter::new();
         let a = kdc();
-        let b = a.replicate();
+        let b = a.clone();
         let f = Filter::for_topic("w").with(Constraint::new("age", Op::Ge(10)));
         let ga = a
             .grant(&schema(), &f, EpochId(3), &TopicScope::Shared, &mut ops)
@@ -615,7 +604,7 @@ mod tests {
         assert_ne!(s0, s1);
         assert_ne!(s0, k.group_seed("v", EpochId(0), &mut ops));
         // Stateless: a replica derives the identical seed.
-        assert_eq!(s0, k.replicate().group_seed("w", EpochId(0), &mut ops));
+        assert_eq!(s0, k.clone().group_seed("w", EpochId(0), &mut ops));
     }
 
     #[test]

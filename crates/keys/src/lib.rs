@@ -30,7 +30,7 @@
 //!
 //! ```
 //! use psguard_crypto::{cbc_decrypt, cbc_encrypt, Aes128};
-//! use psguard_keys::{event_key_addresses, part_from_topic_key, combine_parts,
+//! use psguard_keys::{event_key_addresses, part_from_topic_key, combine_master,
 //!                    EpochId, Kdc, OpCounter, Schema, TopicScope};
 //! use psguard_model::{Constraint, Event, Filter, IntRange, Op};
 //!
@@ -48,7 +48,7 @@
 //!     .iter()
 //!     .map(|a| part_from_topic_key(&topic_key, &schema, a, &mut ops))
 //!     .collect();
-//! let k_e = combine_parts(&parts, &mut ops);
+//! let k_e = combine_master(&parts, &mut ops).content_key();
 //! let ct = cbc_encrypt(&Aes128::new(k_e.as_bytes()), &[0u8; 16], b"record");
 //!
 //! // Subscriber: obtain a grant for ages 16..=31 and decrypt.
@@ -70,7 +70,6 @@ mod cost;
 mod epoch;
 mod grant;
 mod kdc;
-mod kdc_cache;
 mod ktid;
 mod nakt;
 mod rekey;
@@ -81,11 +80,10 @@ pub use cache::{CacheStats, KeyCache};
 pub use cost::OpCounter;
 pub use epoch::{EpochId, EpochSchedule, RekeyWindow};
 pub use grant::{
-    combine_master, combine_parts, event_key_addresses, mac_key, part_from_topic_key, AuthKey,
-    ConstraintGrant, EventKeyAddress, EventKeyError, Grant, KeyScope,
+    combine_master, event_key_addresses, mac_key, part_from_topic_key, AuthKey, ConstraintGrant,
+    EventKeyAddress, EventKeyError, Grant, KeyScope,
 };
 pub use kdc::{Kdc, KdcError, TopicScope};
-pub use kdc_cache::{CachedKdc, GrantCacheStats};
 pub use ktid::Ktid;
 pub use nakt::{Nakt, NaktError, NaktKeySpace};
 pub use rekey::GroupRekeyCoordinator;

@@ -149,18 +149,6 @@ impl Nakt {
         self.depth
     }
 
-    /// Number of leaf cells (a power of the arity).
-    pub fn cell_count(&self) -> u64 {
-        self.cells
-    }
-
-    /// Total number of elements (internal + leaf) in the complete tree.
-    pub fn element_count(&self) -> u64 {
-        // Geometric series 1 + a + … + a^m.
-        let a = self.arity as u64;
-        (0..=self.depth as u32).map(|d| a.pow(d)).sum()
-    }
-
     /// The cell index holding value `v`: `⌊(v − lo)/lc⌋`.
     ///
     /// # Errors
@@ -355,8 +343,7 @@ mod tests {
     fn figure1_geometry() {
         let n = figure1();
         assert_eq!(n.depth(), 3);
-        assert_eq!(n.cell_count(), 8);
-        assert_eq!(n.element_count(), 15);
+        assert_eq!(n.cells, 8);
         assert_eq!(n.value_span(&Ktid::root()), IntRange::new(0, 31).unwrap());
         assert_eq!(
             n.value_span(&Ktid::from_digits([1])),
@@ -430,7 +417,7 @@ mod tests {
     #[test]
     fn non_power_of_two_range_pads() {
         let n = Nakt::binary(IntRange::new(0, 99).unwrap(), 1).unwrap();
-        assert_eq!(n.cell_count(), 128);
+        assert_eq!(n.cells, 128);
         assert_eq!(n.depth(), 7);
         // Values beyond 99 are unreachable: ktid_of_value rejects them.
         assert!(n.ktid_of_value(99).is_ok());

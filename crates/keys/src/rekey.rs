@@ -40,9 +40,10 @@ use crate::kdc::Kdc;
 /// );
 /// coord.queue_join(7, IntRange::new(0, 127).unwrap());
 /// // Not due yet: the join stays queued, no rekey traffic.
-/// assert!(coord.maybe_flush(&kdc, 1, &mut ops).is_none());
+/// assert!(!coord.window().due(1));
 /// // Past the boundary the batch settles in one update.
-/// let (epoch, report) = coord.maybe_flush(&kdc, 5000, &mut ops).unwrap();
+/// assert!(coord.window().due(5000));
+/// let (epoch, report) = coord.flush_now(&kdc, 5000, &mut ops);
 /// assert!(report.keys_to_newcomer > 0);
 /// assert!(coord.manager().can_decrypt(7, 64));
 /// # let _ = epoch;
@@ -105,20 +106,6 @@ impl GroupRekeyCoordinator {
         self.window.note(1);
     }
 
-    /// Flushes iff the window is due at `now_ms`, returning the epoch
-    /// the batch settled into and its (batched) rekey cost.
-    pub fn maybe_flush(
-        &mut self,
-        kdc: &Kdc,
-        now_ms: u64,
-        ops: &mut OpCounter,
-    ) -> Option<(EpochId, RekeyReport)> {
-        if !self.window.due(now_ms) {
-            return None;
-        }
-        Some(self.flush_now(kdc, now_ms, ops))
-    }
-
     /// Unconditional flush: advances the window, derives the new
     /// epoch's group seed, rotates the manager's master and settles the
     /// pending batch — one atomic step.
@@ -159,9 +146,10 @@ mod tests {
         let (kdc, mut c) = coord(1000);
         let mut ops = OpCounter::new();
         c.queue_join(1, IntRange::new(0, 31).unwrap());
-        assert!(c.maybe_flush(&kdc, 10, &mut ops).is_none());
+        assert!(!c.window().due(10));
         assert!(!c.manager().can_decrypt(1, 10));
-        let (_, report) = c.maybe_flush(&kdc, 5000, &mut ops).expect("due");
+        assert!(c.window().due(5000));
+        let (_, report) = c.flush_now(&kdc, 5000, &mut ops);
         assert!(report.keys_to_newcomer > 0);
         assert!(c.manager().can_decrypt(1, 10));
         assert!(!c.manager().can_decrypt(1, 40));
@@ -176,7 +164,8 @@ mod tests {
         }
         let e0 = c.window().epoch();
         // Clock has not moved, yet the batch is over the mark.
-        let (e1, _) = c.maybe_flush(&kdc, 0, &mut ops).expect("high water");
+        assert!(c.window().due(0), "high water");
+        let (e1, _) = c.flush_now(&kdc, 0, &mut ops);
         assert_eq!(e1, e0.next());
         assert_eq!(c.window().pending(), 0);
         assert_eq!(c.manager().subscriber_count(), 3);

@@ -113,23 +113,6 @@ impl SchemaBuilder {
         Ok(self)
     }
 
-    /// Adds a numeric attribute with explicit arity (ablation support).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NaktError`] for invalid geometry.
-    pub fn numeric_with_arity(
-        mut self,
-        name: impl Into<String>,
-        range: IntRange,
-        lc: u64,
-        arity: u8,
-    ) -> Result<Self, NaktError> {
-        let nakt = Nakt::with_arity(range, lc, arity)?;
-        self.attrs.insert(name.into(), AttrSpec::Numeric { nakt });
-        Ok(self)
-    }
-
     /// Adds a category attribute.
     pub fn category(mut self, name: impl Into<String>, max_depth: usize) -> Self {
         self.attrs
@@ -145,6 +128,7 @@ impl SchemaBuilder {
     }
 
     /// Adds a suffix-matched string attribute.
+    // DEAD-PUB-OK: the one way to declare §4's suffix-matched strings
     pub fn str_suffix(mut self, name: impl Into<String>, max_len: usize) -> Self {
         self.attrs
             .insert(name.into(), AttrSpec::StrSuffix { max_len });

@@ -113,8 +113,10 @@ pub enum ChainDirection {
 /// let mut ops = OpCounter::new();
 /// let auth = space.key_for("GOO", &mut ops);
 /// let event = space.key_for("GOOG", &mut ops);
-/// assert_eq!(space.derive_extension(&auth, "GOO", "GOOG", &mut ops), Some(event));
-/// assert_eq!(space.derive_extension(&auth, "GOO", "MSFT", &mut ops), None);
+/// let prefix = ChainDirection::Prefix;
+/// let mut derive = |target| StringKeySpace::derive_extension(prefix, &auth, "GOO", target, &mut ops);
+/// assert_eq!(derive("GOOG"), Some(event));
+/// assert_eq!(derive("MSFT"), None);
 /// ```
 #[derive(Clone)]
 pub struct StringKeySpace {
@@ -176,22 +178,22 @@ impl StringKeySpace {
 
     /// Subscriber-side: derive the key of `target` from the key of
     /// `holder`, where `holder` must be a prefix (or suffix, per the chain
-    /// direction) of `target`.
+    /// `direction`) of `target`.
     pub fn derive_extension(
-        &self,
+        direction: ChainDirection,
         holder_key: &DeriveKey,
         holder: &str,
         target: &str,
         ops: &mut OpCounter,
     ) -> Option<DeriveKey> {
-        let matches = match self.direction {
+        let matches = match direction {
             ChainDirection::Prefix => target.starts_with(holder),
             ChainDirection::Suffix => target.ends_with(holder),
         };
         if !matches {
             return None;
         }
-        let suffix: Vec<u8> = match self.direction {
+        let suffix: Vec<u8> = match direction {
             ChainDirection::Prefix => target.bytes().skip(holder.len()).collect(),
             ChainDirection::Suffix => target.bytes().rev().skip(holder.len()).collect(),
         };
@@ -254,12 +256,18 @@ mod tests {
         let auth = space.key_for("GO", &mut ops);
         let goog = space.key_for("GOOG", &mut ops);
         assert_eq!(
-            space.derive_extension(&auth, "GO", "GOOG", &mut ops),
+            StringKeySpace::derive_extension(space.direction(), &auth, "GO", "GOOG", &mut ops),
             Some(goog)
         );
-        assert_eq!(space.derive_extension(&auth, "GO", "AAPL", &mut ops), None);
+        assert_eq!(
+            StringKeySpace::derive_extension(space.direction(), &auth, "GO", "AAPL", &mut ops),
+            None
+        );
         // Shorter than the held prefix: refused.
-        assert_eq!(space.derive_extension(&auth, "GO", "G", &mut ops), None);
+        assert_eq!(
+            StringKeySpace::derive_extension(space.direction(), &auth, "GO", "G", &mut ops),
+            None
+        );
     }
 
     #[test]
@@ -269,11 +277,23 @@ mod tests {
         let auth = space.key_for(".log", &mut ops);
         let event = space.key_for("system.log", &mut ops);
         assert_eq!(
-            space.derive_extension(&auth, ".log", "system.log", &mut ops),
+            StringKeySpace::derive_extension(
+                space.direction(),
+                &auth,
+                ".log",
+                "system.log",
+                &mut ops
+            ),
             Some(event)
         );
         assert_eq!(
-            space.derive_extension(&auth, ".log", "system.txt", &mut ops),
+            StringKeySpace::derive_extension(
+                space.direction(),
+                &auth,
+                ".log",
+                "system.txt",
+                &mut ops
+            ),
             None
         );
     }

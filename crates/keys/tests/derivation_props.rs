@@ -38,7 +38,7 @@ proptest! {
         let space = StringKeySpace::new(&topic, b"sym", ChainDirection::Prefix);
         let mut ops = OpCounter::new();
         let auth_key = space.key_for(&auth, &mut ops);
-        let derived = space.derive_extension(&auth_key, &auth, &event, &mut ops);
+        let derived = StringKeySpace::derive_extension(space.direction(), &auth_key, &auth, &event, &mut ops);
         prop_assert_eq!(derived.is_some(), event.starts_with(&auth));
         if let Some(k) = derived {
             prop_assert_eq!(k, space.key_for(&event, &mut ops));
@@ -52,7 +52,7 @@ proptest! {
         let space = StringKeySpace::new(&topic, b"file", ChainDirection::Suffix);
         let mut ops = OpCounter::new();
         let auth_key = space.key_for(&auth, &mut ops);
-        let derived = space.derive_extension(&auth_key, &auth, &event, &mut ops);
+        let derived = StringKeySpace::derive_extension(space.direction(), &auth_key, &auth, &event, &mut ops);
         prop_assert_eq!(derived.is_some(), event.ends_with(&auth));
     }
 

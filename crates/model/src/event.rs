@@ -91,8 +91,8 @@ impl Event {
         &self.payload
     }
 
-    /// Replaces the payload, returning the previous one. Used when the
-    /// secure layer swaps plaintext for ciphertext.
+    /// Replaces the payload, returning the previous one.
+    // DEAD-PUB-OK: tamper seam for tampered_ciphertext_detected (tests/security.rs)
     pub fn replace_payload(&mut self, payload: Vec<u8>) -> Vec<u8> {
         std::mem::replace(&mut self.payload, payload)
     }

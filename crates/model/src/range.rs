@@ -12,7 +12,7 @@
 /// let r = IntRange::new(8, 19).unwrap();
 /// assert!(r.contains(8) && r.contains(19) && !r.contains(20));
 /// assert_eq!(r.len(), 12);
-/// assert!(r.overlaps(&IntRange::new(19, 30).unwrap()));
+/// assert!(r.intersect(&IntRange::new(19, 30).unwrap()).is_some());
 /// assert!(IntRange::new(0, 100).unwrap().covers(&r));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -65,11 +65,6 @@ impl IntRange {
         self.lo <= other.lo && other.hi <= self.hi
     }
 
-    /// Whether the two ranges share at least one integer.
-    pub fn overlaps(&self, other: &IntRange) -> bool {
-        self.lo <= other.hi && other.lo <= self.hi
-    }
-
     /// The intersection, or `None` when disjoint.
     pub fn intersect(&self, other: &IntRange) -> Option<IntRange> {
         IntRange::new(self.lo.max(other.lo), self.hi.min(other.hi))
@@ -117,9 +112,9 @@ mod tests {
     #[test]
     fn overlap_edge_cases() {
         let a = IntRange::new(0, 5).unwrap();
-        assert!(a.overlaps(&IntRange::new(5, 9).unwrap()));
-        assert!(!a.overlaps(&IntRange::new(6, 9).unwrap()));
-        assert!(a.overlaps(&IntRange::new(-3, 0).unwrap()));
+        assert!(a.intersect(&IntRange::new(5, 9).unwrap()).is_some());
+        assert!(a.intersect(&IntRange::new(6, 9).unwrap()).is_none());
+        assert!(a.intersect(&IntRange::new(-3, 0).unwrap()).is_some());
     }
 
     #[test]

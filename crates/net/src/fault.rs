@@ -9,8 +9,6 @@
 //! and checks [`FaultPlan::is_up`] on receipt, so any experiment is exactly
 //! reproducible from `(topology seed, fault seed)`.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -166,7 +164,6 @@ impl Transmit {
 pub struct FaultPlan {
     seed: u64,
     default_link: LinkFaults,
-    links: HashMap<(u32, u32), LinkFaults>,
     partitions: Vec<(u32, u32, Window)>,
     crashes: Vec<(NodeId, Window)>,
     disk: DiskFaults,
@@ -185,7 +182,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             default_link: LinkFaults::NONE,
-            links: HashMap::new(),
             partitions: Vec::new(),
             crashes: Vec::new(),
             disk: DiskFaults::NONE,
@@ -199,30 +195,21 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Sets the fault profile applied to every link without an explicit
-    /// override.
+    /// Sets the fault profile applied to every link.
     pub fn with_default_link_faults(mut self, faults: LinkFaults) -> Self {
         self.default_link = faults;
         self
     }
 
     /// Sets the disk-fault profile consulted by durable-log appenders.
+    // DEAD-PUB-OK: fault seam for the log-recovery tests
     pub fn with_disk_faults(mut self, disk: DiskFaults) -> Self {
         self.disk = disk;
         self
     }
 
-    /// The configured disk-fault profile.
-    pub fn disk_faults(&self) -> DiskFaults {
-        self.disk
-    }
-
-    /// Overrides the fault profile of the directed link `src → dst`.
-    pub fn set_link(&mut self, src: NodeId, dst: NodeId, faults: LinkFaults) {
-        self.links.insert((src.0, dst.0), faults);
-    }
-
     /// Cuts the (undirected) link `a — b` for the given window.
+    // DEAD-PUB-OK: fault seam for the chaos partition tests
     pub fn add_partition(&mut self, a: NodeId, b: NodeId, window: Window) {
         let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
         self.partitions.push((lo, hi, window));
@@ -255,13 +242,6 @@ impl FaultPlan {
             .any(|&(pa, pb, w)| pa == lo && pb == hi && w.contains(at))
     }
 
-    fn link_faults(&self, src: NodeId, dst: NodeId) -> LinkFaults {
-        self.links
-            .get(&(src.0, dst.0))
-            .copied()
-            .unwrap_or(self.default_link)
-    }
-
     /// Decides the fate of one `src → dst` transmission attempted at `at`.
     ///
     /// Returns the extra delays (jitter) of each surviving copy; an empty
@@ -271,8 +251,8 @@ impl FaultPlan {
     pub fn transmit(&mut self, src: NodeId, dst: NodeId, at: SimTime) -> Transmit {
         self.stats.attempts += 1;
         // Fast path for a plan with nothing configured (the zero-overhead
-        // baseline): skip the partition scan and the per-link lookup.
-        if self.partitions.is_empty() && self.links.is_empty() && self.default_link.is_none() {
+        // baseline): skip the partition scan.
+        if self.partitions.is_empty() && self.default_link.is_none() {
             self.stats.copies += 1;
             return Transmit {
                 first: Some(0),
@@ -283,7 +263,7 @@ impl FaultPlan {
             self.stats.partitioned += 1;
             return Transmit::default();
         }
-        let faults = self.link_faults(src, dst);
+        let faults = self.default_link;
         if faults.is_none() {
             self.stats.copies += 1;
             return Transmit {
@@ -358,11 +338,6 @@ impl FaultPlan {
     /// What the plan has done so far.
     pub fn stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// Resets the counters (not the RNG stream).
-    pub fn reset_stats(&mut self) {
-        self.stats = FaultStats::default();
     }
 }
 
@@ -493,7 +468,7 @@ mod tests {
     #[test]
     fn no_disk_faults_never_fire() {
         let mut plan = FaultPlan::new(12);
-        assert!(plan.disk_faults().is_none());
+        assert!(plan.disk.is_none());
         for _ in 0..100 {
             assert_eq!(plan.disk_torn_write(128), None);
             assert!(!plan.disk_short_read());
@@ -501,16 +476,5 @@ mod tests {
         }
         let s = plan.stats();
         assert_eq!((s.torn_writes, s.short_reads, s.fsync_failures), (0, 0, 0));
-    }
-
-    #[test]
-    fn per_link_overrides_beat_the_default() {
-        let mut plan = FaultPlan::new(7).with_default_link_faults(LinkFaults::drops(1.0));
-        plan.set_link(NodeId(0), NodeId(1), LinkFaults::NONE);
-        // The overridden link never drops; the default link always does.
-        for _ in 0..20 {
-            assert_eq!(plan.transmit(NodeId(0), NodeId(1), 0).copies(), 1);
-            assert_eq!(plan.transmit(NodeId(0), NodeId(2), 0).copies(), 0);
-        }
     }
 }

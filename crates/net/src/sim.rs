@@ -143,14 +143,6 @@ impl<M: Eq> Simulator<M> {
         })
     }
 
-    /// Pops the next delivery only if it occurs at or before `deadline`.
-    pub fn next_before(&mut self, deadline: SimTime) -> Option<Delivery<M>> {
-        match self.queue.peek() {
-            Some(Reverse(s)) if s.at <= deadline => self.next(),
-            _ => None,
-        }
-    }
-
     /// Sends `msg` from `src` to `dst` through a [`FaultPlan`]: the plan
     /// may drop the message, duplicate it, or add jitter on top of
     /// `base_delay`. Returns the number of copies actually scheduled
@@ -238,14 +230,6 @@ mod tests {
         assert_eq!(n, 4); // 3, 2, 1, 0
         assert_eq!(sim.now(), 30);
         assert_eq!(sim.delivered(), 4);
-    }
-
-    #[test]
-    fn next_before_respects_deadline() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        sim.schedule_at(100, NodeId(0), 1);
-        assert!(sim.next_before(99).is_none());
-        assert!(sim.next_before(100).is_some());
     }
 
     #[test]

@@ -115,34 +115,6 @@ impl Topology {
         let d = self.latencies_from(a)[b.0 as usize];
         (d != u64::MAX).then_some(d)
     }
-
-    /// Whether every node can reach every other.
-    pub fn is_connected(&self) -> bool {
-        if self.node_count == 0 {
-            return true;
-        }
-        self.latencies_from(NodeId(0))
-            .iter()
-            .all(|&d| d != u64::MAX)
-    }
-
-    /// Summary statistics over link round-trip times (2 × one-way), in ms:
-    /// `(min, max, mean, stddev)`.
-    pub fn rtt_stats(&self) -> (f64, f64, f64, f64) {
-        if self.links.is_empty() {
-            return (0.0, 0.0, 0.0, 0.0);
-        }
-        let rtts: Vec<f64> = self
-            .links
-            .iter()
-            .map(|l| 2.0 * l.latency_ms as f64)
-            .collect();
-        let min = rtts.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = rtts.iter().cloned().fold(0.0, f64::max);
-        let mean = rtts.iter().sum::<f64>() / rtts.len() as f64;
-        let var = rtts.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / rtts.len() as f64;
-        (min, max, mean, var.sqrt())
-    }
 }
 
 /// Parameters of the transit-stub generator.
@@ -262,19 +234,33 @@ impl TransitStubConfig {
 mod tests {
     use super::*;
 
+    /// Whether every node can reach every other (the connectivity oracle).
+    fn is_connected(t: &Topology) -> bool {
+        t.node_count == 0 || t.latencies_from(NodeId(0)).iter().all(|&d| d != u64::MAX)
+    }
+
     #[test]
     fn default_config_is_63_nodes_like_the_paper() {
         let cfg = TransitStubConfig::default();
         assert_eq!(cfg.total_nodes(), 63);
         let topo = cfg.generate(42);
         assert_eq!(topo.node_count(), 63);
-        assert!(topo.is_connected());
+        assert!(is_connected(&topo));
     }
 
     #[test]
     fn rtt_distribution_matches_paper_shape() {
         let topo = TransitStubConfig::default().generate(7);
-        let (min, max, mean, sd) = topo.rtt_stats();
+        let rtts: Vec<f64> = topo
+            .links
+            .iter()
+            .map(|l| 2.0 * l.latency_ms as f64)
+            .collect();
+        let min = rtts.iter().cloned().fold(f64::INFINITY, f64::min);
+        let max = rtts.iter().cloned().fold(0.0, f64::max);
+        let mean = rtts.iter().sum::<f64>() / rtts.len() as f64;
+        let var = rtts.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / rtts.len() as f64;
+        let sd = var.sqrt();
         // Paper: 24–184 ms RTT, mean 74 ms, sd 50 ms. Allow generous slack:
         // we need the same regime, not the same draw.
         assert!((15.0..=60.0).contains(&min), "min={min}");
@@ -315,10 +301,10 @@ mod tests {
     #[test]
     fn disconnected_detected() {
         let mut t = Topology::with_nodes(2);
-        assert!(!t.is_connected());
+        assert!(!is_connected(&t));
         t.add_link(NodeId(0), NodeId(1), 1);
-        assert!(t.is_connected());
-        assert!(Topology::with_nodes(0).is_connected());
+        assert!(is_connected(&t));
+        assert!(is_connected(&Topology::with_nodes(0)));
     }
 
     #[test]
@@ -338,6 +324,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(cfg.total_nodes(), 8 + 8 * 2 * 3);
-        assert!(cfg.generate(9).is_connected());
+        assert!(is_connected(&cfg.generate(9)));
     }
 }

@@ -165,6 +165,7 @@ impl PsGuard {
     ///
     /// Fails atomically on the first ungrantable disjunct (no grants are
     /// installed in that case).
+    // DEAD-PUB-OK: the paper's disjunctive (∨) subscription, DESIGN.md §7
     pub fn authorize_subscription(
         &self,
         subscriber: &mut Subscriber,

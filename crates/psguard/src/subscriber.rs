@@ -59,6 +59,7 @@ impl Subscriber {
     }
 
     /// Number of installed subscriptions.
+    // DEAD-PUB-OK: observer of all-or-nothing grants (service.rs tests)
     pub fn subscription_count(&self) -> usize {
         self.subscriptions.len()
     }

@@ -49,7 +49,6 @@ pub struct AttackSimConfig {
 #[derive(Debug, Clone)]
 pub struct Observations {
     node_count: u64,
-    total_events: u64,
     /// `events[t][k]`: events of token `t` routed on path system `k`.
     events_per_path: Vec<Vec<u64>>,
     /// `path_nodes[t][k]`: routing-node indices of that path system.
@@ -69,16 +68,6 @@ impl Observations {
     /// `S_max = log₂|Γ|`.
     pub fn s_max(&self) -> f64 {
         self.s_max
-    }
-
-    /// Number of events simulated.
-    pub fn event_count(&self) -> u64 {
-        self.total_events
-    }
-
-    /// Number of independent path systems provisioned for each token.
-    pub fn paths_of(&self, token: usize) -> usize {
-        self.events_per_path[token].len()
     }
 
     /// Non-collusive apparent entropy (see module docs).
@@ -209,7 +198,6 @@ pub fn simulate(config: &AttackSimConfig) -> Result<Observations, MultipathError
 
     Ok(Observations {
         node_count: tree.routing_node_count(),
-        total_events: config.events,
         events_per_path,
         path_nodes,
         s_act: entropy_bits(&config.token_freqs),
@@ -314,8 +302,8 @@ mod tests {
     #[test]
     fn paths_per_token_reflect_popularity() {
         let obs = simulate(&base_config(5)).unwrap();
-        assert_eq!(obs.paths_of(0), 5); // the most popular token
-        assert_eq!(obs.paths_of(127), 1); // the least popular token
+        assert_eq!(obs.events_per_path[0].len(), 5); // the most popular token
+        assert_eq!(obs.events_per_path[127].len(), 1); // the least popular token
     }
 
     #[test]
@@ -344,6 +332,7 @@ mod tests {
         let b = simulate(&base_config(3)).unwrap();
         assert_eq!(a.non_collusive_s_app(), b.non_collusive_s_app());
         assert_eq!(a.collusive_s_app(0.4, 9), b.collusive_s_app(0.4, 9));
-        assert_eq!(a.event_count(), 40_000);
+        let routed: u64 = a.events_per_path.iter().flatten().sum();
+        assert_eq!(routed, 40_000);
     }
 }

@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 
 mod attack;
-mod dedup;
 mod entropy;
 mod multipath;
 mod overlay;
@@ -29,11 +28,8 @@ mod redundant;
 mod secure;
 
 pub use attack::{simulate, AttackSimConfig, Observations};
-pub use dedup::DedupWindow;
 pub use entropy::{entropy_bits, max_entropy_bits, zipf_frequencies, EntropyReport};
 pub use multipath::{MultipathError, MultipathTree, TreeNode};
 pub use overlay::{MultipathOverlay, OverlayReport};
-pub use redundant::{
-    apparent_entropy, flattening_gain, DeliveryReport, PathAssignment, RedundantRouter,
-};
+pub use redundant::{apparent_entropy, DeliveryReport, PathAssignment, RedundantRouter};
 pub use secure::{RoutableTag, SecureEvent, SecureFilter};

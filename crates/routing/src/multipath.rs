@@ -209,30 +209,6 @@ impl MultipathTree {
         Ok(true)
     }
 
-    /// Number of overlay edges needed to support `ind` independent paths:
-    /// every routing node and subscriber keeps its parent edge plus
-    /// `ind − 1` edges to distinct siblings of its parent. This is the
-    /// construction cost sweep of Figure 8.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MultipathError::TooManyPaths`] when `ind > arity`.
-    pub fn edge_count(&self, ind: u8) -> Result<u64, MultipathError> {
-        if ind == 0 || ind > self.arity {
-            return Err(MultipathError::TooManyPaths {
-                requested: ind,
-                arity: self.arity,
-            });
-        }
-        // Level-1 nodes have no distinct "sibling of parent" other than the
-        // root itself; their extra edges are not needed (all level-1 nodes
-        // connect to the publisher directly).
-        let a = self.arity as u64;
-        let level1 = a;
-        let deeper = self.routing_node_count() - level1 + self.leaf_count();
-        Ok(level1 + deeper * ind as u64)
-    }
-
     /// The per-token number of independent paths: `ind_t = τ·λ_t`, capped
     /// at `ind_max` and floored at 1, with `τ = 1/λ_min` so that the most
     /// constrained token still gets one path and apparent frequencies
@@ -296,8 +272,6 @@ mod tests {
             tree.variant_path(&[0, 0], 2),
             Err(MultipathError::TooManyPaths { .. })
         ));
-        assert!(tree.edge_count(3).is_err());
-        assert!(tree.edge_count(0).is_err());
     }
 
     #[test]
@@ -331,15 +305,6 @@ mod tests {
             let back = d.iter().fold(0u64, |acc, &x| acc * 3 + x as u64);
             assert_eq!(back, i);
         }
-    }
-
-    #[test]
-    fn edge_count_grows_linearly_in_ind() {
-        let tree = MultipathTree::new(5, 3).unwrap();
-        let e1 = tree.edge_count(1).unwrap();
-        let e2 = tree.edge_count(2).unwrap();
-        let e5 = tree.edge_count(5).unwrap();
-        assert!(e1 < e2 && e2 < e5);
     }
 
     #[test]

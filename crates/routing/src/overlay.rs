@@ -6,11 +6,11 @@
 //! routing node of the [`MultipathTree`] becomes a simulator node, each
 //! event is forwarded hop by hop along its chosen variant paths through
 //! [`Simulator::send_faulty`], crashed routers swallow arrivals, and the
-//! subscriber suppresses redundant copies with a [`DedupWindow`]. Both
-//! draw the dropping set and the per-event path choices from the same
-//! seeded RNG stream, so for equal `(leaf, drop_fraction, events, seed)`
-//! the two agree event for event — the cross-check that validates the
-//! fault-injection layer against the analytic model.
+//! subscriber suppresses redundant copies with a [`SeqDedup`] keyed by
+//! event id. Both draw the dropping set and the per-event path choices
+//! from the same seeded RNG stream, so for equal `(leaf, drop_fraction,
+//! events, seed)` the two agree event for event — the cross-check that
+//! validates the fault-injection layer against the analytic model.
 
 use std::collections::HashSet;
 
@@ -18,8 +18,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use psguard_net::{FaultPlan, FaultStats, NodeId, SimTime, Simulator, Window};
+use psguard_siena::SeqDedup;
 
-use crate::dedup::DedupWindow;
 use crate::multipath::MultipathError;
 use crate::redundant::RedundantRouter;
 
@@ -82,29 +82,19 @@ impl OverlayReport {
 #[derive(Debug, Clone)]
 pub struct MultipathOverlay {
     router: RedundantRouter,
-    hop_latency_us: SimTime,
-    event_spacing_us: SimTime,
 }
 
-/// Identity under which the publisher's events are deduplicated.
-const PUBLISHER: &str = "P";
+/// Latency of one overlay hop (µs).
+const HOP_LATENCY_US: SimTime = 2_000;
+
+/// Interval between two published events (µs).
+const EVENT_SPACING_US: SimTime = 1_000;
 
 impl MultipathOverlay {
-    /// Wraps a [`RedundantRouter`] with default timing: 2 ms per hop,
-    /// one event published every 1 ms.
+    /// Wraps a [`RedundantRouter`]: 2 ms per hop, one event published
+    /// every 1 ms.
     pub fn new(router: RedundantRouter) -> Self {
-        MultipathOverlay {
-            router,
-            hop_latency_us: 2_000,
-            event_spacing_us: 1_000,
-        }
-    }
-
-    /// Overrides the per-hop latency and the publish interval (µs).
-    pub fn with_timing(mut self, hop_latency_us: SimTime, event_spacing_us: SimTime) -> Self {
-        self.hop_latency_us = hop_latency_us.max(1);
-        self.event_spacing_us = event_spacing_us.max(1);
-        self
+        MultipathOverlay { router }
     }
 
     /// The router whose paths this overlay forwards on.
@@ -150,24 +140,8 @@ impl MultipathOverlay {
         self.run_with_plan(&mut plan, leaf, events, &mut rng)
     }
 
-    /// Disseminates `events` under an arbitrary caller-built [`FaultPlan`]
-    /// (link drops, partitions, timed crash windows…). Path choices are
-    /// drawn from `path_seed`; the plan keeps its own fault stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates path-construction errors for malformed leaves.
-    pub fn run_under(
-        &self,
-        plan: &mut FaultPlan,
-        leaf: &[u8],
-        events: u64,
-        path_seed: u64,
-    ) -> Result<OverlayReport, MultipathError> {
-        let mut rng = StdRng::seed_from_u64(path_seed);
-        self.run_with_plan(plan, leaf, events, &mut rng)
-    }
-
+    /// Disseminates `events` under `plan` (crash windows, link drops…),
+    /// drawing path choices from `rng`.
     fn run_with_plan(
         &self,
         plan: &mut FaultPlan,
@@ -204,13 +178,13 @@ impl MultipathOverlay {
         let mut sim: Simulator<Hop> = Simulator::new();
         let mut path_transmissions = 0u64;
         for event in 0..events {
-            let depart = event * self.event_spacing_us;
+            let depart = event * EVENT_SPACING_US;
             for k in self.router.choose_paths(rng) {
                 path_transmissions += 1;
                 let dst = NodeId(paths[k as usize][1] as u32);
                 for jitter in plan.transmit(root, dst, depart).iter() {
                     sim.schedule_at(
-                        depart + self.hop_latency_us + jitter,
+                        depart + HOP_LATENCY_US + jitter,
                         dst,
                         Hop {
                             event,
@@ -224,8 +198,9 @@ impl MultipathOverlay {
 
         // Forwarding phase: routers relay copies hop by hop; crashed
         // routers swallow arrivals; the subscriber deduplicates.
-        let mut dedup = DedupWindow::new(4 * ind as usize * (depth + 2));
+        let mut dedup = SeqDedup::new(4 * ind as usize * (depth + 2));
         let mut delivered = 0u64;
+        let mut duplicates = 0u64;
         let mut blocked = 0u64;
         let max_events = events
             .saturating_mul(ind as u64)
@@ -234,8 +209,10 @@ impl MultipathOverlay {
         sim.run(max_events, |sim, d| {
             let Hop { event, path, pos } = d.msg;
             if d.dst == subscriber {
-                if dedup.first_seen(PUBLISHER, event) {
+                if dedup.first_seen(event) {
                     delivered += 1;
+                } else {
+                    duplicates += 1;
                 }
                 return;
             }
@@ -253,7 +230,7 @@ impl MultipathOverlay {
                 plan,
                 d.dst,
                 dst,
-                self.hop_latency_us,
+                HOP_LATENCY_US,
                 Hop {
                     event,
                     path,
@@ -265,7 +242,7 @@ impl MultipathOverlay {
         Ok(OverlayReport {
             sent: events,
             delivered,
-            duplicates_suppressed: dedup.duplicates(),
+            duplicates_suppressed: duplicates,
             blocked_at_crashed: blocked,
             path_transmissions,
             completed_at_us: sim.now(),
@@ -327,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn run_under_timed_crash_window_recovers() {
+    fn timed_crash_window_recovers() {
         // Crash every level-1 router for the first half of the run: early
         // events are lost on all variants, later ones get through.
         let ov = overlay(3, 2, 3, 3);
@@ -337,19 +314,21 @@ mod tests {
         for idx in 1..=3u32 {
             plan.add_crash(NodeId(idx), Window::new(0, 52_000));
         }
-        let r = ov.run_under(&mut plan, &leaf, 100, 11).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        let r = ov.run_with_plan(&mut plan, &leaf, 100, &mut rng).unwrap();
         assert!(r.delivered > 0, "post-restart events must arrive");
         assert!(r.delivered < 100, "pre-restart events must be lost");
         assert!(r.blocked_at_crashed > 0);
     }
 
     #[test]
-    fn run_under_link_drops_degrades_but_delivers() {
+    fn link_drops_degrade_but_deliver() {
         let ov = overlay(3, 2, 3, 3);
         let tree = MultipathTree::new(3, 2).unwrap();
         let leaf = tree.leaf_digits(7);
         let mut plan = FaultPlan::new(5).with_default_link_faults(LinkFaults::drops(0.3));
-        let r = ov.run_under(&mut plan, &leaf, 200, 5).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let r = ov.run_with_plan(&mut plan, &leaf, 200, &mut rng).unwrap();
         assert!(r.fault_stats.dropped > 0);
         assert!(r.delivered > 0, "three disjoint paths should beat 30% loss");
         assert!(r.delivered < 200, "lossy links must cost something");

@@ -4,8 +4,8 @@
 //! * **Assignment ablation** — the paper sets `ind_t ∝ λ_t`. The obvious
 //!   alternative, giving *every* token `ind_max` paths, costs the same
 //!   overlay but flattens nothing: each router then sees `λ_t/ind_max`,
-//!   which is just the true distribution rescaled. [`flattening_gain`]
-//!   quantifies the difference.
+//!   which is just the true distribution rescaled. [`apparent_entropy`]
+//!   under each [`PathAssignment`] quantifies the difference.
 //! * **Redundant routing** — the paper notes the scheme "could easily be
 //!   extended to route an event on two or more independent paths (in
 //!   parallel)", trading bandwidth for resilience against
@@ -49,13 +49,6 @@ pub fn apparent_entropy(frequencies: &[f64], ind_max: u8, policy: PathAssignment
         .map(|(&f, &i)| f / i as f64)
         .collect();
     entropy_bits(&apparent)
-}
-
-/// How many bits of apparent entropy proportional assignment gains over
-/// uniform assignment at equal `ind_max` — the ablation headline.
-pub fn flattening_gain(frequencies: &[f64], ind_max: u8) -> f64 {
-    apparent_entropy(frequencies, ind_max, PathAssignment::Proportional)
-        - apparent_entropy(frequencies, ind_max, PathAssignment::Uniform)
 }
 
 /// Redundant dissemination: each event is sent on `replicas` of the
@@ -201,6 +194,13 @@ mod tests {
         let uniform = apparent_entropy(&freqs, 5, PathAssignment::Uniform);
         let true_h = entropy_bits(&freqs);
         assert!((uniform - true_h).abs() < 1e-9, "uniform = rescaled truth");
+    }
+
+    /// Bits of apparent entropy proportional assignment gains over
+    /// uniform assignment at equal `ind_max`.
+    fn flattening_gain(frequencies: &[f64], ind_max: u8) -> f64 {
+        apparent_entropy(frequencies, ind_max, PathAssignment::Proportional)
+            - apparent_entropy(frequencies, ind_max, PathAssignment::Uniform)
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! [`CostModel`], so the same engine measures baseline Siena (zero crypto
 //! cost) and PSGuard (measured crypto costs) under identical conditions.
 
-use std::collections::HashMap;
-
 use psguard_net::{NodeId, SimTime, Simulator, Topology, TransitStubConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -67,17 +65,6 @@ pub struct EngineConfig {
     pub subscribers: u32,
     /// RNG seed (topology mapping and subscriber placement).
     pub seed: u64,
-}
-
-impl EngineConfig {
-    /// The paper's setup: 32 subscribers, the given broker-tree size.
-    pub fn paper(broker_nodes: u32, seed: u64) -> Self {
-        EngineConfig {
-            broker_nodes,
-            subscribers: 32,
-            seed,
-        }
-    }
 }
 
 /// Result of one run at a fixed publication rate.
@@ -249,11 +236,6 @@ where
             node = parent;
             actions = self.brokers[node].subscribe(from, f);
         }
-    }
-
-    /// Total subscriptions registered across all brokers (covering tables).
-    pub fn table_sizes(&self) -> Vec<usize> {
-        self.brokers.iter().map(|b| b.table().len()).collect()
     }
 
     /// Runs a workload with deterministic (fixed-interval) arrivals:
@@ -499,20 +481,6 @@ where
     pub fn broker_stats(&self) -> Vec<crate::broker::BrokerStats> {
         self.brokers.iter().map(|b| b.stats()).collect()
     }
-
-    /// The broker index each subscriber attaches to (leaf assignment).
-    pub fn attachments(&self) -> &[usize] {
-        &self.attach
-    }
-
-    /// Histogram of leaf attachment counts, for sanity checks.
-    pub fn attachment_histogram(&self) -> HashMap<usize, usize> {
-        let mut h = HashMap::new();
-        for &a in &self.attach {
-            *h.entry(a).or_insert(0) += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -582,7 +550,7 @@ mod tests {
         for c in 0..8 {
             eng.subscribe(c, Filter::for_topic("t"));
         }
-        let sizes = eng.table_sizes();
+        let sizes: Vec<usize> = eng.brokers.iter().map(|b| b.table().len()).collect();
         // The root sees at most one forwarded filter per child, not one
         // per subscriber.
         assert!(sizes[0] <= 2, "root table: {sizes:?}");
@@ -642,7 +610,10 @@ mod tests {
     #[test]
     fn subscribers_spread_over_leaves() {
         let eng = mk_engine(6);
-        let hist = eng.attachment_histogram();
+        let mut hist = std::collections::HashMap::new();
+        for &a in &eng.attach {
+            *hist.entry(a).or_insert(0) += 1;
+        }
         // 6 brokers → leaves are nodes 3..=6 (4 leaves), 8 subscribers → 2 each.
         assert_eq!(hist.len(), 4);
         assert!(hist.values().all(|&c| c == 2), "{hist:?}");

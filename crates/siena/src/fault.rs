@@ -210,10 +210,9 @@ impl FaultRunReport {
     }
 }
 
-/// A bounded first-seen window over event sequence numbers — the
-/// engine-side counterpart of `psguard_routing::DedupWindow` (that crate
-/// sits above this one, so the sliding-window design is restated here for
-/// `u64` keys rather than imported).
+/// A bounded first-seen window over event sequence numbers: a node's
+/// duplicate suppression in the faulty overlay run, and the subscriber's
+/// in `psguard_routing::MultipathOverlay`.
 #[derive(Debug, Clone, Default)]
 pub struct SeqDedup {
     capacity: usize,
@@ -853,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn seq_dedup_window_behaves_like_routing_dedup() {
+    fn seq_dedup_window_expires_oldest_and_zero_capacity_disables() {
         let mut w = SeqDedup::new(2);
         assert!(w.first_seen(1));
         assert!(!w.first_seen(1));
@@ -1081,7 +1080,7 @@ mod tests {
         // Clients under broker 1 receive events published well after heal.
         let healed_clients: Vec<u32> = (0..4u32)
             .filter(|&c| {
-                let mut n = eng.attachments()[c as usize];
+                let mut n = eng.attach[c as usize];
                 loop {
                     if n == 1 {
                         return true;

@@ -21,9 +21,9 @@
 //!   `write_vectored`, amortizing one syscall over every frame queued
 //!   since the writer last woke up.
 //!
-//! The bytes on the socket are identical to the classic
-//! [`write_frame`](crate::wire::write_frame) path — only the copy count
-//! changes. Ownership rule: a buffer belongs to exactly one of (a) the
+//! The bytes on the socket are the classic `[u32 BE length ‖ payload]`
+//! frame that [`read_frame_into`](crate::wire::read_frame_into) parses —
+//! only the copy count changes. Ownership rule: a buffer belongs to exactly one of (a) the
 //! pool's free list, (b) a live [`Frame`]; `Frame::drop` moves it from
 //! (b) back to (a) unless the buffer outgrew the retention cap, in which
 //! case it is simply freed.
@@ -154,11 +154,6 @@ impl FramePool {
             reused_buffers: self.inner.reused_buffers.load(Ordering::Relaxed),
         }
     }
-
-    /// Buffers currently idle on the free list.
-    pub fn idle_buffers(&self) -> usize {
-        self.inner.free.lock().len()
-    }
 }
 
 /// One encoded wire frame: `[u32 BE length ‖ payload]` in a single
@@ -221,7 +216,7 @@ const MAX_BATCH_SLICES: usize = 64;
 /// nonblocking writers call it once per readiness event and keep the
 /// cursor in their per-connection state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrameWriteCursor {
+pub(crate) struct FrameWriteCursor {
     /// First frame not yet fully written.
     idx: usize,
     /// Bytes of `frames[idx]` already written.
@@ -230,18 +225,18 @@ pub struct FrameWriteCursor {
 
 impl FrameWriteCursor {
     /// A cursor at the start of a batch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// True once every byte of `frames` has been written through this
     /// cursor.
-    pub fn done(&self, frames: &[SharedFrame]) -> bool {
+    pub(crate) fn done(&self, frames: &[SharedFrame]) -> bool {
         self.idx >= frames.len()
     }
 
     /// Number of frames fully written so far.
-    pub fn frames_done(&self) -> usize {
+    pub(crate) fn frames_done(&self) -> usize {
         self.idx
     }
 
@@ -256,7 +251,7 @@ impl FrameWriteCursor {
     ///
     /// Propagates I/O errors; returns `WriteZero` if the writer accepts
     /// zero bytes for a non-empty frame.
-    pub fn write_step<W: Write>(
+    pub(crate) fn write_step<W: Write>(
         &mut self,
         w: &mut W,
         frames: &[SharedFrame],
@@ -311,8 +306,8 @@ impl FrameWriteCursor {
 /// piggyback on pending event flushes instead of paying their own
 /// syscall.
 ///
-/// This is the blocking-writer convenience over [`FrameWriteCursor`]:
-/// it loops [`FrameWriteCursor::write_step`] until the batch is out.
+/// This is the blocking-writer convenience over the reactor's resumable
+/// write cursor: it loops one vectored write step until the batch is out.
 ///
 /// # Errors
 ///
@@ -331,10 +326,22 @@ pub fn write_frames<W: Write>(w: &mut W, frames: &[SharedFrame]) -> std::io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_frame, write_frame, Message, Wire};
+    use crate::wire::{read_frame_into, Message, Wire};
     use psguard_model::{Event, Filter};
 
     type Msg = Message<Filter, Event>;
+
+    /// The next frame's payload from `r`.
+    fn next_payload(r: &mut impl std::io::Read) -> Vec<u8> {
+        let mut payload = Vec::new();
+        read_frame_into(r, &mut payload).unwrap();
+        payload
+    }
+
+    /// Buffers idle on the pool's free list.
+    fn idle_buffers(pool: &FramePool) -> usize {
+        pool.inner.free.lock().len()
+    }
 
     fn publish(payload: Vec<u8>) -> Msg {
         Message::Publish(Event::builder("t").payload(payload).build())
@@ -375,13 +382,14 @@ mod tests {
         let msg = publish(vec![7u8; 33]);
         let frame = pool.encode(&msg);
 
-        let mut classic = Vec::new();
-        write_frame(&mut classic, &msg.to_bytes()).unwrap();
+        let payload = msg.to_bytes();
+        let mut classic = (payload.len() as u32).to_be_bytes().to_vec();
+        classic.extend_from_slice(&payload);
         assert_eq!(frame.wire_bytes(), &classic[..], "on-socket bytes differ");
-        assert_eq!(frame.payload(), &msg.to_bytes()[..]);
+        assert_eq!(frame.payload(), &payload[..]);
 
         let mut cursor = std::io::Cursor::new(frame.wire_bytes().to_vec());
-        let decoded = Msg::from_bytes(&read_frame(&mut cursor).unwrap()).unwrap();
+        let decoded = Msg::from_bytes(&next_payload(&mut cursor)).unwrap();
         assert_eq!(decoded, msg);
     }
 
@@ -396,7 +404,7 @@ mod tests {
         assert_eq!(stats.frames_encoded, 10);
         assert_eq!(stats.fresh_buffers, 1, "{stats:?}");
         assert_eq!(stats.reused_buffers, 9, "{stats:?}");
-        assert_eq!(pool.idle_buffers(), 1);
+        assert_eq!(idle_buffers(&pool), 1);
     }
 
     #[test]
@@ -405,18 +413,18 @@ mod tests {
         let frame = pool.encode(&publish(vec![2u8; 50]));
         let clones: Vec<SharedFrame> = (0..64).map(|_| frame.clone()).collect();
         drop(frame);
-        assert_eq!(pool.idle_buffers(), 0, "clones still hold the buffer");
+        assert_eq!(idle_buffers(&pool), 0, "clones still hold the buffer");
         drop(clones);
-        assert_eq!(pool.idle_buffers(), 1, "last drop returns the buffer");
+        assert_eq!(idle_buffers(&pool), 1, "last drop returns the buffer");
     }
 
     #[test]
     fn oversized_buffers_are_not_retained() {
         let pool = FramePool::with_limits(8, 128);
         drop(pool.encode(&publish(vec![0u8; 4096])));
-        assert_eq!(pool.idle_buffers(), 0);
+        assert_eq!(idle_buffers(&pool), 0);
         drop(pool.encode(&publish(vec![0u8; 16])));
-        assert_eq!(pool.idle_buffers(), 1);
+        assert_eq!(idle_buffers(&pool), 1);
     }
 
     #[test]
@@ -430,16 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn write_frame_is_one_vectored_write() {
-        let mut w = CountingWriter::default();
-        write_frame(&mut w, b"hello").unwrap();
-        assert_eq!(w.vectored_writes, 1);
-        assert_eq!(w.writes, 0);
-        let mut cursor = std::io::Cursor::new(w.bytes);
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"hello");
-    }
-
-    #[test]
     fn multi_frame_batch_coalesces_into_one_vectored_write() {
         let pool = FramePool::new();
         let frames: Vec<SharedFrame> = (0..5)
@@ -450,7 +448,7 @@ mod tests {
         assert_eq!(w.vectored_writes, 1, "5 frames, one coalesced write");
         let mut cursor = std::io::Cursor::new(w.bytes);
         for f in &frames {
-            assert_eq!(read_frame(&mut cursor).unwrap(), f.payload());
+            assert_eq!(next_payload(&mut cursor), f.payload());
         }
     }
 
@@ -500,16 +498,8 @@ mod tests {
             write_frames(&mut w, &frames).unwrap();
             let mut cursor = std::io::Cursor::new(w.bytes);
             for f in &frames {
-                assert_eq!(read_frame(&mut cursor).unwrap(), f.payload(), "cap={cap}");
+                assert_eq!(next_payload(&mut cursor), f.payload(), "cap={cap}");
             }
-
-            let mut w = Trickle {
-                bytes: Vec::new(),
-                cap,
-            };
-            write_frame(&mut w, b"trickled-payload").unwrap();
-            let mut cursor = std::io::Cursor::new(w.bytes);
-            assert_eq!(read_frame(&mut cursor).unwrap(), b"trickled-payload");
         }
     }
 
@@ -524,7 +514,7 @@ mod tests {
         assert_eq!(w.vectored_writes, 2, "64-slice window → two writes");
         let mut cursor = std::io::Cursor::new(w.bytes);
         for f in &frames {
-            assert_eq!(read_frame(&mut cursor).unwrap(), f.payload());
+            assert_eq!(next_payload(&mut cursor), f.payload());
         }
     }
 
@@ -598,7 +588,7 @@ mod tests {
             assert_eq!(cursor.frames_done(), frames.len());
             let mut cursor_bytes = std::io::Cursor::new(w.bytes);
             for f in &frames {
-                assert_eq!(read_frame(&mut cursor_bytes).unwrap(), f.payload());
+                assert_eq!(next_payload(&mut cursor_bytes), f.payload());
             }
         }
     }

@@ -905,6 +905,7 @@ impl<F: IndexableFilter> MatchIndex<F> {
 
     /// Distinct routing keys ever interned (buckets are reused, never
     /// dropped, so this also bounds probe work).
+    // DEAD-PUB-OK: observer of token interning (secure_index_props.rs)
     pub fn distinct_keys(&self) -> usize {
         self.keys.len()
     }
@@ -1133,6 +1134,7 @@ impl<F: IndexableFilter> MatchIndex<F> {
     /// Test hook: forces the query generation so the u32 stamp
     /// wraparound path is reachable without 2^32 queries.
     #[doc(hidden)]
+    // DEAD-PUB-OK: test seam for the generation-stamp wraparound
     pub fn set_generation_for_tests(&mut self, generation: u32) {
         self.generation = generation;
     }

@@ -53,15 +53,14 @@ pub use error::TcpError;
 pub use fault::{
     DeliveryRecord, FaultConfig, FaultRunReport, RecoveryConfig, Revocation, SeqDedup,
 };
-pub use frame::{write_frames, Frame, FramePool, FramePoolStats, FrameWriteCursor, SharedFrame};
+pub use frame::{write_frames, Frame, FramePool, FramePoolStats, SharedFrame};
 pub use index::{EntryId, IndexableFilter, KeyQuery, MatchIndex, MatchStats};
 pub use log::{
     Cursor, EventLog, LogConfig, LogError, LogStats, RecoveryReport, ReplayCursor, ResumeOutcome,
 };
 pub use reactor::{
     spawn_broker, spawn_broker_durable, spawn_broker_with, ClientReactor, OverflowPolicy,
-    PollWaker, Poller, ReactorClient, ScanPoller, TcpBroker, TcpClient, TcpConfig, TcpStats,
-    MAX_WORKERS,
+    ReactorClient, TcpBroker, TcpClient, TcpConfig, TcpStats,
 };
 pub use semantics::FilterSemantics;
 pub use wire::{Message, Wire, WireError};

@@ -291,6 +291,7 @@ impl EventLog {
     ///
     /// [`LogError::Io`] when the directory or a segment cannot be read
     /// or repaired.
+    // DEAD-PUB-OK: fault seam for the log-recovery tests
     pub fn open_with_faults(
         cfg: LogConfig,
         faults: FaultPlan,
@@ -393,6 +394,7 @@ impl EventLog {
 
     /// Whether a write-path failure has poisoned the log (reopen to
     /// recover).
+    // DEAD-PUB-OK: observer of write-path poisoning (log_recovery.rs)
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }

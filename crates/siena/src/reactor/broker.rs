@@ -6,7 +6,7 @@
 //! capped at [`MAX_WORKERS`]). Accepted connections are sharded across
 //! workers by token (`id % workers`); each worker drives its shard's
 //! nonblocking read/decode and coalesced-write state machines off a
-//! [`Poller`](super::poller::Poller).
+//! [`ScanPoller`](super::poller::ScanPoller).
 //!
 //! The pure [`Broker`] matching engine lives in exactly one thread —
 //! the dispatcher — which also owns heartbeat ticks, eviction, and the
@@ -27,7 +27,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 
 use super::config::{StatsInner, TcpConfig, TcpStats};
 use super::conn::OutQueue;
-use super::poller::{Poller, ScanPoller, DEFAULT_MAX_PARK};
+use super::poller::{ScanPoller, DEFAULT_MAX_PARK};
 use super::worker::{run_broker_worker, WorkerHandle, WorkerMsg};
 use crate::broker::{Action, Broker, Peer};
 use crate::error::TcpError;
@@ -106,6 +106,7 @@ impl TcpBroker {
     /// publish fanned out to N peers bumps `frames_encoded` by one per
     /// frame flavour it needs (plain and/or stamped), never per peer —
     /// the instrumentation the encode-once tests assert on.
+    // DEAD-PUB-OK: observer of encode-once fan-out (tcp_transport.rs)
     pub fn pool_stats(&self) -> FramePoolStats {
         self.pool.stats()
     }
@@ -233,7 +234,7 @@ where
     // The fixed worker pool.
     let mut handles: Vec<WorkerHandle> = Vec::with_capacity(nworkers);
     for _ in 0..nworkers {
-        let poller: Box<dyn Poller> = Box::new(ScanPoller::new(DEFAULT_MAX_PARK));
+        let poller = ScanPoller::new(DEFAULT_MAX_PARK);
         let waker = poller.waker();
         let (wtx, wrx) = unbounded::<WorkerMsg>();
         let dispatch_tx = tx.clone();

@@ -203,11 +203,6 @@ where
             waker: self.waker.clone(),
         })
     }
-
-    /// Frame-pool counters for this reactor's outbound encode path.
-    pub fn pool_stats(&self) -> FramePoolStats {
-        self.pool.stats()
-    }
 }
 
 impl<F: FilterSemantics> Drop for ClientReactor<F> {
@@ -378,6 +373,7 @@ where
     }
 
     /// Frame-pool counters for the reactor's outbound encode path.
+    // DEAD-PUB-OK: observer of encode-once fan-out (tcp_transport.rs)
     pub fn pool_stats(&self) -> FramePoolStats {
         self.pool.stats()
     }

@@ -411,15 +411,16 @@ mod tests {
         assert!(progress);
         assert_eq!(status, ConnStatus::Open);
         let mut rclient = client.try_clone().unwrap();
-        let got1 = crate::wire::read_frame(&mut rclient).unwrap();
-        let got2 = crate::wire::read_frame(&mut rclient).unwrap();
-        assert_eq!(Msg::from_bytes(&got1).unwrap(), m1);
-        assert_eq!(Msg::from_bytes(&got2).unwrap(), m2);
+        let mut got = Vec::new();
+        crate::wire::read_frame_into(&mut rclient, &mut got).unwrap();
+        assert_eq!(Msg::from_bytes(&got).unwrap(), m1);
+        crate::wire::read_frame_into(&mut rclient, &mut got).unwrap();
+        assert_eq!(Msg::from_bytes(&got).unwrap(), m2);
 
         // Read side: send a frame in two halves; the first pump parses
         // nothing, the second completes it.
-        let mut wire = Vec::new();
-        crate::wire::write_frame(&mut wire, &m2.to_bytes()).unwrap();
+        let frame = pool.encode(&m2);
+        let wire = frame.wire_bytes();
         let split = wire.len() / 2;
         let mut wclient = client.try_clone().unwrap();
         wclient.write_all(&wire[..split]).unwrap();
@@ -461,7 +462,9 @@ mod tests {
         let (client2, server2) = pair();
         let mut conn2 = Conn::new(server2, OutQueue::new(4)).unwrap();
         let mut w2 = client2.try_clone().unwrap();
-        crate::wire::write_frame(&mut w2, &[0xde, 0xad, 0xbe, 0xef]).unwrap();
+        let garbage = [0xde, 0xad, 0xbe, 0xef];
+        w2.write_all(&(garbage.len() as u32).to_be_bytes()).unwrap();
+        w2.write_all(&garbage).unwrap();
         std::thread::sleep(Duration::from_millis(30));
         let (_, status) = conn2.pump_reads::<Filter>(&mut scratch, &mut |_| true);
         assert_eq!(status, ConnStatus::Dead, "garbage payload must kill");

@@ -1,8 +1,8 @@
 //! The TCP transport: a readiness-driven reactor speaking the framed
 //! [`wire`](crate::wire) protocol.
 //!
-//! Sockets are nonblocking, readiness comes from a pluggable
-//! [`Poller`], and a *fixed* worker pool drives every connection's
+//! Sockets are nonblocking, readiness comes from a scanning poller, and
+//! a *fixed* worker pool drives every connection's
 //! read/decode/match/write state machine. The broker's thread count and
 //! per-connection memory are decided at spawn time and stay flat as
 //! connections grow from tens to tens of thousands; the client side
@@ -35,8 +35,8 @@
 //! Layout:
 //!
 //! * `config` — [`TcpConfig`], [`OverflowPolicy`], [`TcpStats`].
-//! * `poller` — the [`Poller`] trait, the zero-`unsafe` [`ScanPoller`]
-//!   default backend, and the [`PollWaker`] cross-thread wakeup.
+//! * `poller` — the zero-`unsafe` `ScanPoller` readiness loop and the
+//!   `PollWaker` cross-thread wakeup.
 //! * `conn` — per-connection state: bounded outbound queue, resumable
 //!   coalesced-write cursor, incremental frame parser.
 //! * `worker` — the broker worker loop (one thread, many connections).
@@ -61,4 +61,3 @@ mod worker;
 pub use broker::{spawn_broker, spawn_broker_durable, spawn_broker_with, TcpBroker, MAX_WORKERS};
 pub use client::{ClientReactor, ReactorClient, TcpClient};
 pub use config::{OverflowPolicy, TcpConfig, TcpStats};
-pub use poller::{PollWaker, Poller, ScanPoller};

@@ -1,24 +1,23 @@
-//! Readiness polling behind a trait: the reactor's OS-facing seam.
+//! Readiness polling: the reactor's OS-facing loop.
 //!
 //! The workspace forbids `unsafe` and vendors no FFI bindings, so there
-//! is no `epoll`/`kqueue` backend here. Instead the default
-//! [`ScanPoller`] approximates readiness: it reports *every* registered
-//! connection as potentially ready and relies on nonblocking sockets to
-//! make a no-op scan cheap (a `read`/`write` that would block returns
-//! `WouldBlock` immediately). To keep an idle broker off the CPU, the
-//! scan parks adaptively — consecutive no-progress scans grow the park
-//! interval by 5/4 each up to a cap (`park_interval`), and any
-//! cross-thread event (frames queued, a new connection, shutdown) cuts
-//! the park short through a [`PollWaker`].
+//! is no `epoll`/`kqueue` backend here. Instead [`ScanPoller`]
+//! approximates readiness: it reports *every* registered connection as
+//! potentially ready and relies on nonblocking sockets to make a no-op
+//! scan cheap (a `read`/`write` that would block returns `WouldBlock`
+//! immediately). To keep an idle broker off the CPU, the scan parks
+//! adaptively — consecutive no-progress scans grow the park interval by
+//! 5/4 each up to a cap (`park_interval`), and any cross-thread event
+//! (frames queued, a new connection, shutdown) cuts the park short
+//! through a [`PollWaker`].
 //!
-//! The trait contract is deliberately level-triggered and conservative:
-//! `wait` may over-report (tokens that turn out not to be ready cost one
+//! The contract is deliberately level-triggered and conservative: `wait`
+//! may over-report (tokens that turn out not to be ready cost one
 //! `WouldBlock` each) but must never under-report — every token whose
 //! socket or outbound queue may have become actionable since the last
 //! call must appear in `ready`. An `epoll`-style backend would sharpen
 //! the same contract (kernel-filtered ready sets + an eventfd-style
-//! waker) behind this trait without touching the workers; see DESIGN.md
-//! §14 for the tradeoff discussion.
+//! waker) by replacing `ScanPoller`'s body; see DESIGN.md §14.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -75,19 +74,19 @@ struct WakeInner {
 /// unparks, and `std::thread`'s unpark permit covers the window between
 /// the poller's flag check and its park.
 #[derive(Debug, Clone, Default)]
-pub struct PollWaker {
+pub(crate) struct PollWaker {
     inner: Arc<WakeInner>,
 }
 
 impl PollWaker {
     /// A waker not yet attached to any thread (attaching happens on the
     /// poller's first wait).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Requests a wakeup: the next (or current) park returns promptly.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         self.inner.pending.store(true, Ordering::SeqCst);
         if let Some(t) = self.inner.thread.lock().as_ref() {
             t.unpark();
@@ -95,46 +94,29 @@ impl PollWaker {
     }
 
     /// Records the calling thread as the one `wake` should unpark.
-    pub fn attach_current_thread(&self) {
+    pub(crate) fn attach_current_thread(&self) {
         *self.inner.thread.lock() = Some(std::thread::current());
     }
 
     /// Consumes a pending wakeup, returning whether one was set.
-    pub fn take_pending(&self) -> bool {
+    pub(crate) fn take_pending(&self) -> bool {
         self.inner.pending.swap(false, Ordering::SeqCst)
     }
 }
 
-/// The reactor's readiness source. One poller instance belongs to one
-/// worker thread; `register`/`deregister`/`wait` are called only from
-/// that thread, while the [`PollWaker`] returned by `waker` may be
-/// invoked from anywhere.
-///
-/// Contract: `wait` fills `ready` with every token that may be
-/// actionable (socket readable/writable, outbound queue non-empty or
-/// newly closed) — over-reporting is allowed, under-reporting is not —
-/// and blocks at most briefly (bounded by the implementation's park
-/// cap) when nothing has happened. `note_progress(false)` tells the
-/// poller the last batch produced no work, letting it back off.
-pub trait Poller: Send {
-    /// Starts tracking a connection token.
-    fn register(&mut self, token: u32);
-    /// Stops tracking a connection token.
-    fn deregister(&mut self, token: u32);
-    /// Fills `ready` with possibly-actionable tokens, parking briefly
-    /// first when the recent past was idle and no wakeup is pending.
-    fn wait(&mut self, ready: &mut Vec<u32>);
-    /// Feedback from the worker: did the last ready batch yield any
-    /// actual I/O progress?
-    fn note_progress(&mut self, progress: bool);
-    /// A handle other threads use to cut the next park short.
-    fn waker(&self) -> PollWaker;
-}
-
-/// The default zero-`unsafe` poller: a sharded nonblocking scan with
+/// The reactor's readiness source: a sharded nonblocking scan with
 /// adaptive parking (see the module docs for the design rationale).
+///
+/// One poller belongs to one worker thread; `register`/`deregister`/
+/// `wait` are called only from that thread, while the [`PollWaker`]
+/// returned by `waker` may be invoked from anywhere. `wait` fills
+/// `ready` with every token that may be actionable (socket
+/// readable/writable, outbound queue non-empty or newly closed) —
+/// over-reporting is allowed, under-reporting is not — and blocks at
+/// most `max_park` when nothing has happened. `note_progress(false)`
+/// tells the poller the last batch produced no work, letting it back off.
 #[derive(Debug)]
-pub struct ScanPoller {
+pub(crate) struct ScanPoller {
     tokens: Vec<u32>,
     waker: PollWaker,
     /// Consecutive no-progress scans (saturating); drives the park
@@ -146,7 +128,7 @@ pub struct ScanPoller {
 
 impl ScanPoller {
     /// A scan poller whose adaptive park grows up to `max_park`.
-    pub fn new(max_park: Duration) -> Self {
+    pub(crate) fn new(max_park: Duration) -> Self {
         ScanPoller {
             tokens: Vec::new(),
             waker: PollWaker::new(),
@@ -156,37 +138,23 @@ impl ScanPoller {
         }
     }
 
-    /// Registered token count.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// True when no tokens are registered.
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-}
-
-impl Default for ScanPoller {
-    fn default() -> Self {
-        Self::new(DEFAULT_MAX_PARK)
-    }
-}
-
-impl Poller for ScanPoller {
-    fn register(&mut self, token: u32) {
+    /// Starts tracking a connection token.
+    pub(crate) fn register(&mut self, token: u32) {
         self.tokens.push(token);
         // A fresh connection is actionable immediately.
         self.idle_streak = 0;
     }
 
-    fn deregister(&mut self, token: u32) {
+    /// Stops tracking a connection token.
+    pub(crate) fn deregister(&mut self, token: u32) {
         if let Some(pos) = self.tokens.iter().position(|&t| t == token) {
             self.tokens.swap_remove(pos);
         }
     }
 
-    fn wait(&mut self, ready: &mut Vec<u32>) {
+    /// Fills `ready` with possibly-actionable tokens, parking briefly
+    /// first when the recent past was idle and no wakeup is pending.
+    pub(crate) fn wait(&mut self, ready: &mut Vec<u32>) {
         if !self.attached {
             self.waker.attach_current_thread();
             self.attached = true;
@@ -199,7 +167,9 @@ impl Poller for ScanPoller {
         ready.extend_from_slice(&self.tokens);
     }
 
-    fn note_progress(&mut self, progress: bool) {
+    /// Feedback from the worker: did the last ready batch yield any
+    /// actual I/O progress?
+    pub(crate) fn note_progress(&mut self, progress: bool) {
         if progress {
             self.idle_streak = 0;
         } else {
@@ -207,7 +177,8 @@ impl Poller for ScanPoller {
         }
     }
 
-    fn waker(&self) -> PollWaker {
+    /// A handle other threads use to cut the next park short.
+    pub(crate) fn waker(&self) -> PollWaker {
         self.waker.clone()
     }
 }
@@ -219,11 +190,10 @@ mod tests {
 
     #[test]
     fn scan_poller_reports_all_registered_tokens() {
-        let mut p = ScanPoller::default();
+        let mut p = ScanPoller::new(DEFAULT_MAX_PARK);
         p.register(1);
         p.register(2);
         p.register(7);
-        assert_eq!(p.len(), 3);
         let mut ready = Vec::new();
         p.wait(&mut ready);
         ready.sort_unstable();
@@ -233,7 +203,6 @@ mod tests {
         p.wait(&mut ready);
         ready.sort_unstable();
         assert_eq!(ready, vec![1, 7]);
-        assert!(!p.is_empty());
     }
 
     #[test]

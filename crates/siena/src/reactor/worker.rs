@@ -1,6 +1,6 @@
 //! Reactor worker: one thread driving many connections.
 //!
-//! Each worker owns a [`Poller`] plus a map of [`Conn`] state machines
+//! Each worker owns a [`ScanPoller`] plus a map of [`Conn`] state machines
 //! and loops over *readiness*, not peers: drain control messages (new
 //! connections, shutdown), ask the poller which tokens may be
 //! actionable, and pump each one's write then read side without ever
@@ -19,7 +19,7 @@ use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use super::broker::Input;
 use super::config::StatsInner;
 use super::conn::{Conn, ConnStatus, OutQueue};
-use super::poller::{PollWaker, Poller};
+use super::poller::{PollWaker, ScanPoller};
 use crate::semantics::FilterSemantics;
 use crate::wire::Wire;
 
@@ -74,7 +74,7 @@ impl WorkerHandle {
 
 /// Body of one broker worker thread.
 pub(crate) fn run_broker_worker<F>(
-    mut poller: Box<dyn Poller>,
+    mut poller: ScanPoller,
     rx: Receiver<WorkerMsg>,
     dispatch_tx: Sender<Input<F>>,
     stats: Arc<StatsInner>,

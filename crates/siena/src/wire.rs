@@ -563,67 +563,11 @@ impl<F: Wire, E: Wire> Wire for Message<F, E> {
     }
 }
 
-/// Writes one length-prefixed frame as a *single* coalesced write: prefix
-/// and payload go out through one `write_vectored` call (one syscall on
-/// socket writers) instead of two sequential `write_all`s. Partial writes
-/// are completed with follow-up calls, so the function is correct for any
-/// writer.
-///
-/// The steady-state dissemination path avoids even the vectored pair by
-/// encoding the prefix into the same buffer as the payload — see
-/// [`FramePool`](crate::FramePool) — and lands here only for handshake
-/// and test traffic.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_frame<W: std::io::Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    let prefix = (payload.len() as u32).to_be_bytes();
-    // Two logical segments, one coalesced write. `written` tracks progress
-    // across the concatenation [prefix ‖ payload] so partial vectored
-    // writes resume mid-segment.
-    let total = 4 + payload.len();
-    let mut written = 0usize;
-    while written < total {
-        let bufs: [std::io::IoSlice<'_>; 2] = if written < 4 {
-            [
-                std::io::IoSlice::new(&prefix[written..]),
-                std::io::IoSlice::new(payload),
-            ]
-        } else {
-            [
-                std::io::IoSlice::new(&payload[written - 4..]),
-                std::io::IoSlice::new(&[]),
-            ]
-        };
-        let n = w.write_vectored(&bufs)?;
-        if n == 0 {
-            return Err(std::io::ErrorKind::WriteZero.into());
-        }
-        written += n;
-    }
-    w.flush()
-}
-
 fn frame_too_large(len: usize) -> std::io::Error {
     std::io::Error::new(
         std::io::ErrorKind::InvalidData,
         WireError::FrameTooLarge(len),
     )
-}
-
-/// Reads one length-prefixed frame into a fresh buffer.
-///
-/// # Errors
-///
-/// Propagates I/O errors; rejects frames larger than [`MAX_FRAME`] with
-/// an `InvalidData` error wrapping [`WireError::FrameTooLarge`] — the
-/// check runs *before* any allocation, so a hostile prefix cannot force
-/// a multi-GB reservation.
-pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Vec<u8>> {
-    let mut payload = Vec::new();
-    read_frame_into(r, &mut payload)?;
-    Ok(payload)
 }
 
 /// Reads one length-prefixed frame into `payload`, reusing its capacity.
@@ -633,11 +577,14 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Vec<u8>> {
 /// allocates nothing per frame (the buffer grows to the largest frame
 /// seen, bounded by [`MAX_FRAME`]).
 ///
+/// Writers produce the same `[u32 BE length ‖ payload]` bytes through
+/// [`FramePool::encode`](crate::FramePool::encode).
+///
 /// # Errors
 ///
-/// As [`read_frame`]: I/O errors propagate, and a length prefix above
-/// [`MAX_FRAME`] yields `InvalidData` wrapping
-/// [`WireError::FrameTooLarge`] before any buffer growth.
+/// I/O errors propagate, and a length prefix above [`MAX_FRAME`] yields
+/// `InvalidData` wrapping [`WireError::FrameTooLarge`] before any buffer
+/// growth — a hostile prefix cannot force a multi-GB reservation.
 pub fn read_frame_into<R: std::io::Read>(r: &mut R, payload: &mut Vec<u8>) -> std::io::Result<()> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
@@ -794,12 +741,19 @@ mod tests {
         assert_eq!(String::from_bytes(&buf), Err(WireError::BadUtf8));
     }
 
+    /// `[u32 BE length ‖ payload]`, the on-socket frame layout.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut wire = (payload.len() as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(payload);
+        wire
+    }
+
     #[test]
     fn frames_roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"hello");
+        let mut cursor = std::io::Cursor::new(framed(b"hello"));
+        let mut payload = Vec::new();
+        read_frame_into(&mut cursor, &mut payload).unwrap();
+        assert_eq!(payload, b"hello");
     }
 
     #[test]
@@ -807,7 +761,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(MAX_FRAME as u32 + 1).to_be_bytes());
         let mut cursor = std::io::Cursor::new(buf);
-        assert!(read_frame(&mut cursor).is_err());
+        assert!(read_frame_into(&mut cursor, &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -831,10 +785,9 @@ mod tests {
 
     #[test]
     fn read_frame_into_reuses_one_buffer() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &[7u8; 300]).unwrap();
-        write_frame(&mut wire, b"tiny").unwrap();
-        write_frame(&mut wire, &[9u8; 128]).unwrap();
+        let mut wire = framed(&[7u8; 300]);
+        wire.extend(framed(b"tiny"));
+        wire.extend(framed(&[9u8; 128]));
         let mut cursor = std::io::Cursor::new(wire);
         let mut payload = Vec::new();
 

@@ -41,6 +41,14 @@ fn workload() -> Vec<Event> {
         .collect()
 }
 
+/// The highest client id `trace` touches (initial or churned-in).
+fn max_client(trace: &psguard_analysis::ScenarioTrace) -> Option<u32> {
+    let initial = trace.initial.iter().map(|s| s.client);
+    initial
+        .chain(trace.churn.iter().map(|c| c.sub.client))
+        .max()
+}
+
 /// Asserts the exactly-once contract: every published event reaches every
 /// matching client exactly once.
 fn assert_exactly_once(r: &FaultRunReport, clients: &[u32], label: &str) {
@@ -680,7 +688,7 @@ fn scenario_matrix_exactly_once_under_faults() {
                 .map(|&(_, t)| t)
         };
 
-        let n_clients = trace.max_client().map(|c| c + 1).unwrap_or(0);
+        let n_clients = max_client(&trace).map(|c| c + 1).unwrap_or(0);
         let mut eng = engine(6, n_clients);
         let mut installed: HashSet<(u32, u32, i64, i64)> = HashSet::new();
         for &(client, topic, lo, hi) in &subs {

@@ -112,12 +112,13 @@ fn stalled_consumer_degrades_gracefully() {
     let broker = spawn_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn");
 
     // The stalled consumer: subscribes via raw socket, then never reads.
-    use psguard_siena::wire::{write_frame, Message, Wire};
+    use psguard_siena::wire::Message;
+    let pool = psguard_siena::FramePool::new();
     let mut stalled = std::net::TcpStream::connect(broker.addr()).expect("connect");
     let hello: Message<Filter, Event> = Message::Hello { kind: 1 };
-    write_frame(&mut stalled, &hello.to_bytes()).expect("hello");
+    pool.encode(&hello).write_to(&mut stalled).expect("hello");
     let sub: Message<Filter, Event> = Message::Subscribe(Filter::for_topic("t"));
-    write_frame(&mut stalled, &sub.to_bytes()).expect("subscribe");
+    pool.encode(&sub).write_to(&mut stalled).expect("subscribe");
 
     let reactor: ClientReactor<Filter> = ClientReactor::with_config(cfg);
     let healthy = reactor.connect(broker.addr()).expect("connect");

@@ -6,8 +6,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use psguard_model::{Event, Filter};
-use psguard_siena::wire::{write_frame, Message, Wire, MAX_FRAME};
-use psguard_siena::{spawn_broker, TcpClient};
+use psguard_siena::wire::{Message, MAX_FRAME};
+use psguard_siena::{spawn_broker, FramePool, TcpClient};
 
 const ACK_WAIT: Duration = Duration::from_secs(5);
 
@@ -22,7 +22,10 @@ fn garbage_frames_do_not_kill_the_broker() {
     // A hostile peer sends a well-framed but undecodable payload…
     {
         let mut s = TcpStream::connect(broker.addr()).expect("connect");
-        write_frame(&mut s, &[0xff, 0xfe, 0xfd]).expect("write");
+        let payload = [0xff, 0xfe, 0xfd];
+        s.write_all(&(payload.len() as u32).to_be_bytes())
+            .expect("write");
+        s.write_all(&payload).expect("write");
         sleep_ms(100);
     }
     // …and another sends raw garbage that is not even a frame.
@@ -129,7 +132,10 @@ fn foreign_unsubscribe_is_a_tolerated_noop() {
     // registered: the broker must shrug it off.
     let msg: Message<Filter, Event> = Message::Unsubscribe(Filter::for_topic("t"));
     let mut raw = TcpStream::connect(broker.addr()).expect("connect");
-    write_frame(&mut raw, &msg.to_bytes()).expect("write");
+    FramePool::new()
+        .encode(&msg)
+        .write_to(&mut raw)
+        .expect("write");
     sleep_ms(100);
 
     // The real subscriber still receives events.

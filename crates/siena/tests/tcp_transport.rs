@@ -150,12 +150,15 @@ fn silent_peer_is_evicted_after_missed_heartbeats() {
 
     // A raw socket that subscribes, then never speaks again (no
     // heartbeats): the broker must evict it and drop its subscription.
-    use psguard_siena::wire::{write_frame, Message, Wire};
+    use psguard_siena::wire::Message;
+    let pool = psguard_siena::FramePool::new();
     let mut silent = std::net::TcpStream::connect(broker.addr()).expect("connect");
     let hello: Message<Filter, Event> = Message::Hello { kind: 1 };
-    write_frame(&mut silent, &hello.to_bytes()).expect("hello");
+    pool.encode(&hello).write_to(&mut silent).expect("hello");
     let sub_msg: Message<Filter, Event> = Message::Subscribe(Filter::for_topic("t"));
-    write_frame(&mut silent, &sub_msg.to_bytes()).expect("subscribe");
+    pool.encode(&sub_msg)
+        .write_to(&mut silent)
+        .expect("subscribe");
 
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while broker.stats().evicted_peers == 0 {
@@ -198,12 +201,15 @@ fn evicted_stalled_peer_is_hard_closed() {
 
     // The stalled peer: subscribes via raw socket, then neither reads
     // nor writes again.
-    use psguard_siena::wire::{write_frame, Message, Wire};
+    use psguard_siena::wire::Message;
+    let pool = psguard_siena::FramePool::new();
     let mut stalled = std::net::TcpStream::connect(broker.addr()).expect("connect");
     let hello: Message<Filter, Event> = Message::Hello { kind: 1 };
-    write_frame(&mut stalled, &hello.to_bytes()).expect("hello");
+    pool.encode(&hello).write_to(&mut stalled).expect("hello");
     let sub_msg: Message<Filter, Event> = Message::Subscribe(Filter::for_topic("t"));
-    write_frame(&mut stalled, &sub_msg.to_bytes()).expect("subscribe");
+    pool.encode(&sub_msg)
+        .write_to(&mut stalled)
+        .expect("subscribe");
 
     // Publish large events while waiting for the eviction so the
     // peer's kernel buffer fills and its queue is non-empty at

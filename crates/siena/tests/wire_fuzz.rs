@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use psguard_model::{AttrValue, Constraint, Event, Filter, IntRange, Op};
-use psguard_siena::wire::{read_frame, read_frame_into, write_frame, WireError, MAX_FRAME};
+use psguard_siena::wire::{read_frame_into, WireError, MAX_FRAME};
 use psguard_siena::{FramePool, Message, Wire};
 
 /// A byte string's declared length is checked before its bytes are
@@ -121,8 +121,8 @@ proptest! {
         flip_at in 0usize..512,
         xor in 1u8..=255,
     ) {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
+        let mut wire = (payload.len() as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(&payload);
 
         // Truncation: every strict prefix errors cleanly.
         let cut = cut % wire.len();
@@ -137,11 +137,10 @@ proptest! {
         let mut buf = Vec::new();
         let _ = read_frame_into(&mut std::io::Cursor::new(&flipped[..]), &mut buf);
 
-        // Intact: round-trips through both reader entry points.
+        // Intact: round-trips.
         let mut buf = Vec::new();
         read_frame_into(&mut std::io::Cursor::new(&wire[..]), &mut buf).unwrap();
         prop_assert_eq!(&buf, &payload);
-        prop_assert_eq!(read_frame(&mut std::io::Cursor::new(&wire[..])).unwrap(), payload);
     }
 
     /// Oversized length prefixes (any value above MAX_FRAME) are rejected
@@ -159,8 +158,8 @@ proptest! {
     }
 
     /// The pooled encode path is byte-identical to the classic
-    /// to_bytes + write_frame path for arbitrary messages, and decoding
-    /// the pooled frame returns the original message.
+    /// `[u32 BE len ‖ to_bytes()]` frame for arbitrary messages, and
+    /// decoding the pooled frame returns the original message.
     #[test]
     fn pooled_encode_matches_classic_and_roundtrips(
         topic in "[a-z]{1,8}",
@@ -188,8 +187,9 @@ proptest! {
 
         let pool = FramePool::new();
         let frame = pool.encode(&msg);
-        let mut classic = Vec::new();
-        write_frame(&mut classic, &msg.to_bytes()).unwrap();
+        let payload = msg.to_bytes();
+        let mut classic = (payload.len() as u32).to_be_bytes().to_vec();
+        classic.extend_from_slice(&payload);
         prop_assert_eq!(frame.wire_bytes(), &classic[..]);
 
         let mut buf = Vec::new();

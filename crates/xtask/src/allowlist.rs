@@ -1,8 +1,10 @@
-//! The shrink-only panic allowlist.
+//! The shrink-only allowlists.
 //!
 //! `crates/xtask/allowlist.txt` holds one `path = N` entry per file that
 //! still has justified panic sites. A site is justified when its line
-//! carries a `// PANIC-OK: <reason>` comment. The budget must match the
+//! carries a `// PANIC-OK: <reason>` comment. `taint_allowlist.txt`
+//! (`// TAINT-OK:`) and `dead_pub_allowlist.txt` (`// DEAD-PUB-OK:`)
+//! use the same format and reconciler. The budget must match the
 //! number of justified sites *exactly*: a larger budget is stale slack
 //! (the list must shrink as sites are fixed), a smaller one means new
 //! sites slipped in. Entries naming files that no longer exist are errors.
@@ -74,13 +76,13 @@ pub enum BudgetIssue {
         actual: u32,
     },
     /// More justified sites than budget: the list only ever shrinks, so a
-    /// new PANIC-OK site needs an explicit (reviewed) budget bump.
+    /// new justified site needs an explicit (reviewed) budget bump.
     OverBudget {
         path: String,
         budget: u32,
         actual: u32,
     },
-    /// A file has PANIC-OK sites but no allowlist entry at all.
+    /// A file has justified sites but no allowlist entry at all.
     Unlisted { path: String, actual: u32 },
 }
 
@@ -99,7 +101,7 @@ impl std::fmt::Display for BudgetIssue {
                 actual,
             } => write!(
                 f,
-                "allowlist entry `{path} = {budget}` is stale: only {actual} PANIC-OK site(s) \
+                "allowlist entry `{path} = {budget}` is stale: only {actual} justified site(s) \
                  remain; shrink the budget"
             ),
             BudgetIssue::OverBudget {
@@ -108,12 +110,12 @@ impl std::fmt::Display for BudgetIssue {
                 actual,
             } => write!(
                 f,
-                "`{path}` has {actual} PANIC-OK site(s) but a budget of {budget}; the allowlist \
-                 only shrinks — remove panic sites or justify the bump in review"
+                "`{path}` has {actual} justified site(s) but a budget of {budget}; the allowlist \
+                 only shrinks — remove the sites or justify the bump in review"
             ),
             BudgetIssue::Unlisted { path, actual } => write!(
                 f,
-                "`{path}` has {actual} PANIC-OK site(s) but no allowlist entry"
+                "`{path}` has {actual} justified site(s) but no allowlist entry"
             ),
         }
     }

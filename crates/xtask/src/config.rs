@@ -42,6 +42,8 @@ pub const TAINTED_TYPES: &[&str] = &[
     "ConstraintGrant",
     "Grant",
     "KeyCache",
+    // `CachedKdc` (a grant memo) no longer exists; its entry keeps it
+    // from coming back leaky.
     "CachedKdc",
     // groupkey: per-segment group keys and LKH node keys.
     "LkhTree",
@@ -308,7 +310,8 @@ pub const SANITIZER_FNS: &[&str] = &["publish", "publish_batch", "from_filter", 
 pub const RAW_SINK_METHODS: &[&str] = &["write_all", "write_vectored", "write"];
 
 /// Named seed sink functions: a tainted argument reaching one of these
-/// is a violation wherever the call appears.
+/// is a violation wherever the call appears. `wire::write_frame` no
+/// longer exists; its entry (and fixtures) guard against its return.
 pub const SINK_FNS: &[&str] = &["write_frame", "write_frames"];
 
 /// Return-type identifiers considered incapable of carrying plaintext
@@ -329,6 +332,18 @@ pub const ALLOWLIST_PATH: &str = "crates/xtask/allowlist.txt";
 /// same format and reconciler as the panic allowlist). Kept empty: the
 /// workspace currently has no justified plaintext→sink paths.
 pub const TAINT_ALLOWLIST_PATH: &str = "crates/xtask/taint_allowlist.txt";
+
+/// Relative path of the dead-pub allowlist (shrink-only `DEAD-PUB-OK`
+/// budget, same format and reconciler as the panic allowlist).
+pub const DEAD_PUB_ALLOWLIST_PATH: &str = "crates/xtask/dead_pub_allowlist.txt";
+
+/// Crates whose `pub fn`s the dead-pub pass does not check: xtask's
+/// library serves only its own CLI and tests.
+pub const DEAD_PUB_EXCLUDED_CRATES: &[&str] = &["xtask"];
+
+/// Directories outside `crates/` whose files count as shipped users for
+/// the dead-pub pass. They are lexed only, never parsed.
+pub const DEAD_PUB_USER_DIRS: &[&str] = &["examples", "benchmark/src"];
 
 // ---------------------------------------------------------------------
 // Reactor-safety pass (DESIGN.md §17).
@@ -455,6 +470,13 @@ mod tests {
             assert!(
                 root.join(file).is_file(),
                 "reactor entry-point file `{file}` does not exist on disk"
+            );
+            checked += 1;
+        }
+        for dir in DEAD_PUB_USER_DIRS {
+            assert!(
+                root.join(dir).is_dir(),
+                "dead-pub user directory `{dir}` does not exist on disk"
             );
             checked += 1;
         }

@@ -6,8 +6,9 @@
 //!
 //! * string literals (plain, raw, byte, raw-byte) — their *contents* are
 //!   kept for the format-interpolation rule but never mistaken for code;
-//! * comments (line, nested block) — stripped, except that a trailing
-//!   `PANIC-OK:` justification marker is remembered per line;
+//! * comments (line, nested block) — stripped, except that the
+//!   `PANIC-OK:`, `SPAWN-OK:`, `TAINT-OK:`, `BLOCKING-OK:` and
+//!   `DEAD-PUB-OK:` justification markers are remembered per line;
 //! * char literals vs. lifetimes;
 //! * `#[cfg(test)]` / `#[test]` attributes and `mod tests` blocks, whose
 //!   enclosed lines are marked as test-scoped.
@@ -56,6 +57,9 @@ pub struct LexedFile {
     /// `blocking_ok_lines[n]` is true when line `n` carries a
     /// `// BLOCKING-OK: <justification>` comment.
     pub blocking_ok_lines: Vec<bool>,
+    /// `dead_pub_ok_lines[n]` is true when line `n` carries a
+    /// `// DEAD-PUB-OK: <reason>` comment with a non-empty reason.
+    pub dead_pub_ok_lines: Vec<bool>,
 }
 
 impl LexedFile {
@@ -107,6 +111,18 @@ impl LexedFile {
                 .unwrap_or(false)
         })
     }
+
+    /// Whether the given 1-based line, or one of the two lines above it,
+    /// carries a DEAD-PUB-OK reason (the comment sits just above the
+    /// kept `pub fn`).
+    pub fn is_dead_pub_ok_near(&self, line: u32) -> bool {
+        (line.saturating_sub(2)..=line).any(|l| {
+            self.dead_pub_ok_lines
+                .get(l as usize)
+                .copied()
+                .unwrap_or(false)
+        })
+    }
 }
 
 /// Lexes a whole source file.
@@ -120,6 +136,7 @@ pub fn lex(source: &str) -> LexedFile {
         spawn_ok_lines: vec![false; line_count + 1],
         taint_ok_lines: vec![false; line_count + 1],
         blocking_ok_lines: vec![false; line_count + 1],
+        dead_pub_ok_lines: vec![false; line_count + 1],
     };
 
     let mut i = 0usize;
@@ -142,7 +159,7 @@ pub fn lex(source: &str) -> LexedFile {
             }
             c if c.is_whitespace() => i += 1,
             '/' if at(i + 1) == '/' => {
-                // Line comment; remember PANIC-OK / SPAWN-OK markers.
+                // Line comment; remember the justification markers.
                 let start = i;
                 while i < n && chars[i] != '\n' {
                     i += 1;
@@ -165,6 +182,14 @@ pub fn lex(source: &str) -> LexedFile {
                 }
                 if comment.contains("BLOCKING-OK:") {
                     if let Some(slot) = out.blocking_ok_lines.get_mut(line as usize) {
+                        *slot = true;
+                    }
+                }
+                let dead_pub_reason = comment
+                    .split_once("DEAD-PUB-OK:")
+                    .is_some_and(|(_, reason)| !reason.trim().is_empty());
+                if dead_pub_reason {
+                    if let Some(slot) = out.dead_pub_ok_lines.get_mut(line as usize) {
                         *slot = true;
                     }
                 }
@@ -621,6 +646,15 @@ let real = value;
             !f.is_spawn_ok_near(4),
             "a marker must not leak past its window"
         );
+    }
+
+    #[test]
+    fn dead_pub_ok_marker_needs_a_reason() {
+        let src = "// DEAD-PUB-OK: reference for the batch proptest\npub fn a() {}\n\
+                   // DEAD-PUB-OK:\npub fn b() {}\n";
+        let f = lex(src);
+        assert!(f.is_dead_pub_ok_near(2));
+        assert!(!f.is_dead_pub_ok_near(4), "an empty reason does not count");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * **Whole-workspace passes** (DESIGN.md §17): the confidentiality
 //!   taint analysis in [`taint`] over the [`symbols`]/[`callgraph`]
 //!   pipeline (budgeted by the `// TAINT-OK:` allowlist), the
-//!   reactor-safety lints in [`reactor_safety`], and the
-//!   workspace-lints inheritance check in [`manifests`].
+//!   reactor-safety lints in [`reactor_safety`], the workspace-lints
+//!   inheritance check in [`manifests`], and the [`dead_pub`] pass over
+//!   public functions nothing ships (budgeted by `// DEAD-PUB-OK:`).
 //!
 //! Every rule family always reports: a failure in one family (including
 //! a malformed allowlist) never masks findings from the others.
@@ -20,6 +21,7 @@
 pub mod allowlist;
 pub mod callgraph;
 pub mod config;
+pub mod dead_pub;
 pub mod lexer;
 pub mod manifests;
 pub mod parser;
@@ -42,10 +44,14 @@ pub struct Report {
     pub justified: BTreeMap<String, u32>,
     /// Taint flows justified with `// TAINT-OK:`, per file.
     pub taint_justified: BTreeMap<String, u32>,
+    /// Unused public fns kept with `// DEAD-PUB-OK:`, per file.
+    pub dead_pub_justified: BTreeMap<String, u32>,
     /// Panic-allowlist budget problems.
     pub budget_issues: Vec<allowlist::BudgetIssue>,
     /// Taint-allowlist budget problems.
     pub taint_budget_issues: Vec<allowlist::BudgetIssue>,
+    /// Dead-pub-allowlist budget problems.
+    pub dead_pub_budget_issues: Vec<allowlist::BudgetIssue>,
     /// Malformed allowlist files. Reported alongside everything else so
     /// a broken allowlist can't mask rule findings.
     pub allowlist_errors: Vec<String>,
@@ -64,6 +70,7 @@ impl Report {
         self.violations.is_empty()
             && self.budget_issues.is_empty()
             && self.taint_budget_issues.is_empty()
+            && self.dead_pub_budget_issues.is_empty()
             && self.allowlist_errors.is_empty()
             && self.parse_gaps.is_empty()
     }
@@ -138,15 +145,37 @@ pub fn run_check(root: &Path) -> Result<Report, CheckError> {
         .violations
         .extend(manifests::check_workspace(root, &crate_names(root)?));
 
+    // Shipped users outside `crates/` are lexed only: they never meet
+    // the parser-coverage check.
+    let mut users = Vec::new();
+    for dir in config::DEAD_PUB_USER_DIRS {
+        let mut paths = Vec::new();
+        collect_rs(&root.join(dir), &mut paths)?;
+        for path in paths {
+            let source = std::fs::read_to_string(&path).map_err(|error| CheckError::Io {
+                path: path.clone(),
+                error,
+            })?;
+            users.push((rel_path(root, &path), lexer::lex(&source)));
+        }
+    }
+    let dead_pub_report = dead_pub::run(&files, &users);
+    report.violations.extend(dead_pub_report.findings);
+    report.dead_pub_justified = dead_pub_report.justified;
+
     // Allowlist reconciliation. Parse errors are reported, not fatal:
     // every other family above has already contributed its findings.
     let (panic_list, panic_errs) = read_allowlist(root, config::ALLOWLIST_PATH)?;
     let (taint_list, taint_errs) = read_allowlist(root, config::TAINT_ALLOWLIST_PATH)?;
+    let (dead_pub_list, dead_pub_errs) = read_allowlist(root, config::DEAD_PUB_ALLOWLIST_PATH)?;
     report.allowlist_errors.extend(panic_errs);
     report.allowlist_errors.extend(taint_errs);
+    report.allowlist_errors.extend(dead_pub_errs);
     let exists = |rel: &str| root.join(rel).is_file();
     report.budget_issues = allowlist::reconcile(&panic_list, &report.justified, exists);
     report.taint_budget_issues = allowlist::reconcile(&taint_list, &report.taint_justified, exists);
+    report.dead_pub_budget_issues =
+        allowlist::reconcile(&dead_pub_list, &report.dead_pub_justified, exists);
 
     Ok(report)
 }
@@ -247,6 +276,9 @@ pub fn render(report: &Report) -> String {
     for b in &report.taint_budget_issues {
         out.push_str(&format!("error: [taint-allowlist] {b}\n"));
     }
+    for b in &report.dead_pub_budget_issues {
+        out.push_str(&format!("error: [dead-pub-allowlist] {b}\n"));
+    }
     for e in &report.allowlist_errors {
         out.push_str(&format!("error: [allowlist] {e}\n"));
     }
@@ -255,17 +287,20 @@ pub fn render(report: &Report) -> String {
     }
     let justified_total: u32 = report.justified.values().sum();
     let taint_justified_total: u32 = report.taint_justified.values().sum();
+    let dead_pub_justified_total: u32 = report.dead_pub_justified.values().sum();
     out.push_str(&format!(
         "psguard-xtask check: {} file(s), {} fn(s), {} violation(s), {} allowlist issue(s), \
-         {} justified panic site(s), {} justified taint site(s)\n",
+         {} justified panic site(s), {} justified taint site(s), {} kept unused pub fn(s)\n",
         report.files_scanned,
         report.fns_analyzed,
         report.violations.len(),
         report.budget_issues.len()
             + report.taint_budget_issues.len()
+            + report.dead_pub_budget_issues.len()
             + report.allowlist_errors.len(),
         justified_total,
         taint_justified_total,
+        dead_pub_justified_total,
     ));
     out
 }
@@ -303,6 +338,7 @@ pub fn render_json(report: &Report) -> String {
             .iter()
             .map(|b| b.to_string())
             .chain(report.taint_budget_issues.iter().map(|b| b.to_string()))
+            .chain(report.dead_pub_budget_issues.iter().map(|b| b.to_string()))
             .chain(report.allowlist_errors.iter().cloned()),
     );
     out.push_str(",\n");
@@ -311,9 +347,11 @@ pub fn render_json(report: &Report) -> String {
 
     let justified_total: u32 = report.justified.values().sum();
     let taint_justified_total: u32 = report.taint_justified.values().sum();
+    let dead_pub_justified_total: u32 = report.dead_pub_justified.values().sum();
     out.push_str(&format!(
         "  \"justified_panic_sites\": {justified_total},\n  \
-         \"justified_taint_sites\": {taint_justified_total}\n}}\n"
+         \"justified_taint_sites\": {taint_justified_total},\n  \
+         \"kept_unused_pub_fns\": {dead_pub_justified_total}\n}}\n"
     ));
     out
 }

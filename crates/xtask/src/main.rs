@@ -1,6 +1,7 @@
 //! CLI for the workspace static-analysis pass.
 //!
-//! Usage: `cargo run -p psguard-xtask -- check [--format json|text]`
+//! Usage: `cargo run -p psguard-xtask -- check [--format json|text]`, or
+//! `cargo run -p psguard-xtask -- dead-pub` for the dead-pub family alone.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -47,12 +48,13 @@ fn main() -> ExitCode {
             }
             check(format)
         }
+        Some("dead-pub") => dead_pub(),
         Some(other) => {
-            eprintln!("unknown subcommand `{other}`; try `check`");
+            eprintln!("unknown subcommand `{other}`; try `check` or `dead-pub`");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo run -p psguard-xtask -- check [--format json|text]");
+            eprintln!("usage: cargo run -p psguard-xtask -- check [--format json|text] | dead-pub");
             ExitCode::FAILURE
         }
     }
@@ -67,6 +69,36 @@ fn check(format: Format) -> ExitCode {
                 Format::Json => print!("{}", psguard_xtask::render_json(&report)),
             }
             if report.is_clean() {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            }
+        }
+        Err(e) => {
+            eprintln!("psguard-xtask: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Prints only the dead-pub findings: public fns no shipped code uses.
+fn dead_pub() -> ExitCode {
+    match psguard_xtask::run_check(&workspace_root()) {
+        Ok(report) => {
+            let dead: Vec<_> = report
+                .violations
+                .iter()
+                .filter(|v| v.rule == psguard_xtask::rules::Rule::DeadPub)
+                .collect();
+            for v in &dead {
+                println!("{v}");
+            }
+            let kept: u32 = report.dead_pub_justified.values().sum();
+            println!(
+                "psguard-xtask dead-pub: {} unused pub fn(s), {kept} kept with DEAD-PUB-OK",
+                dead.len()
+            );
+            if dead.is_empty() && report.dead_pub_budget_issues.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE

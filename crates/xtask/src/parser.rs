@@ -98,6 +98,9 @@ pub struct FnItem {
     pub stmts: Vec<Stmt>,
     /// Whether the `fn` keyword sits on a test-scoped line.
     pub is_test: bool,
+    /// Whether the item is declared plain `pub` (`pub(crate)` and
+    /// narrower are not public surface).
+    pub is_pub: bool,
 }
 
 /// A struct/enum item and the type identifiers of its fields/payloads.
@@ -214,6 +217,7 @@ pub fn parse(rel_path: &str, lexed: &LexedFile) -> ParsedFile {
                 let mut last_ident: Option<String> = None;
                 let mut after_for: Option<String> = None;
                 let mut seen_for = false;
+                let mut seen_where = false;
                 while j < n {
                     match &toks[j].tok {
                         Tok::Punct('<') => angle += 1,
@@ -229,8 +233,9 @@ pub fn parse(rel_path: &str, lexed: &LexedFile) -> ParsedFile {
                         Tok::Ident(s) if s == "for" && angle <= 0 => seen_for = true,
                         Tok::Ident(s) if s == "where" && angle <= 0 => {
                             // where clause: self type is already known.
+                            seen_where = true;
                         }
-                        Tok::Ident(s) if !is_keyword(s) && angle <= 0 => {
+                        Tok::Ident(s) if !is_keyword(s) && angle <= 0 && !seen_where => {
                             if seen_for {
                                 if after_for.is_none() {
                                     after_for = Some(s.clone());
@@ -559,8 +564,9 @@ fn parse_fn_signature(
     let (body, resume) = match toks[j].tok {
         Tok::Punct(';') => (None, j + 1),
         Tok::Punct('{') => {
-            // Find the matching close for the span; resume just inside
-            // so nested items are rescanned by the main loop.
+            // Find the matching close for the span; resume at the opener
+            // so the main loop counts its brace (keeping the impl
+            // qualifier for the next method) and rescans nested items.
             let mut d = 1i32;
             let mut k = j + 1;
             while k < n && d > 0 {
@@ -571,7 +577,7 @@ fn parse_fn_signature(
                 }
                 k += 1;
             }
-            (Some((j + 1, k.saturating_sub(1))), j + 1)
+            (Some((j + 1, k.saturating_sub(1))), j)
         }
         _ => return None,
     };
@@ -585,8 +591,25 @@ fn parse_fn_signature(
         has_ret,
         stmts: Vec::new(),
         is_test: lexed.is_test_line(line),
+        is_pub: declared_pub(toks, fn_idx),
     };
     Some((item, body, resume))
+}
+
+/// Whether the `fn` keyword at `fn_idx` is preceded by a plain `pub`,
+/// skipping the `const`/`async`/`unsafe`/`extern "abi"` qualifiers.
+fn declared_pub(toks: &[Token], fn_idx: usize) -> bool {
+    let mut k = fn_idx;
+    while k > 0 {
+        k -= 1;
+        match &toks[k].tok {
+            Tok::Ident(q) if matches!(q.as_str(), "const" | "async" | "unsafe" | "extern") => {}
+            Tok::Str(_) => {}
+            Tok::Ident(v) => return v == "pub",
+            _ => return false,
+        }
+    }
+    false
 }
 
 /// Parses the parameter list tokens in `[start, end)`, splitting on
@@ -932,6 +955,48 @@ mod tests {
 
     fn parse_src(src: &str) -> ParsedFile {
         parse("crates/demo/src/lib.rs", &lex(src))
+    }
+
+    #[test]
+    fn every_method_of_an_impl_keeps_its_qualifier() {
+        let f = parse_src(
+            "impl<F> Engine<F> where F: Eq {\n  pub fn a(&self) {}\n  pub fn b(&self) {}\n}\n\
+             impl Pool {\n  fn c() { let x = 1; }\n  fn d() {}\n}\n",
+        );
+        let quals: Vec<(&str, Option<&str>)> = f
+            .fns
+            .iter()
+            .map(|i| (i.name.as_str(), i.qual.as_deref()))
+            .collect();
+        assert_eq!(
+            quals,
+            vec![
+                ("a", Some("Engine")),
+                ("b", Some("Engine")),
+                ("c", Some("Pool")),
+                ("d", Some("Pool"))
+            ]
+        );
+    }
+
+    #[test]
+    fn visibility_flag_is_plain_pub_only() {
+        let f = parse_src(
+            "pub fn a() {}\npub const unsafe fn b() {}\npub(crate) fn c() {}\nfn d() {}\n\
+             pub extern \"C\" fn e() {}\nimpl T for S { fn f(&self) {} }\n",
+        );
+        let public: Vec<(&str, bool)> = f.fns.iter().map(|i| (i.name.as_str(), i.is_pub)).collect();
+        assert_eq!(
+            public,
+            vec![
+                ("a", true),
+                ("b", true),
+                ("c", false),
+                ("d", false),
+                ("e", true),
+                ("f", false)
+            ]
+        );
     }
 
     #[test]

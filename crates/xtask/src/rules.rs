@@ -49,6 +49,9 @@ pub enum Rule {
     /// (and is not a sanctioned unsafe-audit override). See
     /// [`crate::manifests`].
     LintsInheritance,
+    /// A `pub fn` that no shipped code uses, or a `// DEAD-PUB-OK:`
+    /// marker on one that is used. See [`crate::dead_pub`].
+    DeadPub,
 }
 
 impl std::fmt::Display for Rule {
@@ -64,6 +67,7 @@ impl std::fmt::Display for Rule {
             Rule::ReactorBlocking => f.write_str("reactor-blocking"),
             Rule::ChannelCycle => f.write_str("channel-cycle"),
             Rule::LintsInheritance => f.write_str("lints-inheritance"),
+            Rule::DeadPub => f.write_str("dead-pub"),
         }
     }
 }

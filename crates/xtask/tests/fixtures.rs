@@ -10,7 +10,7 @@ use psguard_xtask::parser::{load, SourceFile};
 use psguard_xtask::rules::{scan_file, Finding, Rule};
 use psguard_xtask::symbols::SymbolTable;
 use psguard_xtask::taint::TaintReport;
-use psguard_xtask::{reactor_safety, taint};
+use psguard_xtask::{dead_pub, reactor_safety, taint};
 
 fn fixture(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -340,6 +340,61 @@ fn try_send_escape_breaks_the_cycle() {
         by_rule(&findings, Rule::ChannelCycle).is_empty(),
         "{findings:#?}"
     );
+}
+
+/// Runs the dead-pub pass over the four dead-pub fixtures, each placed
+/// where its name says; returns the flagged fn names and the pass report.
+fn dead_pub_on_fixtures() -> (Vec<String>, dead_pub::DeadPubReport) {
+    let parsed = vec![
+        load("crates/demo/src/lib.rs", &fixture("dead_pub_lib.rs")),
+        load("crates/demo/src/bin/tool.rs", &fixture("dead_pub_bin.rs")),
+    ];
+    let lexed = vec![
+        (
+            "benchmark/src/run.rs".to_owned(),
+            lex(&fixture("dead_pub_benchmark.rs")),
+        ),
+        (
+            "crates/demo/tests/it.rs".to_owned(),
+            lex(&fixture("dead_pub_tests_dir.rs")),
+        ),
+    ];
+    let report = dead_pub::run(&parsed, &lexed);
+    let names = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == Rule::DeadPub)
+        .filter_map(|f| f.message.split('`').nth(1).map(str::to_owned))
+        .collect();
+    (names, report)
+}
+
+#[test]
+fn dead_pub_flags_fns_only_tests_call() {
+    let (flagged, report) = dead_pub_on_fixtures();
+    assert_eq!(
+        flagged,
+        vec!["only_unit_tested", "only_integration_tested"],
+        "{:#?}",
+        report.findings
+    );
+    assert_eq!(report.justified.get("crates/demo/src/lib.rs"), Some(&1));
+}
+
+#[test]
+fn dead_pub_counts_bin_and_benchmark_callers_as_shipped() {
+    let (flagged, _) = dead_pub_on_fixtures();
+    for shipped in [
+        "used_by_bin",
+        "used_by_benchmark",
+        "kept_reference",
+        "crate_private",
+    ] {
+        assert!(
+            !flagged.iter().any(|f| f == shipped),
+            "{shipped}: {flagged:?}"
+        );
+    }
 }
 
 /// Self-check: the live tree passes `psguard-xtask check`, which includes

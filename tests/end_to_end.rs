@@ -202,8 +202,8 @@ fn two_subscribers_same_filter_need_no_coordination() {
 
 #[test]
 fn wire_roundtrip_through_frames() {
-    use psguard_siena::wire::{read_frame, write_frame};
-    use psguard_siena::{Message, Wire};
+    use psguard_siena::wire::read_frame_into;
+    use psguard_siena::{FramePool, Message, Wire};
 
     let ps = deployment();
     let mut publisher = ps.publisher("P");
@@ -220,9 +220,13 @@ fn wire_roundtrip_through_frames() {
 
     let msg: Message<SecureFilter, psguard_routing::SecureEvent> = Message::Publish(secure.clone());
     let mut buf = Vec::new();
-    write_frame(&mut buf, &msg.to_bytes()).expect("write");
+    FramePool::new()
+        .encode(&msg)
+        .write_to(&mut buf)
+        .expect("write");
     let mut cursor = std::io::Cursor::new(buf);
-    let frame = read_frame(&mut cursor).expect("read");
+    let mut frame = Vec::new();
+    read_frame_into(&mut cursor, &mut frame).expect("read");
     let decoded =
         Message::<SecureFilter, psguard_routing::SecureEvent>::from_bytes(&frame).expect("decode");
     assert_eq!(decoded, Message::Publish(secure));
