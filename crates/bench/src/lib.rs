@@ -1,11 +1,12 @@
-//! Shared harness code for the PSGuard evaluation binaries.
+//! Shared harness code for the PSGuard evaluation and benchmark binaries.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/`
-//! (`table1`–`table6`, `fig3`–`fig11`) that regenerates its rows/series.
-//! This library holds what they share: host-cost measurement (converting
-//! hash counts to microseconds the way the paper reports µs), the
-//! §5.2 deployment setup, and the interval mapping that lets the
-//! subscriber-group baseline cover all four attribute families.
+//! Every table and figure of the paper is an entry of [`repro`], run by
+//! the `repro` binary (`repro table1 … fig11`, or `repro all`), which
+//! regenerates its rows/series and checks the paper's claims about them.
+//! This library also holds what the experiments share: host-cost
+//! measurement (converting hash counts to microseconds the way the paper
+//! reports µs), the §5.2 deployment setup, and the interval mapping that
+//! lets the subscriber-group baseline cover all four attribute families.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -262,4 +263,5 @@ mod tests {
 
 pub mod keymgmt;
 pub mod perf;
+pub mod repro;
 pub mod support;

@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn shipped_paths() {
         assert!(is_shipped_path("crates/siena/src/wire.rs"));
-        assert!(is_shipped_path("crates/bench/src/bin/fig9.rs"));
+        assert!(is_shipped_path("crates/bench/src/bin/repro.rs"));
         assert!(is_shipped_path("benchmark/src/live.rs"));
         assert!(is_shipped_path("examples/quickstart.rs"));
         assert!(!is_shipped_path("crates/siena/tests/chaos.rs"));
