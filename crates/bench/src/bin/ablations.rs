@@ -1,7 +1,8 @@
 //! Ablations of PSGuard's design choices (DESIGN.md §6):
 //!
 //! 1. **NAKT arity** — the paper proves binary trees minimize
-//!    authorization keys; measure keys per grant for a ∈ {2, 4, 8, 16}.
+//!    authorization keys; measure keys and hashes per KDC grant for
+//!    a ∈ {2, 4, 8, 16}.
 //! 2. **Path assignment** — `ind_t ∝ λ_t` vs. a uniform `ind_max` per
 //!    token: uniform replication costs the same overlay but flattens
 //!    nothing.
@@ -12,8 +13,8 @@
 //!    and without covering-based suppression.
 
 use psguard_analysis::TextTable;
-use psguard_keys::Nakt;
-use psguard_model::{Filter, IntRange};
+use psguard_keys::{EpochId, Kdc, Nakt, OpCounter, Schema, TopicScope};
+use psguard_model::{Constraint, Filter, IntRange, Op};
 use psguard_routing::{
     apparent_entropy, entropy_bits, zipf_frequencies, MultipathTree, PathAssignment,
     RedundantRouter,
@@ -30,15 +31,25 @@ fn main() {
         "arity",
         "max keys (bound)",
         "keys for (100,3000)",
+        "H per grant",
         "tree depth",
     ]);
+    let kdc = Kdc::from_seed(b"ablation");
+    let filter = Filter::for_topic("w").with(Constraint::new("x", Op::InRange(q)));
     for a in [2u8, 4, 8, 16] {
         let nakt = Nakt::with_arity(IntRange::new(0, 4095).expect("valid"), 1, a).expect("valid");
+        let schema = Schema::builder().numeric_tree("x", nakt.clone()).build();
+        let mut ops = OpCounter::new();
+        let grant = kdc
+            .grant(&schema, &filter, EpochId(0), &TopicScope::Shared, &mut ops)
+            .expect("grantable");
         let cover = nakt.canonical_cover(&q).expect("in range");
+        assert_eq!(grant.key_count(), cover.len(), "a grant is its cover");
         t.row(&[
             &a.to_string(),
             &nakt.max_auth_keys().to_string(),
             &cover.len().to_string(),
+            &ops.hash_ops.to_string(),
             &nakt.depth().to_string(),
         ]);
     }

@@ -243,70 +243,41 @@ impl Kdc {
         let mut lo = nakt.range().lo();
         let mut hi = nakt.range().hi();
         for op in ops_on_attr {
-            let (l, h) = op_interval(op).ok_or_else(|| KdcError::UnsupportedConstraint {
-                attr: attr.to_owned(),
-                reason: format!("operator {op} is not numeric"),
-            })?;
-            if let Some(l) = l {
-                lo = lo.max(l);
-            }
-            if let Some(h) = h {
-                hi = hi.min(h);
-            }
+            let iv = op
+                .interval()
+                .ok_or_else(|| KdcError::UnsupportedConstraint {
+                    attr: attr.to_owned(),
+                    reason: format!("operator {op} is not numeric"),
+                })?;
+            lo = lo.max(iv.lo());
+            hi = hi.min(iv.hi());
         }
-        let range = IntRange::new(lo, hi).ok_or(KdcError::Unsatisfiable {
+        let unsatisfiable = || KdcError::Unsatisfiable {
             attr: attr.to_owned(),
-        })?;
-        let cover = nakt
-            .canonical_cover(&range)
-            .map_err(|_| KdcError::Unsatisfiable {
-                attr: attr.to_owned(),
-            })?;
+        };
+        let range = IntRange::new(lo, hi).ok_or_else(unsatisfiable)?;
         let space = NaktKeySpace::new(nakt.clone(), topic_key, attr.as_bytes());
         ops.add_kh(1); // space root derivation
-                       // Derive the cover keys with a shared walk: consecutive canonical
-                       // sub-ranges share long tree prefixes, so memoizing intermediate
-                       // node keys keeps generation at the paper's ~4·log2(R/lc) hashes
-                       // instead of re-walking from the root per element.
-        let mut memo: std::collections::HashMap<crate::ktid::Ktid, DeriveKey> =
-            std::collections::HashMap::new();
-        memo.insert(crate::ktid::Ktid::root(), space.root_key().clone());
-        let mut key_for_memoized = |ktid: &crate::ktid::Ktid, ops: &mut OpCounter| {
-            let mut ancestor = ktid.clone();
-            // The root is seeded into the memo above, so walking parents
-            // always terminates at a memoized node.
-            while !memo.contains_key(&ancestor) {
-                match ancestor.parent() {
-                    Some(p) => ancestor = p,
-                    None => break,
-                }
-            }
-            let mut key = memo
-                .get(&ancestor)
-                .cloned()
-                .unwrap_or_else(|| space.root_key().clone());
-            // `ancestor` is a parent chain of `ktid`, hence always a prefix.
-            let suffix: Vec<u8> = ancestor.suffix_of(ktid).unwrap_or(&[]).to_vec();
-            let mut cur = ancestor;
-            for &d in &suffix {
+        let mut alternatives = Vec::new();
+        nakt.cover_walk(
+            &range,
+            space.root_key().clone(),
+            &mut |key, d| {
                 ops.add_hash(1);
-                key = key.child_n(d as u32);
-                cur = cur.child(d);
-                memo.insert(cur.clone(), key.clone());
-            }
-            key
-        };
-        let alternatives = cover
-            .into_iter()
-            .map(|ktid| AuthKey {
-                key: key_for_memoized(&ktid, ops),
-                scope: KeyScope::Numeric {
-                    attr: attr.to_owned(),
-                    ktid,
-                },
-                epoch,
-            })
-            .collect();
+                key.child_n(d as u32)
+            },
+            &mut |ktid, key| {
+                alternatives.push(AuthKey {
+                    key,
+                    scope: KeyScope::Numeric {
+                        attr: attr.to_owned(),
+                        ktid,
+                    },
+                    epoch,
+                })
+            },
+        )
+        .map_err(|_| unsatisfiable())?;
         Ok(ConstraintGrant {
             attr: attr.to_owned(),
             alternatives,
@@ -426,19 +397,6 @@ impl Kdc {
     }
 }
 
-/// The closed interval a numeric operator denotes (`None` = unbounded).
-fn op_interval(op: &Op) -> Option<(Option<i64>, Option<i64>)> {
-    match op {
-        Op::Lt(u) => Some((None, Some(u - 1))),
-        Op::Le(u) => Some((None, Some(*u))),
-        Op::Gt(l) => Some((Some(l + 1), None)),
-        Op::Ge(l) => Some((Some(*l), None)),
-        Op::InRange(r) => Some((Some(r.lo()), Some(r.hi()))),
-        Op::Eq(psguard_model::AttrValue::Int(v)) => Some((Some(*v), Some(*v))),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,6 +472,21 @@ mod tests {
             kdc().grant(&schema(), &f, EpochId(0), &TopicScope::Shared, &mut ops),
             Err(KdcError::Unsatisfiable { .. })
         ));
+    }
+
+    #[test]
+    fn boundary_operators_grant_nothing() {
+        // `Lt(i64::MIN)` and `Gt(i64::MAX)` match no value: the grant must
+        // refuse them, not wrap around to the whole attribute range.
+        for op in [Op::Lt(i64::MIN), Op::Gt(i64::MAX)] {
+            let mut ops = OpCounter::new();
+            let f = Filter::for_topic("w").with(Constraint::new("age", op.clone()));
+            assert_eq!(
+                kdc().grant(&schema(), &f, EpochId(0), &TopicScope::Shared, &mut ops),
+                Err(KdcError::Unsatisfiable { attr: "age".into() }),
+                "{op}"
+            );
+        }
     }
 
     #[test]

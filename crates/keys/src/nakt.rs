@@ -201,31 +201,37 @@ impl Nakt {
     /// Returns [`NaktError::RangeOutOfRange`] when the query is disjoint
     /// from the attribute range.
     pub fn canonical_cover(&self, query: &IntRange) -> Result<Vec<Ktid>, NaktError> {
+        let mut out = Vec::new();
+        self.cover_walk(query, (), &mut |_, _| (), &mut |ktid, ()| out.push(ktid))?;
+        Ok(out)
+    }
+
+    /// The one descent behind [`Nakt::canonical_cover`] and KDC grants: it
+    /// carries `root`'s value down, runs `child` only for a child meeting
+    /// the query, and `emit`s each cover element, left to right.
+    pub(crate) fn cover_walk<T>(
+        &self,
+        query: &IntRange,
+        root: T,
+        child: &mut dyn FnMut(&T, u8) -> T,
+        emit: &mut dyn FnMut(Ktid, T),
+    ) -> Result<(), NaktError> {
         let clamped = query
             .clamp_to(&self.range)
             .ok_or(NaktError::RangeOutOfRange {
                 query: *query,
                 range: self.range,
             })?;
-        let lo_cell = ((clamped.lo() - self.range.lo()) as u64) / self.lc;
-        let hi_cell = ((clamped.hi() - self.range.lo()) as u64) / self.lc;
-        let mut out = Vec::new();
-        self.cover_rec(&Ktid::root(), lo_cell, hi_cell, &mut out);
-        Ok(out)
-    }
-
-    fn cover_rec(&self, node: &Ktid, lo: u64, hi: u64, out: &mut Vec<Ktid>) {
-        let (node_lo, node_hi) = node.leaf_span(self.depth, self.arity);
-        if node_hi < lo || node_lo > hi {
-            return; // disjoint
-        }
-        if lo <= node_lo && node_hi <= hi {
-            out.push(node.clone()); // maximal aligned subtree
-            return;
-        }
-        for d in 0..self.arity {
-            self.cover_rec(&node.child(d), lo, hi, out);
-        }
+        let mut walk = CoverWalk {
+            lo: ((clamped.lo() - self.range.lo()) as u64) / self.lc,
+            hi: ((clamped.hi() - self.range.lo()) as u64) / self.lc,
+            arity: self.arity,
+            digits: Vec::with_capacity(self.depth),
+            child,
+            emit,
+        };
+        walk.descend(0, self.cells, root);
+        Ok(())
     }
 
     /// Paper bound: any subscription range needs at most
@@ -237,6 +243,38 @@ impl Nakt {
             return 1;
         }
         2 * (self.arity as u64 - 1) * m - 2
+    }
+}
+
+/// One [`Nakt::cover_walk`]: the query's cells and the node's digit path.
+struct CoverWalk<'a, T> {
+    lo: u64,
+    hi: u64,
+    arity: u8,
+    digits: Vec<u8>,
+    child: &'a mut dyn FnMut(&T, u8) -> T,
+    emit: &'a mut dyn FnMut(Ktid, T),
+}
+
+impl<T> CoverWalk<'_, T> {
+    /// Visits cells `[node_lo, node_lo + width)`, which meet the query;
+    /// emits them whole if the query covers them.
+    fn descend(&mut self, node_lo: u64, width: u64, value: T) {
+        if self.lo <= node_lo && node_lo + width - 1 <= self.hi {
+            (self.emit)(Ktid::from_digits(self.digits.iter().copied()), value);
+            return;
+        }
+        let width = width / self.arity as u64;
+        for d in 0..self.arity {
+            let child_lo = node_lo + d as u64 * width;
+            if child_lo + width - 1 < self.lo || child_lo > self.hi {
+                continue; // disjoint
+            }
+            let child_value = (self.child)(&value, d);
+            self.digits.push(d);
+            self.descend(child_lo, width, child_value);
+            self.digits.pop();
+        }
     }
 }
 

@@ -103,14 +103,18 @@ impl SchemaBuilder {
     ///
     /// Propagates [`NaktError`] for invalid geometry.
     pub fn numeric(
-        mut self,
+        self,
         name: impl Into<String>,
         range: IntRange,
         lc: u64,
     ) -> Result<Self, NaktError> {
-        let nakt = Nakt::binary(range, lc)?;
+        Ok(self.numeric_tree(name, Nakt::binary(range, lc)?))
+    }
+
+    /// Adds a numeric attribute keyed by a NAKT of any arity.
+    pub fn numeric_tree(mut self, name: impl Into<String>, nakt: Nakt) -> Self {
         self.attrs.insert(name.into(), AttrSpec::Numeric { nakt });
-        Ok(self)
+        self
     }
 
     /// Adds a category attribute.

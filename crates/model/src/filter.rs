@@ -33,47 +33,47 @@ pub enum Op {
     CategoryIn(CategoryPath),
 }
 
-/// A lower/upper-bounded numeric interval. `None` means unbounded on that
-/// side.
+/// A closed numeric interval `[lo, hi]` over `i64`. An operator with no
+/// bound on a side reaches that side's end of `i64`, and `lo > hi` is the
+/// empty interval of an operator nothing satisfies (`Lt(i64::MIN)`,
+/// `Gt(i64::MAX)`).
 ///
 /// Every numeric operator denotes one of these (see [`Op::interval`]);
-/// the covering relation compares them, and matching indexes use them to
-/// lay constraints out in sorted boundary structures.
+/// the covering relation compares them, the KDC intersects them into the
+/// range it grants, and matching indexes use them to lay constraints out
+/// in sorted boundary structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
-    lo: Option<i64>,
-    hi: Option<i64>,
+    lo: i64,
+    hi: i64,
 }
 
 impl Interval {
-    /// The lower bound, inclusive (`None` = unbounded below).
-    pub fn lo(&self) -> Option<i64> {
+    /// The empty interval, in the one form every operation keeps empty.
+    const EMPTY: Interval = Interval {
+        lo: i64::MAX,
+        hi: i64::MIN,
+    };
+
+    /// The lower bound, inclusive (`i64::MIN` when unbounded below).
+    pub fn lo(&self) -> i64 {
         self.lo
     }
 
-    /// The upper bound, inclusive (`None` = unbounded above).
-    pub fn hi(&self) -> Option<i64> {
+    /// The upper bound, inclusive (`i64::MAX` when unbounded above).
+    pub fn hi(&self) -> i64 {
         self.hi
     }
 
     /// Whether a value lies inside the interval.
     pub fn contains(&self, v: i64) -> bool {
-        self.lo.is_none_or(|lo| lo <= v) && self.hi.is_none_or(|hi| v <= hi)
+        self.lo <= v && v <= self.hi
     }
 
-    /// Whether `other` is fully inside `self`.
+    /// Whether `other` is fully inside `self`. The empty interval is
+    /// inside every interval, and contains only itself.
     pub fn contains_interval(&self, other: &Interval) -> bool {
-        let lo_ok = match (self.lo, other.lo) {
-            (None, _) => true,
-            (Some(_), None) => false,
-            (Some(a), Some(b)) => a <= b,
-        };
-        let hi_ok = match (self.hi, other.hi) {
-            (None, _) => true,
-            (Some(_), None) => false,
-            (Some(a), Some(b)) => a >= b,
-        };
-        lo_ok && hi_ok
+        other.lo > other.hi || (self.lo <= other.lo && other.hi <= self.hi)
     }
 }
 
@@ -97,37 +97,27 @@ impl Op {
 
     /// The numeric interval this operator denotes, if it is numeric —
     /// the introspection hook matching indexes build their sorted
-    /// boundary structures from. Semi-open operators normalize to
-    /// closed/unbounded form (`Lt(u)` → `(-∞, u-1]`, `Gt(l)` →
-    /// `[l+1, +∞)`); `Eq` on an integer is the point interval.
+    /// boundary structures from. Semi-open operators normalize to closed
+    /// form (`Lt(u)` → `[i64::MIN, u-1]`, `Gt(l)` → `[l+1, i64::MAX]`), or
+    /// to the empty interval when no `i64` satisfies them; `Eq` on an
+    /// integer is the point interval.
     pub fn interval(&self) -> Option<Interval> {
-        match self {
-            Op::Lt(u) => Some(Interval {
-                lo: None,
-                hi: u.checked_sub(1),
-            }),
-            Op::Le(u) => Some(Interval {
-                lo: None,
-                hi: Some(*u),
-            }),
-            Op::Gt(l) => Some(Interval {
-                lo: l.checked_add(1),
-                hi: None,
-            }),
-            Op::Ge(l) => Some(Interval {
-                lo: Some(*l),
-                hi: None,
-            }),
-            Op::InRange(r) => Some(Interval {
-                lo: Some(r.lo()),
-                hi: Some(r.hi()),
-            }),
-            Op::Eq(AttrValue::Int(v)) => Some(Interval {
-                lo: Some(*v),
-                hi: Some(*v),
-            }),
-            _ => None,
-        }
+        let (lo, hi) = match self {
+            Op::Lt(u) => match u.checked_sub(1) {
+                Some(hi) => (i64::MIN, hi),
+                None => return Some(Interval::EMPTY),
+            },
+            Op::Le(u) => (i64::MIN, *u),
+            Op::Gt(l) => match l.checked_add(1) {
+                Some(lo) => (lo, i64::MAX),
+                None => return Some(Interval::EMPTY),
+            },
+            Op::Ge(l) => (*l, i64::MAX),
+            Op::InRange(r) => (r.lo(), r.hi()),
+            Op::Eq(AttrValue::Int(v)) => (*v, *v),
+            _ => return None,
+        };
+        Some(Interval { lo, hi })
     }
 
     /// Whether every value matching `other` also matches `self`
@@ -373,6 +363,32 @@ mod tests {
         // Lt(10) == values ≤ 9, so Le(9) covers Lt(10) and vice versa.
         assert!(Op::Le(9).covers(&Op::Lt(10)));
         assert!(Op::Lt(10).covers(&Op::Le(9)));
+    }
+
+    #[test]
+    fn empty_operators_cover_only_empty_operators() {
+        let empty = [Op::Lt(i64::MIN), Op::Gt(i64::MAX)];
+        let numeric = [
+            Op::Ge(0),
+            Op::Le(i64::MAX),
+            Op::Ge(i64::MIN),
+            Op::Eq(AttrValue::Int(7)),
+            Op::InRange(IntRange::new(5, 9).unwrap()),
+        ];
+        for e in &empty {
+            assert!(!e.matches(&AttrValue::Int(i64::MIN)));
+            assert!(!e.matches(&AttrValue::Int(i64::MAX)));
+            for f in &empty {
+                assert!(e.covers(f), "{e} covers {f}");
+            }
+            for n in &numeric {
+                assert!(!e.covers(n), "{e} must not cover {n}");
+                assert!(n.covers(e), "{n} covers {e}");
+            }
+        }
+        // An unbounded side reaches the end of `i64`.
+        assert!(Op::Le(i64::MAX).covers(&Op::Ge(0)));
+        assert!(Op::Ge(i64::MIN).covers(&Op::Lt(0)));
     }
 
     #[test]

@@ -730,8 +730,7 @@ impl Bucket {
         self.pred_of.insert(c.clone(), pid);
         let slot = self.attr_slot_mut(c.name());
         if let Some(iv) = c.interval() {
-            let lo = iv.lo().unwrap_or(i64::MIN);
-            store.bounds.insert_sorted(&mut slot.bounds, lo, pid);
+            store.bounds.insert_sorted(&mut slot.bounds, iv.lo(), pid);
         } else if let Op::Eq(v) = c.op() {
             slot.eq.entry(v.clone()).or_default().push(pid);
         } else {

@@ -17,6 +17,24 @@ fn schema_256() -> Schema {
         .build()
 }
 
+/// A value or operator bound: either end of `i64`, or a small number.
+fn bound() -> impl Strategy<Value = i64> {
+    prop_oneof![Just(i64::MIN), Just(i64::MAX), -1i64..101]
+}
+
+/// Every numeric operator, with bounds that include the ends of `i64`,
+/// so the empty `Lt(i64::MIN)` and `Gt(i64::MAX)` are drawn too.
+fn numeric_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0i64..100, 0i64..100)
+            .prop_map(|(a, b)| Op::InRange(IntRange::new(a.min(b), a.max(b)).expect("ordered"))),
+        bound().prop_map(Op::Lt),
+        bound().prop_map(Op::Le),
+        bound().prop_map(Op::Gt),
+        bound().prop_map(Op::Ge),
+    ]
+}
+
 proptest! {
     // ------------------------------------------------------------------
     // NAKT: the canonical cover is exact, disjoint and within the bound.
@@ -80,24 +98,17 @@ proptest! {
     // ------------------------------------------------------------------
     #[test]
     fn covering_implies_match_subset(
-        a_lo in 0i64..100, a_hi in 0i64..100,
-        b_lo in 0i64..100, b_hi in 0i64..100,
-        samples in prop::collection::vec(0i64..100, 20),
+        f_op in numeric_op(),
+        g_op in numeric_op(),
+        samples in prop::collection::vec(bound(), 20),
     ) {
-        prop_assume!(a_lo <= a_hi && b_lo <= b_hi);
-        let f = Filter::for_topic("t").with(Constraint::new(
-            "x",
-            Op::InRange(IntRange::new(a_lo, a_hi).expect("valid")),
-        ));
-        let g = Filter::for_topic("t").with(Constraint::new(
-            "x",
-            Op::InRange(IntRange::new(b_lo, b_hi).expect("valid")),
-        ));
+        let f = Filter::for_topic("t").with(Constraint::new("x", f_op));
+        let g = Filter::for_topic("t").with(Constraint::new("x", g_op));
         if f.covers(&g) {
             for v in samples {
                 let e = Event::builder("t").attr("x", v).build();
                 if g.matches(&e) {
-                    prop_assert!(f.matches(&e), "covering violated at {}", v);
+                    prop_assert!(f.matches(&e), "{} covers {} but not at {}", f, g, v);
                 }
             }
         }
