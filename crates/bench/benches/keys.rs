@@ -9,6 +9,8 @@ use psguard_keys::{
     TopicScope,
 };
 use psguard_model::{Constraint, Event, Filter, IntRange, Op};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn bench_grant_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("kdc_grant");
@@ -128,6 +130,63 @@ fn bench_key_cache(c: &mut Criterion) {
         })
     });
     let _ = &mut ops;
+
+    // The publisher's shape on a many-topic stream: 16 hierarchies keying
+    // one attribute, R = 256, uniform values, the default 64 KiB cache.
+    // Most derivations evict, so caching has to pay for itself here.
+    let nakt = Nakt::binary(IntRange::new(0, 255).expect("valid"), 1).expect("valid");
+    let auths: Vec<AuthKey> = (0..16)
+        .map(|t| AuthKey {
+            scope: KeyScope::Numeric {
+                attr: "value".into(),
+                ktid: Ktid::root(),
+            },
+            key: NaktKeySpace::new(nakt.clone(), &DeriveKey::from_bytes(&[t]), b"value")
+                .root_key()
+                .clone(),
+            epoch: EpochId(0),
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(7);
+    let stream: Vec<(&AuthKey, Ktid)> = (0..1024)
+        .map(|i| {
+            let v = rng.gen_range(0..256i64);
+            (&auths[i % 16], nakt.ktid_of_value(v).expect("in range"))
+        })
+        .collect();
+    c.bench_function("derive_1024_16h_thrash_no_cache", |b| {
+        b.iter(|| {
+            let mut ops = OpCounter::new();
+            for (auth, t) in &stream {
+                NaktKeySpace::derive_descendant(&auth.key, &Ktid::root(), t, &mut ops)
+                    .expect("derivable");
+            }
+        })
+    });
+    let mut cache = KeyCache::new(64 * 1024);
+    c.bench_function("derive_1024_16h_thrash_with_cache", |b| {
+        b.iter(|| {
+            let mut ops = OpCounter::new();
+            for (auth, t) in &stream {
+                cache
+                    .derive_numeric_cached(auth, t, &mut ops)
+                    .expect("derivable");
+            }
+        })
+    });
+    // Exact hits: 64 targets that fit in the cache, repeated.
+    let hot = &stream[..64];
+    let mut cache = KeyCache::new(64 * 1024);
+    c.bench_function("derive_1024_16h_warm_hits", |b| {
+        b.iter(|| {
+            let mut ops = OpCounter::new();
+            for (auth, t) in hot.iter().cycle().take(stream.len()) {
+                cache
+                    .derive_numeric_cached(auth, t, &mut ops)
+                    .expect("derivable");
+            }
+        })
+    });
 }
 
 criterion_group!(

@@ -54,27 +54,6 @@ pub enum KeyScope {
 }
 
 impl KeyScope {
-    /// A stable byte label identifying the scope (used as a cache key).
-    pub fn label(&self) -> Vec<u8> {
-        match self {
-            KeyScope::Topic => b"T".to_vec(),
-            KeyScope::Numeric { attr, ktid } => {
-                let mut v = format!("N:{attr}:").into_bytes();
-                v.extend(ktid.digits());
-                v
-            }
-            KeyScope::Category { attr, path } => {
-                let mut v = format!("C:{attr}:").into_bytes();
-                for i in path.indices() {
-                    v.extend(i.to_be_bytes());
-                }
-                v
-            }
-            KeyScope::StrPrefix { attr, prefix } => format!("P:{attr}:{prefix}").into_bytes(),
-            KeyScope::StrSuffix { attr, suffix } => format!("S:{attr}:{suffix}").into_bytes(),
-        }
-    }
-
     /// The attribute this scope concerns, or `None` for topic scope.
     pub fn attr(&self) -> Option<&str> {
         match self {
@@ -685,34 +664,5 @@ mod tests {
         assert_ne!(ab, ba);
         assert_eq!(combine_master(&[a.clone(), b.clone()], &mut ops), ab);
         assert_eq!(combine_master(std::slice::from_ref(&a), &mut ops), a);
-    }
-
-    #[test]
-    fn scope_labels_unique() {
-        let scopes = [
-            KeyScope::Topic,
-            KeyScope::Numeric {
-                attr: "a".into(),
-                ktid: Ktid::from_digits([1]),
-            },
-            KeyScope::Numeric {
-                attr: "a".into(),
-                ktid: Ktid::from_digits([1, 0]),
-            },
-            KeyScope::Category {
-                attr: "a".into(),
-                path: CategoryPath::from_indices([1]),
-            },
-            KeyScope::StrPrefix {
-                attr: "a".into(),
-                prefix: "x".into(),
-            },
-            KeyScope::StrSuffix {
-                attr: "a".into(),
-                suffix: "x".into(),
-            },
-        ];
-        let labels: std::collections::HashSet<_> = scopes.iter().map(|s| s.label()).collect();
-        assert_eq!(labels.len(), scopes.len());
     }
 }

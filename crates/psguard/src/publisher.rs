@@ -379,42 +379,51 @@ impl Publisher {
             self.workers.push(BatchWorker::new());
         }
 
-        let chunk = events.len().div_ceil(workers);
-        let n_chunks = events.len().div_ceil(chunk);
-        let mut outs: Vec<Vec<Result<SecureEvent, PublishError>>> = Vec::new();
-        outs.resize_with(n_chunks, Vec::new);
-
         let schema = &self.schema;
         let seed_base = self.seed_base;
-        let states = &mut self.workers;
         let creds = &creds;
-        if n_chunks == 1 {
-            // Single worker: run inline; no thread overhead.
-            let out = &mut outs[0];
-            let state = &mut states[0];
+        let seal = |i: usize, e: &Event, state: &mut BatchWorker| {
+            let cred = creds[i];
+            let mut rng = event_rng(&cred.iv_ctx, seed_base, batch, i as u64);
+            encrypt_one(schema, cred, state, e, epoch, &mut rng)
+        };
+        // Every event is sealed (and its ops counted) even after a
+        // failure; the earliest failing event's error is the batch's.
+        let mut sealed = Ok(Vec::with_capacity(events.len()));
+        let mut keep = |r: Result<SecureEvent, PublishError>| {
+            if let Ok(done) = &mut sealed {
+                match r {
+                    Ok(event) => done.push(event),
+                    Err(e) => sealed = Err(e),
+                }
+            }
+        };
+
+        let chunk = events.len().div_ceil(workers);
+        if chunk == events.len() {
+            // Single worker: run inline, straight into the result.
+            let state = &mut self.workers[0];
             for (i, e) in events.iter().enumerate() {
-                let cred = creds[i];
-                let mut rng = event_rng(&cred.iv_ctx, seed_base, batch, i as u64);
-                out.push(encrypt_one(schema, cred, state, e, epoch, &mut rng));
+                keep(seal(i, e, state));
             }
         } else {
+            let mut outs: Vec<Vec<Result<SecureEvent, PublishError>>> = Vec::new();
+            outs.resize_with(events.len().div_ceil(chunk), Vec::new);
             std::thread::scope(|s| {
                 for (chunk_no, ((chunk_events, out), state)) in events
                     .chunks(chunk)
                     .zip(outs.iter_mut())
-                    .zip(states.iter_mut())
+                    .zip(self.workers.iter_mut())
                     .enumerate()
                 {
                     s.spawn(move || {
                         for (j, e) in chunk_events.iter().enumerate() {
-                            let i = chunk_no * chunk + j;
-                            let cred = creds[i];
-                            let mut rng = event_rng(&cred.iv_ctx, seed_base, batch, i as u64);
-                            out.push(encrypt_one(schema, cred, state, e, epoch, &mut rng));
+                            out.push(seal(chunk_no * chunk + j, e, state));
                         }
                     });
                 }
             });
+            outs.into_iter().flatten().for_each(&mut keep);
         }
 
         // Fold worker op counts into the publisher's running total.
@@ -424,19 +433,14 @@ impl Publisher {
             state.ops = OpCounter::new();
         }
         self.ops.merge(&merged);
-
-        let mut result = Vec::with_capacity(events.len());
-        for r in outs.into_iter().flatten() {
-            result.push(r?);
-        }
-        Ok(result)
+        sealed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psguard_keys::{EpochId, Kdc, TopicScope};
+    use psguard_keys::{EpochId, EventKeyError, Kdc, TopicScope};
     use psguard_model::IntRange;
 
     fn publisher_with_credential() -> (Publisher, Kdc) {
@@ -664,12 +668,21 @@ mod tests {
                 .attr("age", "not numeric")
                 .payload(vec![2])
                 .build(),
+            Event::builder("w")
+                .attr("age", 999i64)
+                .payload(vec![3])
+                .build(),
         ];
         for workers in [1usize, 2, 8] {
             let (mut p, _) = publisher_with_credential();
             assert!(matches!(
                 p.publish_batch(&bad, 0, workers),
-                Err(PublishError::EventKey(_))
+                Err(PublishError::EventKey(EventKeyError::FamilyMismatch { .. }))
+            ));
+            // The later failure is a different error.
+            assert!(matches!(
+                p.publish(&bad[2], 0),
+                Err(PublishError::EventKey(EventKeyError::OutOfRange { .. }))
             ));
         }
     }

@@ -42,6 +42,9 @@ pub const TAINTED_TYPES: &[&str] = &[
     "ConstraintGrant",
     "Grant",
     "KeyCache",
+    // The key cache's slab entry: a derived key under a label that
+    // encodes an authorized hierarchy path.
+    "CacheSlot",
     // `CachedKdc` (a grant memo) no longer exists; its entry keeps it
     // from coming back leaky.
     "CachedKdc",

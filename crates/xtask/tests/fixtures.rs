@@ -63,9 +63,14 @@ fn secret_hygiene_catches_seeded_violations() {
         .iter()
         .filter(|f| f.rule == Rule::SecretHygiene)
         .collect();
-    // derive(Debug) on DeriveKey, derive(Serialize) on AesKey, Display on
-    // Kdc, {topic_key:?} interpolation, raw_key format argument.
-    assert!(secret.len() >= 5, "{secret:#?}");
+    // derive(Debug) on DeriveKey, derive(Serialize) on AesKey,
+    // derive(Debug) on CacheSlot, Display on Kdc, {topic_key:?}
+    // interpolation, raw_key format argument.
+    assert!(secret.len() >= 6, "{secret:#?}");
+    assert!(
+        secret.iter().any(|f| f.message.contains("CacheSlot")),
+        "{secret:#?}"
+    );
 }
 
 #[test]

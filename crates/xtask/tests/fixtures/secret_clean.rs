@@ -10,6 +10,12 @@ impl std::fmt::Debug for DeriveKey {
     }
 }
 
+// A slab entry holding key material simply has no Debug.
+struct CacheSlot {
+    label: Vec<u8>,
+    key: DeriveKey,
+}
+
 // Untainted bindings may be formatted freely.
 fn log_progress(topic: &str, key_count: usize) {
     println!("granted {key_count} keys for {topic}");

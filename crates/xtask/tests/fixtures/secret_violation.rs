@@ -7,6 +7,12 @@ pub struct DeriveKey([u8; 20]);
 #[derive(Clone, Serialize)]
 pub struct AesKey([u8; 16]);
 
+#[derive(Debug)]
+struct CacheSlot {
+    label: Vec<u8>,
+    key: DeriveKey,
+}
+
 impl std::fmt::Display for Kdc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("oops")
