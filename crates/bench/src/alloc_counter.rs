@@ -26,16 +26,21 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // SAFETY: forwards the caller's layout, under `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` via this allocator with this
+        // layout, per `dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
         LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` via this allocator with
+        // `layout`, per `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

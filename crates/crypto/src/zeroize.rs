@@ -6,8 +6,12 @@
 //! a buffer about to be freed) and fence the compiler so the wipe is not
 //! reordered past the deallocation.
 //!
-//! This is the single audited use of `unsafe` in the workspace; every
-//! other crate forbids it via `[workspace.lints]`.
+//! This is one of the workspace's three audited `unsafe` islands, with
+//! `bench/src/alloc_counter.rs` (a counting allocator) and
+//! `siena/src/reactor/sys.rs` (the reactor's epoll FFI). Every other
+//! crate forbids `unsafe` via `[workspace.lints]`, and the xtask
+//! `unsafe-island` rule admits `#[allow(unsafe_code)]` in these three
+//! files only.
 #![allow(unsafe_code)]
 
 use core::sync::atomic::{compiler_fence, Ordering};

@@ -5,16 +5,17 @@
 //! `worker_threads` reactor workers (defaulting to the CPU core count,
 //! capped at [`MAX_WORKERS`]). Accepted connections are sharded across
 //! workers by token (`id % workers`); each worker drives its shard's
-//! nonblocking read/decode and coalesced-write state machines off a
-//! [`ScanPoller`](super::poller::ScanPoller).
+//! nonblocking read/decode and coalesced-write state machines off an
+//! edge-triggered [`Poller`].
 //!
 //! The pure [`Broker`] matching engine lives in exactly one thread —
 //! the dispatcher — which also owns heartbeat ticks, eviction, and the
 //! parent-chained `SubAck` bookkeeping. Ticks are synthesized from the
-//! dispatcher's `recv_timeout`, so there is no ticker thread. After
-//! every input batch the dispatcher wakes only the workers whose shards
-//! received frames (a 64-bit dirty mask), so an idle broker parks
-//! everywhere.
+//! dispatcher's `recv_timeout`, so there is no ticker thread. A frame
+//! offered to an empty queue marks its connection on the owning worker's
+//! ready list; after every input batch the dispatcher wakes only the
+//! workers whose shards received frames (a 64-bit dirty mask), so an
+//! idle broker sleeps everywhere.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -27,7 +28,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 
 use super::config::{StatsInner, TcpConfig, TcpStats};
 use super::conn::OutQueue;
-use super::poller::{ScanPoller, DEFAULT_MAX_PARK};
+use super::poller::Poller;
 use super::worker::{run_broker_worker, WorkerHandle, WorkerMsg};
 use crate::broker::{Action, Broker, Peer};
 use crate::error::TcpError;
@@ -234,7 +235,7 @@ where
     // The fixed worker pool.
     let mut handles: Vec<WorkerHandle> = Vec::with_capacity(nworkers);
     for _ in 0..nworkers {
-        let poller = ScanPoller::new(DEFAULT_MAX_PARK);
+        let poller = Poller::new().map_err(TcpError::Io)?;
         let waker = poller.waker();
         let (wtx, wrx) = unbounded::<WorkerMsg>();
         let dispatch_tx = tx.clone();
@@ -253,13 +254,13 @@ where
     if let Some(paddr) = parent {
         let stream =
             TcpStream::connect_timeout(&paddr, cfg.connect_timeout).map_err(TcpError::Io)?;
-        let out = OutQueue::new(cfg.queue_capacity);
-        let hello: Message<F, F::Event> = Message::Hello { kind: 0 };
-        out.offer(pool.encode(&hello));
         if let Some(h) = handles.first() {
+            let out = OutQueue::new(cfg.queue_capacity, PARENT_ID, h.waker.clone());
+            let hello: Message<F, F::Event> = Message::Hello { kind: 0 };
+            out.offer(pool.encode(&hello));
             h.add(PARENT_ID, stream, out.clone());
+            parent_out = Some(out);
         }
-        parent_out = Some(out);
     }
 
     // Accept loop: shards connections across the pool by token.
@@ -278,7 +279,10 @@ where
                 let Ok(stream) = stream else { continue };
                 let peer_id = next_peer;
                 next_peer += 1;
-                let out = OutQueue::new(queue_capacity);
+                let Some(h) = handles.get(peer_id as usize % handles.len()) else {
+                    break;
+                };
+                let out = OutQueue::new(queue_capacity, peer_id, h.waker.clone());
                 // NewPeer must reach the dispatcher before any FromPeer
                 // for this id; both ride the same FIFO channel and the
                 // worker only produces FromPeer after `add`, so sending
@@ -286,9 +290,7 @@ where
                 if tx.send(Input::NewPeer(peer_id, out.clone())).is_err() {
                     break;
                 }
-                if let Some(h) = handles.get(peer_id as usize % handles.len()) {
-                    h.add(peer_id, stream, out);
-                }
+                h.add(peer_id, stream, out);
             }
         }));
     }

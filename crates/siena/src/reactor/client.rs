@@ -15,8 +15,10 @@
 //! `heartbeat_interval × heartbeat_miss_limit` proactively abandons the
 //! socket and reconnects, without waiting for a socket error.
 
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::fd::AsFd;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -25,17 +27,14 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender,
 use parking_lot::Mutex;
 
 use super::config::{jitter_step, OverflowPolicy, StatsInner, TcpConfig, TcpStats};
-use super::conn::{Conn, ConnStatus, OutQueue};
-use super::poller::{park_interval, PollWaker, DEFAULT_MAX_PARK};
+use super::conn::{Conn, ConnStatus, OutQueue, SCRATCH_BYTES};
+use super::poller::{PollWaker, Poller, Readiness};
 use crate::error::TcpError;
 use crate::fault::SeqDedup;
 use crate::frame::{FramePool, FramePoolStats, SharedFrame};
 use crate::log::{Cursor, ResumeOutcome};
 use crate::semantics::FilterSemantics;
 use crate::wire::{filter_crc, Message, Wire};
-
-/// Shared read scratch for the reactor thread (all connections).
-const SCRATCH_BYTES: usize = 64 * 1024;
 
 /// Bound on the best-effort final drain at shutdown.
 const SHUTDOWN_FLUSH_ROUNDS: usize = 100;
@@ -50,6 +49,7 @@ const EVENT_CHANNEL_CAP: usize = 4096;
 const DEDUP_WINDOW: usize = 4096;
 
 struct Register<F: FilterSemantics> {
+    token: u32,
     stream: TcpStream,
     addr: SocketAddr,
     out: Arc<OutQueue>,
@@ -68,11 +68,20 @@ struct Register<F: FilterSemantics> {
 /// with [`connect`](ClientReactor::connect). Dropping the reactor flushes
 /// and stops every connection it hosts.
 pub struct ClientReactor<F: FilterSemantics> {
+    /// The running I/O thread, or why its poller could not be created
+    /// (every `connect` then fails with that error).
+    io: std::io::Result<ReactorIo<F>>,
+    cfg: TcpConfig,
+    pool: FramePool,
+    /// Poller token of the next connection.
+    next_token: AtomicU32,
+}
+
+/// The handles of a running client reactor thread.
+struct ReactorIo<F: FilterSemantics> {
     reg_tx: Sender<Register<F>>,
     waker: PollWaker,
     shutdown: Arc<AtomicBool>,
-    cfg: TcpConfig,
-    pool: FramePool,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -103,29 +112,35 @@ where
     }
 
     /// A reactor with explicit transport tuning (shared by every
-    /// connection it hosts).
+    /// connection it hosts). If its poller cannot be created, no thread
+    /// starts and [`connect`](Self::connect) reports the error.
     pub fn with_config(cfg: TcpConfig) -> Self {
-        let (reg_tx, reg_rx) = unbounded::<Register<F>>();
-        let waker = PollWaker::new();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let pool = FramePool::new();
-        let thread = {
-            let waker = waker.clone();
-            let shutdown = shutdown.clone();
-            let pool = pool.clone();
-            // SPAWN-OK: the client reactor's single I/O thread — fixed count
-            // one, regardless of how many connections it hosts.
-            std::thread::spawn(move || {
-                run_client_reactor::<F>(cfg, reg_rx, waker, shutdown, pool);
-            })
-        };
+        let io = Poller::new().map(|poller| {
+            let (reg_tx, reg_rx) = unbounded::<Register<F>>();
+            let waker = poller.waker();
+            let shutdown = Arc::new(AtomicBool::new(false));
+            let thread = {
+                let shutdown = shutdown.clone();
+                let pool = pool.clone();
+                // SPAWN-OK: the client reactor's single I/O thread — fixed
+                // count one, regardless of how many connections it hosts.
+                std::thread::spawn(move || {
+                    run_client_reactor::<F>(cfg, poller, reg_rx, shutdown, pool);
+                })
+            };
+            ReactorIo {
+                reg_tx,
+                waker,
+                shutdown,
+                thread: Some(thread),
+            }
+        });
         ClientReactor {
-            reg_tx,
-            waker,
-            shutdown,
+            io,
             cfg,
             pool,
-            thread: Some(thread),
+            next_token: AtomicU32::new(0),
         }
     }
 
@@ -151,12 +166,17 @@ where
     ///
     /// # Errors
     ///
-    /// Returns [`TcpError::Io`] when the initial connection fails.
+    /// Returns [`TcpError::Io`] when the initial connection fails or the
+    /// reactor's poller could not be created.
     pub fn connect_resuming(
         &self,
         broker: SocketAddr,
         resume_from: Option<Cursor>,
     ) -> Result<ReactorClient<F>, TcpError> {
+        let io = self
+            .io
+            .as_ref()
+            .map_err(|e| TcpError::Io(std::io::Error::new(e.kind(), e.to_string())))?;
         let stream =
             TcpStream::connect_timeout(&broker, self.cfg.connect_timeout).map_err(TcpError::Io)?;
         stream.set_nodelay(true).ok();
@@ -167,7 +187,8 @@ where
             .write_to(&mut hs)
             .map_err(TcpError::Io)?;
 
-        let out = OutQueue::new(self.cfg.queue_capacity);
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let out = OutQueue::new(self.cfg.queue_capacity, token, io.waker.clone());
         let (etx, erx) = bounded::<F::Event>(EVENT_CHANNEL_CAP);
         let (atx, arx) = unbounded::<u32>();
         let (rtx, rrx) = unbounded::<ResumeOutcome>();
@@ -176,6 +197,7 @@ where
         let down = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(StatsInner::default());
         let reg = Register {
+            token,
             stream,
             addr: broker,
             out: out.clone(),
@@ -187,8 +209,8 @@ where
             down: down.clone(),
             stats: stats.clone(),
         };
-        self.reg_tx.send(reg).map_err(|_| TcpError::Disconnected)?;
-        self.waker.wake();
+        io.reg_tx.send(reg).map_err(|_| TcpError::Disconnected)?;
+        io.waker.wake();
         Ok(ReactorClient {
             out,
             events: erx,
@@ -200,17 +222,19 @@ where
             stats,
             pool: self.pool.clone(),
             overflow: self.cfg.overflow,
-            waker: self.waker.clone(),
+            waker: io.waker.clone(),
         })
     }
 }
 
 impl<F: FilterSemantics> Drop for ClientReactor<F> {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+        if let Ok(io) = &mut self.io {
+            io.shutdown.store(true, Ordering::SeqCst);
+            io.waker.wake();
+            if let Some(t) = io.thread.take() {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -467,6 +491,8 @@ enum CState {
 }
 
 struct Slot<F: FilterSemantics> {
+    /// Poller token; a reconnected socket is registered under it again.
+    token: u32,
     addr: SocketAddr,
     out: Arc<OutQueue>,
     etx: Sender<F::Event>,
@@ -492,106 +518,159 @@ fn backoff_delay(cfg: &TcpConfig, jitter: &mut u64, attempt: u32) -> Duration {
     base + jitter_step(jitter, base)
 }
 
+/// Silence from the broker past which a connected client reconnects.
+fn miss_window(cfg: &TcpConfig) -> Duration {
+    cfg.heartbeat_interval * cfg.heartbeat_miss_limit.max(1)
+}
+
+/// The slot's next timer: heartbeat due or heartbeat-miss deadline while
+/// connected (heartbeats on), reconnect attempt while backing off.
+fn slot_deadline<F: FilterSemantics>(slot: &Slot<F>, cfg: &TcpConfig) -> Option<Instant> {
+    match slot.state {
+        CState::Connected(_) if !cfg.heartbeat_interval.is_zero() => {
+            Some(slot.hb_due.min(slot.last_heard + miss_window(cfg)))
+        }
+        CState::Backoff { until, .. } => Some(until),
+        _ => None,
+    }
+}
+
+fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 fn run_client_reactor<F>(
     cfg: TcpConfig,
+    mut poller: Poller,
     reg_rx: Receiver<Register<F>>,
-    waker: PollWaker,
     shutdown: Arc<AtomicBool>,
     pool: FramePool,
 ) where
     F: FilterSemantics + Wire + Send + 'static,
     F::Event: Wire + Send + 'static,
 {
-    waker.attach_current_thread();
     let hb_frame = pool.encode(&Message::<F, F::Event>::Heartbeat);
-    let mut slots: Vec<Slot<F>> = Vec::new();
+    let mut slots: HashMap<u32, Slot<F>> = HashMap::new();
     let mut scratch = vec![0u8; SCRATCH_BYTES];
-    let mut idle_streak: u32 = 0;
+    let mut ready: Vec<Readiness> = Vec::new();
+    // Tokens to step this pass; connections with work left carry over.
+    let mut active: Vec<u32> = Vec::new();
+    let mut carry: Vec<u32> = Vec::new();
+    // Never later than the nearest `slot_deadline`: every slot that is
+    // stepped folds its new deadline in, and reaching it rescans them all.
+    let mut next_due: Option<Instant> = None;
 
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        ready.clear();
+        let timeout = if active.is_empty() {
+            next_due.map(|due| due.saturating_duration_since(Instant::now()))
+        } else {
+            Some(Duration::ZERO)
+        };
+        if poller.wait(&mut ready, timeout).is_err() || shutdown.load(Ordering::SeqCst) {
             final_flush(&mut slots);
             return;
         }
         while let Ok(reg) = reg_rx.try_recv() {
-            let now = Instant::now();
-            let jitter = cfg.jitter_seed ^ u64::from(reg.addr.port());
-            let state = match Conn::new(reg.stream, reg.out.clone()) {
-                Ok(conn) => CState::Connected(conn),
-                // Socket already unusable: fall straight into backoff.
-                Err(_) => CState::Backoff {
-                    until: now,
-                    attempt: 1,
-                },
-            };
-            let dedup_epoch = reg.cursor.lock().map_or(0, |c| c.epoch);
-            slots.push(Slot {
-                addr: reg.addr,
-                out: reg.out,
-                etx: reg.etx,
-                atx: reg.atx,
-                rtx: reg.rtx,
-                cursor: reg.cursor,
-                dedup: SeqDedup::new(DEDUP_WINDOW),
-                dedup_epoch,
-                subs: reg.subs,
-                down: reg.down,
-                stats: reg.stats,
-                state,
-                hb_due: now + cfg.heartbeat_interval,
-                last_heard: now,
-                jitter,
-            });
-            idle_streak = 0;
+            let token = reg.token;
+            slots.insert(token, new_slot(reg, &cfg, &poller));
+            active.push(token);
         }
-
-        let mut progress = false;
-        for slot in &mut slots {
-            progress |= step_slot(slot, &cfg, &hb_frame, &pool, &mut scratch);
-        }
-        slots.retain(|s| !matches!(s.state, CState::Gone));
-
-        if progress || waker.take_pending() {
-            idle_streak = 0;
-            continue;
-        }
-        idle_streak = idle_streak.saturating_add(1);
-        let mut park = park_interval(idle_streak, DEFAULT_MAX_PARK);
-        // Never park past the nearest timer (heartbeat or backoff
-        // deadline).
-        let now = Instant::now();
-        for slot in &slots {
-            let next = match slot.state {
-                CState::Connected(_) if !cfg.heartbeat_interval.is_zero() => {
-                    slot.hb_due.saturating_duration_since(now)
+        for r in &ready {
+            if let Some(slot) = slots.get_mut(&r.token) {
+                if let CState::Connected(conn) = &mut slot.state {
+                    conn.note(*r);
                 }
-                CState::Backoff { until, .. } => until.saturating_duration_since(now),
-                _ => continue,
-            };
-            park = park.min(next.max(Duration::from_micros(10)));
+                active.push(r.token);
+            }
         }
-        std::thread::park_timeout(park);
-        waker.take_pending();
+        let now = Instant::now();
+        if next_due.is_some_and(|due| due <= now) {
+            next_due = None;
+            for (&token, slot) in &slots {
+                match slot_deadline(slot, &cfg) {
+                    Some(due) if due <= now => active.push(token),
+                    due => next_due = earliest(next_due, due),
+                }
+            }
+        }
+        active.sort_unstable();
+        active.dedup();
+
+        for &token in &active {
+            let Some(slot) = slots.get_mut(&token) else {
+                continue;
+            };
+            step_slot(slot, &cfg, &hb_frame, &pool, &mut scratch, &poller);
+            next_due = earliest(next_due, slot_deadline(slot, &cfg));
+            match &slot.state {
+                CState::Gone => {
+                    slots.remove(&token);
+                }
+                CState::Connected(conn) if conn.has_pending_work() => carry.push(token),
+                _ => {}
+            }
+        }
+        active.clear();
+        std::mem::swap(&mut active, &mut carry);
     }
 }
 
-/// Advances one connection's state machine. Returns whether any I/O
-/// progress happened.
+/// A slot for a freshly registered connection: connected and
+/// registered with the poller, or — if the socket is already unusable —
+/// backing off toward an immediate reconnect.
+fn new_slot<F: FilterSemantics>(reg: Register<F>, cfg: &TcpConfig, poller: &Poller) -> Slot<F> {
+    let now = Instant::now();
+    let jitter = cfg.jitter_seed ^ u64::from(reg.addr.port());
+    let state = match Conn::new(reg.stream, reg.out.clone(), poller, reg.token) {
+        Ok(conn) => CState::Connected(conn),
+        Err(_) => CState::Backoff {
+            until: now,
+            attempt: 1,
+        },
+    };
+    let dedup_epoch = reg.cursor.lock().map_or(0, |c| c.epoch);
+    Slot {
+        token: reg.token,
+        addr: reg.addr,
+        out: reg.out,
+        etx: reg.etx,
+        atx: reg.atx,
+        rtx: reg.rtx,
+        cursor: reg.cursor,
+        dedup: SeqDedup::new(DEDUP_WINDOW),
+        dedup_epoch,
+        subs: reg.subs,
+        down: reg.down,
+        stats: reg.stats,
+        state,
+        hb_due: now + cfg.heartbeat_interval,
+        last_heard: now,
+        jitter,
+    }
+}
+
+/// Advances one connection's state machine: a due reconnect or
+/// heartbeat, the write and read pumps the connection's readiness calls
+/// for, and the heartbeat-miss check.
 fn step_slot<F>(
     slot: &mut Slot<F>,
     cfg: &TcpConfig,
     hb_frame: &SharedFrame,
     pool: &FramePool,
     scratch: &mut [u8],
-) -> bool
-where
+    poller: &Poller,
+) where
     F: FilterSemantics + Wire + Send + 'static,
     F::Event: Wire + Send + 'static,
 {
     let hb_on = !cfg.heartbeat_interval.is_zero();
     let now = Instant::now();
     match &mut slot.state {
-        CState::Gone => false,
+        CState::Gone => {}
         CState::Backoff { until, attempt: _ } => {
             if slot.out.is_closed() {
                 // Handle dropped while disconnected: queued frames can
@@ -603,15 +682,15 @@ where
                         .fetch_add(stranded, Ordering::Relaxed);
                 }
                 slot.state = CState::Gone;
-                return false;
+                return;
             }
             if now < *until {
-                return false;
+                return;
             }
             match TcpStream::connect_timeout(&slot.addr, cfg.connect_timeout) {
                 Ok(stream) => {
                     stream.set_nodelay(true).ok();
-                    match Conn::new(stream, slot.out.clone()) {
+                    match Conn::new(stream, slot.out.clone(), poller, slot.token) {
                         Ok(mut conn) => {
                             // Handshake rides the write batch: hello,
                             // then every remembered subscription, then —
@@ -641,18 +720,11 @@ where
                             slot.last_heard = now;
                             slot.hb_due = now + cfg.heartbeat_interval;
                             slot.state = CState::Connected(conn);
-                            true
                         }
-                        Err(_) => {
-                            fail_attempt(slot, cfg, now);
-                            false
-                        }
+                        Err(_) => fail_attempt(slot, cfg, now),
                     }
                 }
-                Err(_) => {
-                    fail_attempt(slot, cfg, now);
-                    false
-                }
+                Err(_) => fail_attempt(slot, cfg, now),
             }
         }
         CState::Connected(conn) => {
@@ -661,17 +733,23 @@ where
                 slot.stats.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
                 slot.hb_due = now + cfg.heartbeat_interval;
             }
-            let (wp, wstatus) = conn.pump_writes();
-            match wstatus {
-                ConnStatus::Dead => {
-                    disconnect(slot, cfg, now);
-                    return wp;
+            if conn.wants_write() {
+                match conn.pump_writes() {
+                    ConnStatus::Dead => {
+                        disconnect(slot, cfg, now, poller);
+                        return;
+                    }
+                    ConnStatus::Finished => {
+                        poller.deregister(conn.as_fd());
+                        slot.state = CState::Gone;
+                        return;
+                    }
+                    ConnStatus::Open => {}
                 }
-                ConnStatus::Finished => {
-                    slot.state = CState::Gone;
-                    return wp;
-                }
-                ConnStatus::Open => {}
+            }
+            if !conn.readable() {
+                miss_check(slot, cfg, now, poller);
+                return;
             }
             let etx = &slot.etx;
             let atx = &slot.atx;
@@ -751,17 +829,24 @@ where
                 slot.last_heard = now;
             }
             if rstatus == ConnStatus::Dead {
-                disconnect(slot, cfg, now);
-            } else if hb_on
-                && now.duration_since(slot.last_heard)
-                    > cfg.heartbeat_interval * cfg.heartbeat_miss_limit.max(1)
-            {
-                // Broker silent past the miss limit: abandon the socket
-                // and reconnect rather than waiting for a TCP error.
-                disconnect(slot, cfg, now);
+                disconnect(slot, cfg, now, poller);
+            } else {
+                miss_check(slot, cfg, now, poller);
             }
-            wp || rp
         }
+    }
+}
+
+/// Broker silent past the miss limit: abandon the socket and reconnect
+/// rather than waiting for a TCP error.
+fn miss_check<F: FilterSemantics>(
+    slot: &mut Slot<F>,
+    cfg: &TcpConfig,
+    now: Instant,
+    poller: &Poller,
+) {
+    if !cfg.heartbeat_interval.is_zero() && now.duration_since(slot.last_heard) > miss_window(cfg) {
+        disconnect(slot, cfg, now, poller);
     }
 }
 
@@ -778,11 +863,17 @@ fn deliver_event<E>(etx: &Sender<E>, stats: &StatsInner, event: E) -> bool {
     }
 }
 
-/// Connection died: count frames lost in the in-flight batch, then
-/// either finish (handle gone) or enter backoff. Queued frames survive
-/// for the next epoch.
-fn disconnect<F: FilterSemantics>(slot: &mut Slot<F>, cfg: &TcpConfig, now: Instant) {
+/// Connection died: deregister its socket, count frames lost in the
+/// in-flight batch, then either finish (handle gone) or enter backoff.
+/// Queued frames survive for the next epoch.
+fn disconnect<F: FilterSemantics>(
+    slot: &mut Slot<F>,
+    cfg: &TcpConfig,
+    now: Instant,
+    poller: &Poller,
+) {
     if let CState::Connected(conn) = &slot.state {
+        poller.deregister(conn.as_fd());
         let lost = conn.batched_unsent();
         if lost > 0 {
             slot.stats.dropped_frames.fetch_add(lost, Ordering::Relaxed);
@@ -827,12 +918,12 @@ fn fail_attempt<F: FilterSemantics>(slot: &mut Slot<F>, cfg: &TcpConfig, now: In
 
 /// Best-effort bounded drain of every live connection at reactor
 /// shutdown.
-fn final_flush<F: FilterSemantics>(slots: &mut [Slot<F>]) {
+fn final_flush<F: FilterSemantics>(slots: &mut HashMap<u32, Slot<F>>) {
     for _ in 0..SHUTDOWN_FLUSH_ROUNDS {
         let mut pending = false;
-        for slot in slots.iter_mut() {
+        for slot in slots.values_mut() {
             if let CState::Connected(conn) = &mut slot.state {
-                let (_, status) = conn.pump_writes();
+                let status = conn.pump_writes();
                 if status == ConnStatus::Open && conn.unsent() > 0 {
                     pending = true;
                 }

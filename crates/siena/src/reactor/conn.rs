@@ -10,17 +10,24 @@
 //! * inbound: a reusable accumulation buffer parsed incrementally —
 //!   length prefix, [`MAX_FRAME`] bound, then message decode — so a
 //!   frame split across arbitrarily many TCP segments costs no extra
-//!   allocation and never blocks a thread.
+//!   allocation and never blocks a thread;
+//! * readiness: the edge-triggered poller reports each edge once, so a
+//!   `Conn` remembers what is left to do — a sticky `readable` bit, a
+//!   pending write pump, and whether its last write met `WouldBlock` —
+//!   and [`Conn::has_pending_work`] tells the loop to come back without
+//!   waiting for a new edge.
 
 use std::collections::VecDeque;
 use std::io::Read;
 use std::net::TcpStream;
+use std::os::fd::{AsFd, BorrowedFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use super::poller::{PollWaker, Poller, Readiness};
 use crate::error::TcpError;
 use crate::frame::{FrameWriteCursor, SharedFrame};
 use crate::semantics::FilterSemantics;
@@ -34,9 +41,13 @@ pub(crate) const MAX_COALESCE: usize = 32;
 /// one firehose connection cannot starve its worker's other sockets.
 pub(crate) const REFILL_BUDGET: usize = 8;
 
+/// Size of the read scratch buffer a reactor thread shares among all
+/// its connections (per-connection memory stays flat).
+pub(crate) const SCRATCH_BYTES: usize = 64 * 1024;
+
 /// `read` calls one `pump_reads` pass may issue per connection, for the
 /// same fairness reason.
-const MAX_READS_PER_PASS: usize = 4;
+pub(crate) const MAX_READS_PER_PASS: usize = 4;
 
 /// Once this many parsed-and-consumed bytes accumulate at the front of
 /// the read buffer, compact it (amortized O(1) per byte).
@@ -58,28 +69,44 @@ struct OutInner {
 /// bytes. Closing the queue is the reactor's flush-then-close signal:
 /// already-queued frames still drain, after which the worker finishes
 /// the connection.
+///
+/// The queue knows its connection's token and its reactor's
+/// [`PollWaker`]: a frame that lands in an empty queue, and closing the
+/// queue, mark the token so the reactor pumps writes for exactly the
+/// connections that have something to send. Marking does not wake the
+/// reactor; producers wake it once per batch.
 #[derive(Debug)]
 pub(crate) struct OutQueue {
     inner: Mutex<OutInner>,
     cap: usize,
+    token: u32,
+    waker: PollWaker,
 }
 
 impl OutQueue {
-    pub(crate) fn new(cap: usize) -> Arc<Self> {
+    pub(crate) fn new(cap: usize, token: u32, waker: PollWaker) -> Arc<Self> {
         Arc::new(OutQueue {
             inner: Mutex::new(OutInner::default()),
             cap: cap.max(1),
+            token,
+            waker,
         })
     }
 
     /// Enqueues without blocking. Returns `false` (frame dropped) when
     /// the queue is full or closed — callers count the drop.
     pub(crate) fn offer(&self, frame: SharedFrame) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.closed || inner.q.len() >= self.cap {
-            return false;
+        let was_empty = {
+            let mut inner = self.inner.lock();
+            if inner.closed || inner.q.len() >= self.cap {
+                return false;
+            }
+            inner.q.push_back(frame);
+            inner.q.len() == 1
+        };
+        if was_empty {
+            self.waker.mark(self.token);
         }
-        inner.q.push_back(frame);
         true
     }
 
@@ -96,7 +123,7 @@ impl OutQueue {
         frame: SharedFrame,
         abort: &AtomicBool,
     ) -> Result<(), TcpError> {
-        loop {
+        let was_empty = loop {
             if abort.load(Ordering::SeqCst) {
                 return Err(TcpError::Disconnected);
             }
@@ -107,11 +134,15 @@ impl OutQueue {
                 }
                 if inner.q.len() < self.cap {
                     inner.q.push_back(frame);
-                    return Ok(());
+                    break inner.q.len() == 1;
                 }
             }
             std::thread::sleep(PUSH_RETRY_NAP);
+        };
+        if was_empty {
+            self.waker.mark(self.token);
         }
+        Ok(())
     }
 
     /// Marks the queue closed: no new frames are accepted, queued frames
@@ -119,6 +150,7 @@ impl OutQueue {
     /// connection as finished.
     pub(crate) fn close(&self) {
         self.inner.lock().closed = true;
+        self.waker.mark(self.token);
     }
 
     pub(crate) fn is_closed(&self) -> bool {
@@ -166,19 +198,40 @@ pub(crate) struct Conn {
     wcur: FrameWriteCursor,
     rbuf: Vec<u8>,
     rstart: usize,
+    /// Sticky: set by a readable edge, cleared only when a read meets
+    /// `WouldBlock` or comes up short.
+    readable: bool,
+    /// A write pump is due: the queue was marked, the socket regained
+    /// space, or the last pump stopped at its refill budget.
+    want_write: bool,
+    /// The last write met `WouldBlock`; only an `EPOLLOUT` edge resumes
+    /// the write side.
+    write_blocked: bool,
+}
+
+impl AsFd for Conn {
+    fn as_fd(&self) -> BorrowedFd<'_> {
+        self.stream.as_fd()
+    }
 }
 
 impl Conn {
     /// Wraps an accepted/connected stream, switching it to nonblocking
-    /// mode.
+    /// mode and registering it with `poller` under `token`.
     ///
     /// # Errors
     ///
-    /// Propagates the `set_nonblocking` failure (the socket is unusable
-    /// for the reactor without it).
-    pub(crate) fn new(stream: TcpStream, out: Arc<OutQueue>) -> std::io::Result<Self> {
+    /// Propagates the `set_nonblocking` or registration failure (the
+    /// socket is unusable for the reactor without either).
+    pub(crate) fn new(
+        stream: TcpStream,
+        out: Arc<OutQueue>,
+        poller: &Poller,
+        token: u32,
+    ) -> std::io::Result<Self> {
         stream.set_nodelay(true).ok();
         stream.set_nonblocking(true)?;
+        poller.register(stream.as_fd(), token)?;
         Ok(Conn {
             stream,
             out,
@@ -186,7 +239,41 @@ impl Conn {
             wcur: FrameWriteCursor::new(),
             rbuf: Vec::new(),
             rstart: 0,
+            // A fresh socket may already hold input, and its handshake
+            // may already be queued: the first pass pumps both sides.
+            readable: true,
+            want_write: true,
+            write_blocked: false,
         })
+    }
+
+    /// Folds one readiness report into the connection's pending work.
+    /// An `EPOLLOUT` edge matters only to a write side that met
+    /// `WouldBlock`; a queue mark only to one that did not.
+    pub(crate) fn note(&mut self, r: Readiness) {
+        self.readable |= r.readable;
+        if self.write_blocked {
+            self.want_write |= r.writable;
+        } else {
+            self.want_write |= r.queued;
+        }
+    }
+
+    /// Whether a read pass is due (see [`note`](Self::note)).
+    pub(crate) fn readable(&self) -> bool {
+        self.readable
+    }
+
+    /// Whether a write pump is due (see [`note`](Self::note)).
+    pub(crate) fn wants_write(&self) -> bool {
+        self.want_write
+    }
+
+    /// Work that no future edge or mark will announce: unread input past
+    /// a read cap, or queued frames past a refill budget. The loop must
+    /// come back to this connection without blocking.
+    pub(crate) fn has_pending_work(&self) -> bool {
+        self.readable || self.want_write
     }
 
     /// Queues frames for the handshake (hello / subscription replay)
@@ -200,6 +287,7 @@ impl Conn {
     /// that must not compete with callers for queue capacity.
     pub(crate) fn push_direct(&mut self, frame: SharedFrame) {
         self.wbatch.push(frame);
+        self.want_write |= !self.write_blocked;
     }
 
     /// Frames queued or batched but not yet on the wire — the drop count
@@ -217,36 +305,40 @@ impl Conn {
 
     /// Drives the write side: resumes any partial batch, then refills
     /// from the queue (up to `REFILL_BUDGET` refills) until the socket
-    /// pushes back or the queue runs dry. Returns `(progress, status)`.
-    pub(crate) fn pump_writes(&mut self) -> (bool, ConnStatus) {
-        let mut progress = false;
+    /// pushes back or the queue runs dry. Stopping at the budget leaves
+    /// the pump due for the next pass; stopping at `WouldBlock` leaves it
+    /// to the next `EPOLLOUT` edge.
+    pub(crate) fn pump_writes(&mut self) -> ConnStatus {
+        self.want_write = false;
+        self.write_blocked = false;
         let mut refills = REFILL_BUDGET;
         loop {
             if self.wcur.done(&self.wbatch) {
                 self.wbatch.clear(); // release Arcs → buffers return to pool
                 self.wcur = FrameWriteCursor::new();
                 if refills == 0 {
-                    return (progress, ConnStatus::Open);
+                    self.want_write = true;
+                    return ConnStatus::Open;
                 }
                 refills -= 1;
                 let (moved, finished) = self.out.drain_into(&mut self.wbatch, MAX_COALESCE);
                 if moved == 0 {
-                    let status = if finished {
+                    return if finished {
                         ConnStatus::Finished
                     } else {
                         ConnStatus::Open
                     };
-                    return (progress, status);
                 }
             }
             match self.wcur.write_step(&mut self.stream, &self.wbatch) {
-                Ok(0) => {} // nothing left in the batch; refill
-                Ok(_) => progress = true,
+                // A written batch (`Ok(0)`) is refilled at the loop head.
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return (progress, ConnStatus::Open);
+                    self.write_blocked = true;
+                    return ConnStatus::Open;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return (progress, ConnStatus::Dead),
+                Err(_) => return ConnStatus::Dead,
             }
         }
     }
@@ -254,7 +346,10 @@ impl Conn {
     /// Drives the read side: up to [`MAX_READS_PER_PASS`] nonblocking
     /// reads into `scratch`, incrementally parsing complete frames and
     /// handing decoded messages to `on_msg` (which returns `false` to
-    /// abort the connection). Returns `(progress, status)`.
+    /// abort the connection). Returns `(progress, status)`. Only
+    /// `WouldBlock` or a short read clear the sticky `readable` bit: a
+    /// pass that stops at the read cap leaves it set, since no new edge
+    /// will announce the bytes still buffered.
     pub(crate) fn pump_reads<F>(
         &mut self,
         scratch: &mut [u8],
@@ -277,10 +372,16 @@ impl Conn {
                         return (progress, ConnStatus::Dead);
                     }
                     if n < scratch.len() {
-                        break; // socket very likely drained
+                        // Drained: bytes arriving after this read raise
+                        // a new edge.
+                        self.readable = false;
+                        break;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.readable = false;
+                    break;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => return (progress, ConnStatus::Dead),
             }
@@ -341,6 +442,17 @@ mod tests {
 
     type Msg = Message<Filter, Event>;
 
+    fn queue(cap: usize) -> Arc<OutQueue> {
+        OutQueue::new(cap, 7, Poller::new().unwrap().waker())
+    }
+
+    /// A connection over `stream` with its own poller and queue.
+    fn open(stream: TcpStream, cap: usize) -> (Conn, Arc<OutQueue>) {
+        let poller = Poller::new().unwrap();
+        let q = OutQueue::new(cap, 7, poller.waker());
+        (Conn::new(stream, q.clone(), &poller, 7).unwrap(), q)
+    }
+
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -351,7 +463,7 @@ mod tests {
 
     #[test]
     fn out_queue_bounds_closes_and_drains() {
-        let q = OutQueue::new(2);
+        let q = queue(2);
         let pool = FramePool::new();
         let f = pool.encode(&Msg::Heartbeat);
         assert!(q.offer(f.clone()));
@@ -371,8 +483,33 @@ mod tests {
     }
 
     #[test]
+    fn offers_to_an_empty_queue_and_close_mark_the_token() {
+        let mut poller = Poller::new().unwrap();
+        let q = OutQueue::new(4, 7, poller.waker());
+        let pool = FramePool::new();
+        let f = pool.encode(&Msg::Heartbeat);
+        let marked = |poller: &mut Poller| {
+            let mut ready = Vec::new();
+            poller.wait(&mut ready, Some(Duration::ZERO)).unwrap();
+            ready.iter().filter(|r| r.queued && r.token == 7).count()
+        };
+        assert!(q.offer(f.clone()) && q.offer(f.clone()));
+        assert_eq!(
+            marked(&mut poller),
+            1,
+            "only the empty → non-empty offer marks"
+        );
+        q.drain_into(&mut Vec::new(), 8);
+        assert!(q.offer(f));
+        assert_eq!(marked(&mut poller), 1, "a drained queue marks again");
+        q.close();
+        assert_eq!(marked(&mut poller), 1, "closing marks");
+        assert_eq!(marked(&mut poller), 0);
+    }
+
+    #[test]
     fn push_blocking_waits_for_room_and_aborts() {
-        let q = OutQueue::new(1);
+        let q = queue(1);
         let pool = FramePool::new();
         q.offer(pool.encode(&Msg::Heartbeat));
         let abort = AtomicBool::new(true);
@@ -381,7 +518,7 @@ mod tests {
             Err(TcpError::Disconnected)
         ));
         // With a consumer, the blocked push completes.
-        let q2 = OutQueue::new(1);
+        let q2 = queue(1);
         q2.offer(pool.encode(&Msg::Heartbeat));
         let q2c = q2.clone();
         let drainer = std::thread::spawn(move || {
@@ -398,8 +535,7 @@ mod tests {
     #[test]
     fn conn_writes_queued_frames_and_reads_split_frames() {
         let (client, server) = pair();
-        let q = OutQueue::new(64);
-        let mut conn = Conn::new(server, q.clone()).unwrap();
+        let (mut conn, q) = open(server, 64);
 
         // Write side: queue two frames, pump, read them off the peer.
         let pool = FramePool::new();
@@ -407,9 +543,7 @@ mod tests {
         let m2 = Msg::Publish(Event::builder("a").payload(vec![9u8; 100]).build());
         q.offer(pool.encode(&m1));
         q.offer(pool.encode(&m2));
-        let (progress, status) = conn.pump_writes();
-        assert!(progress);
-        assert_eq!(status, ConnStatus::Open);
+        assert_eq!(conn.pump_writes(), ConnStatus::Open);
         let mut rclient = client.try_clone().unwrap();
         let mut got = Vec::new();
         crate::wire::read_frame_into(&mut rclient, &mut got).unwrap();
@@ -449,7 +583,7 @@ mod tests {
     #[test]
     fn oversized_prefix_and_garbage_kill_the_conn() {
         let (client, server) = pair();
-        let mut conn = Conn::new(server, OutQueue::new(4)).unwrap();
+        let (mut conn, _) = open(server, 4);
         let mut wclient = client.try_clone().unwrap();
         wclient
             .write_all(&(MAX_FRAME as u32 + 1).to_be_bytes())
@@ -460,7 +594,7 @@ mod tests {
         assert_eq!(status, ConnStatus::Dead);
 
         let (client2, server2) = pair();
-        let mut conn2 = Conn::new(server2, OutQueue::new(4)).unwrap();
+        let (mut conn2, _) = open(server2, 4);
         let mut w2 = client2.try_clone().unwrap();
         let garbage = [0xde, 0xad, 0xbe, 0xef];
         w2.write_all(&(garbage.len() as u32).to_be_bytes()).unwrap();
@@ -473,11 +607,9 @@ mod tests {
     #[test]
     fn eof_reports_dead_and_close_reports_finished() {
         let (client, server) = pair();
-        let q = OutQueue::new(4);
-        let mut conn = Conn::new(server, q.clone()).unwrap();
+        let (mut conn, q) = open(server, 4);
         q.close();
-        let (_, status) = conn.pump_writes();
-        assert_eq!(status, ConnStatus::Finished);
+        assert_eq!(conn.pump_writes(), ConnStatus::Finished);
         drop(client);
         std::thread::sleep(Duration::from_millis(30));
         let mut scratch = vec![0u8; 256];

@@ -1,8 +1,8 @@
 //! The TCP transport: a readiness-driven reactor speaking the framed
 //! [`wire`](crate::wire) protocol.
 //!
-//! Sockets are nonblocking, readiness comes from a scanning poller, and
-//! a *fixed* worker pool drives every connection's
+//! Sockets are nonblocking, readiness comes from edge-triggered `epoll`
+//! (Linux only), and a *fixed* worker pool drives every connection's
 //! read/decode/match/write state machine. The broker's thread count and
 //! per-connection memory are decided at spawn time and stay flat as
 //! connections grow from tens to tens of thousands; the client side
@@ -35,10 +35,15 @@
 //! Layout:
 //!
 //! * `config` — [`TcpConfig`], [`OverflowPolicy`], [`TcpStats`].
-//! * `poller` — the zero-`unsafe` `ScanPoller` readiness loop and the
-//!   `PollWaker` cross-thread wakeup.
-//! * `conn` — per-connection state: bounded outbound queue, resumable
-//!   coalesced-write cursor, incremental frame parser.
+//! * `sys` — the crate's one `unsafe` island: `epoll` and `eventfd`
+//!   declared against the libc `std` links, wrapped into `io::Result`.
+//! * `poller` — the edge-triggered `Poller` (cost O(ready) per pass)
+//!   and the `PollWaker` that wakes it through an eventfd and carries
+//!   its ready list of connections with frames to send.
+//! * `conn` — per-connection state: bounded outbound queue that marks
+//!   its token when it stops being empty, resumable coalesced-write
+//!   cursor, incremental frame parser, and the sticky readiness bits an
+//!   edge-triggered poller needs.
 //! * `worker` — the broker worker loop (one thread, many connections).
 //! * `broker` — dispatcher + acceptor + pool assembly; public
 //!   [`TcpBroker`] handle.
@@ -56,6 +61,7 @@ mod client;
 mod config;
 mod conn;
 mod poller;
+mod sys;
 mod worker;
 
 pub use broker::{spawn_broker, spawn_broker_durable, spawn_broker_with, TcpBroker, MAX_WORKERS};

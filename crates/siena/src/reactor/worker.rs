@@ -1,16 +1,20 @@
 //! Reactor worker: one thread driving many connections.
 //!
-//! Each worker owns a [`ScanPoller`] plus a map of [`Conn`] state machines
-//! and loops over *readiness*, not peers: drain control messages (new
-//! connections, shutdown), ask the poller which tokens may be
-//! actionable, and pump each one's write then read side without ever
-//! blocking on a socket. Decoded messages flow to the dispatcher over a
-//! channel; dead or finished connections are deregistered and announced
-//! as [`Input::PeerGone`]. The pool size is fixed at spawn time — the
-//! broker's thread count does not grow with its connection count.
+//! Each worker owns a [`Poller`] plus a map of [`Conn`] state machines
+//! and loops over *readiness*, not peers: sleep in the poller until the
+//! kernel or a waker has work, drain control messages (new connections,
+//! shutdown), then pump the write and read sides of exactly the
+//! connections the poller reported — plus those whose last pass stopped
+//! at a fairness cap — without ever blocking on a socket. Decoded
+//! messages flow to the dispatcher over a channel; dead or finished
+//! connections are deregistered and announced as [`Input::PeerGone`].
+//! The pool size is fixed at spawn time — the broker's thread count does
+//! not grow with its connection count.
 
 use std::collections::HashMap;
 use std::net::TcpStream;
+use std::os::fd::AsFd;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,14 +22,10 @@ use crossbeam::channel::{Receiver, Sender, TryRecvError};
 
 use super::broker::Input;
 use super::config::StatsInner;
-use super::conn::{Conn, ConnStatus, OutQueue};
-use super::poller::{PollWaker, ScanPoller};
+use super::conn::{Conn, ConnStatus, OutQueue, SCRATCH_BYTES};
+use super::poller::{PollWaker, Poller, Readiness};
 use crate::semantics::FilterSemantics;
 use crate::wire::Wire;
-
-/// Shared read scratch size per worker (one buffer serves every
-/// connection the worker drives — per-connection memory stays flat).
-const SCRATCH_BYTES: usize = 64 * 1024;
 
 /// Bound on the best-effort final drain at shutdown.
 const SHUTDOWN_FLUSH_ROUNDS: usize = 100;
@@ -45,7 +45,7 @@ pub(crate) enum WorkerMsg {
 }
 
 /// The dispatcher's handle to one worker: a control channel plus the
-/// waker that cuts the worker's idle park short.
+/// waker that ends the worker's wait.
 #[derive(Clone)]
 pub(crate) struct WorkerHandle {
     pub(crate) tx: Sender<WorkerMsg>,
@@ -74,7 +74,7 @@ impl WorkerHandle {
 
 /// Body of one broker worker thread.
 pub(crate) fn run_broker_worker<F>(
-    mut poller: ScanPoller,
+    mut poller: Poller,
     rx: Receiver<WorkerMsg>,
     dispatch_tx: Sender<Input<F>>,
     stats: Arc<StatsInner>,
@@ -84,16 +84,34 @@ pub(crate) fn run_broker_worker<F>(
 {
     let mut conns: HashMap<u32, Conn> = HashMap::new();
     let mut scratch = vec![0u8; SCRATCH_BYTES];
-    let mut ready: Vec<u32> = Vec::new();
+    let mut ready: Vec<Readiness> = Vec::new();
+    // Tokens to pump this pass; those with work left carry over.
+    let mut active: Vec<u32> = Vec::new();
+    let mut carry: Vec<u32> = Vec::new();
     let mut gone: Vec<(u32, bool)> = Vec::new(); // (token, was_dead)
 
     loop {
+        ready.clear();
+        let timeout = if active.is_empty() {
+            None
+        } else {
+            Some(Duration::ZERO)
+        };
+        if poller.wait(&mut ready, timeout).is_err() {
+            // Only a broken epoll set fails here; nothing can wake this
+            // worker again, so flush what is queued and stop.
+            final_flush(&mut conns);
+            return;
+        }
+
+        // Control messages after the wait: a wake it consumed announces
+        // exactly these.
         loop {
             match rx.try_recv() {
-                Ok(WorkerMsg::Add(id, stream, out)) => match Conn::new(stream, out) {
+                Ok(WorkerMsg::Add(id, stream, out)) => match Conn::new(stream, out, &poller, id) {
                     Ok(conn) => {
                         conns.insert(id, conn);
-                        poller.register(id);
+                        active.push(id);
                     }
                     Err(_) => {
                         let _ = dispatch_tx.send(Input::PeerGone(id));
@@ -104,76 +122,79 @@ pub(crate) fn run_broker_worker<F>(
                     // (closing the fd) and count what never made the
                     // wire. No PeerGone — the dispatcher already removed
                     // its own state for this id.
-                    poller.deregister(id);
                     if let Some(conn) = conns.remove(&id) {
+                        poller.deregister(conn.as_fd());
                         let unsent = conn.unsent();
                         if unsent > 0 {
-                            stats
-                                .dropped_frames
-                                .fetch_add(unsent, std::sync::atomic::Ordering::Relaxed);
+                            stats.dropped_frames.fetch_add(unsent, Ordering::Relaxed);
                         }
                     }
                 }
-                Ok(WorkerMsg::Shutdown) => {
+                Ok(WorkerMsg::Shutdown) | Err(TryRecvError::Disconnected) => {
                     final_flush(&mut conns);
                     return;
                 }
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    final_flush(&mut conns);
-                    return;
-                }
             }
         }
 
-        ready.clear();
-        poller.wait(&mut ready);
-        let mut any_progress = false;
+        for r in &ready {
+            if let Some(conn) = conns.get_mut(&r.token) {
+                conn.note(*r);
+                active.push(r.token);
+            }
+        }
+        active.sort_unstable();
+        active.dedup();
         gone.clear();
 
-        for &id in &ready {
+        for &id in &active {
             let Some(conn) = conns.get_mut(&id) else {
                 continue;
             };
-            let (wp, wstatus) = conn.pump_writes();
-            any_progress |= wp;
-            match wstatus {
-                ConnStatus::Dead => {
+            if conn.wants_write() {
+                match conn.pump_writes() {
+                    ConnStatus::Dead => {
+                        gone.push((id, true));
+                        continue;
+                    }
+                    ConnStatus::Finished => {
+                        gone.push((id, false));
+                        continue;
+                    }
+                    ConnStatus::Open => {}
+                }
+            }
+            if conn.readable() {
+                let (_, rstatus) = conn.pump_reads::<F>(&mut scratch, &mut |msg| {
+                    dispatch_tx.send(Input::FromPeer(id, msg)).is_ok()
+                });
+                if rstatus == ConnStatus::Dead {
                     gone.push((id, true));
                     continue;
                 }
-                ConnStatus::Finished => {
-                    gone.push((id, false));
-                    continue;
-                }
-                ConnStatus::Open => {}
             }
-            let (rp, rstatus) = conn.pump_reads::<F>(&mut scratch, &mut |msg| {
-                dispatch_tx.send(Input::FromPeer(id, msg)).is_ok()
-            });
-            any_progress |= rp;
-            if rstatus == ConnStatus::Dead {
-                gone.push((id, true));
+            if conn.has_pending_work() {
+                carry.push(id);
             }
         }
 
         for &(id, was_dead) in &gone {
-            poller.deregister(id);
             if let Some(conn) = conns.remove(&id) {
+                poller.deregister(conn.as_fd());
                 conn.out.close();
                 if was_dead {
                     let unsent = conn.unsent();
                     if unsent > 0 {
-                        stats
-                            .dropped_frames
-                            .fetch_add(unsent, std::sync::atomic::Ordering::Relaxed);
+                        stats.dropped_frames.fetch_add(unsent, Ordering::Relaxed);
                     }
                 }
             }
             let _ = dispatch_tx.send(Input::PeerGone(id));
         }
 
-        poller.note_progress(any_progress || !gone.is_empty());
+        active.clear();
+        std::mem::swap(&mut active, &mut carry);
     }
 }
 
@@ -183,7 +204,7 @@ fn final_flush(conns: &mut HashMap<u32, Conn>) {
     for _ in 0..SHUTDOWN_FLUSH_ROUNDS {
         let mut pending = false;
         for conn in conns.values_mut() {
-            let (_, status) = conn.pump_writes();
+            let status = conn.pump_writes();
             if status == ConnStatus::Open && conn.unsent() > 0 {
                 pending = true;
             }

@@ -370,12 +370,24 @@ pub const REACTOR_ENTRY_POINTS: &[(&str, &str)] = &[
 /// Crates allowed to override `[lints] workspace = true`, with the
 /// exact override they must carry instead. `crypto` needs
 /// `unsafe_code = "deny"` (not `forbid`) for the one zeroize volatile
-/// write; `bench` for the counting `GlobalAlloc` in the wire-throughput
-/// harness. `deny` still rejects unsafe everywhere except explicitly
-/// `#[allow]`-marked items.
+/// write; `bench` for the counting `GlobalAlloc` of the allocation
+/// benches; `siena` for the reactor's epoll FFI. `deny` still rejects
+/// unsafe everywhere except `#[allow]`-marked items, and the
+/// `unsafe-island` rule admits those only in [`UNSAFE_ISLANDS`].
 pub const LINTS_OVERRIDE_CRATES: &[(&str, &str)] = &[
     ("crypto", "unsafe_code = \"deny\""),
     ("bench", "unsafe_code = \"deny\""),
+    ("siena", "unsafe_code = \"deny\""),
+];
+
+/// The audited `unsafe` islands: the only files where an attribute may
+/// relax `unsafe_code` (the `unsafe-island` rule). `zeroize.rs` holds
+/// the volatile key wipe, `alloc_counter.rs` the counting allocator of
+/// the allocation benches, and `sys.rs` the reactor's epoll/eventfd FFI.
+pub const UNSAFE_ISLANDS: &[&str] = &[
+    "crates/crypto/src/zeroize.rs",
+    "crates/bench/src/alloc_counter.rs",
+    "crates/siena/src/reactor/sys.rs",
 ];
 
 #[cfg(test)]
@@ -480,6 +492,13 @@ mod tests {
             assert!(
                 root.join(dir).is_dir(),
                 "dead-pub user directory `{dir}` does not exist on disk"
+            );
+            checked += 1;
+        }
+        for island in UNSAFE_ISLANDS {
+            assert!(
+                root.join(island).is_file(),
+                "unsafe island `{island}` does not exist on disk"
             );
             checked += 1;
         }

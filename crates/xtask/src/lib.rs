@@ -6,8 +6,9 @@
 //!
 //! * **Per-file rules** ([`rules`], DESIGN.md §12): secret hygiene,
 //!   panic-freedom (budgeted by the `// PANIC-OK:` allowlist in
-//!   [`allowlist`]), sim determinism, hot-path allocation, and the
-//!   thread-per-connection spawn ban.
+//!   [`allowlist`]), sim determinism, hot-path allocation, the
+//!   thread-per-connection spawn ban, and the unsafe-island rule (an
+//!   `#[allow(unsafe_code)]` only in `config::UNSAFE_ISLANDS`).
 //! * **Whole-workspace passes** (DESIGN.md §17): the confidentiality
 //!   taint analysis in [`taint`] over the [`symbols`]/[`callgraph`]
 //!   pipeline (budgeted by the `// TAINT-OK:` allowlist), the

@@ -1,6 +1,7 @@
 //! The rule families: secret hygiene, panic-freedom, sim determinism,
-//! hot-path allocation. Each rule takes a lexed file plus its
-//! workspace-relative path and emits [`Finding`]s.
+//! hot-path allocation, thread-per-connection and the unsafe island.
+//! Each rule takes a lexed file plus its workspace-relative path and
+//! emits [`Finding`]s.
 
 use crate::config;
 use crate::lexer::{LexedFile, Tok};
@@ -52,6 +53,11 @@ pub enum Rule {
     /// A `pub fn` that no shipped code uses, or a `// DEAD-PUB-OK:`
     /// marker on one that is used. See [`crate::dead_pub`].
     DeadPub,
+    /// An attribute relaxing the `unsafe_code` lint (`allow`, `expect`
+    /// or `warn`) outside the audited files in
+    /// [`config::UNSAFE_ISLANDS`]. A crate that lints `deny` would
+    /// otherwise admit `unsafe` wherever someone adds an `#[allow]`.
+    UnsafeIsland,
 }
 
 impl std::fmt::Display for Rule {
@@ -68,6 +74,7 @@ impl std::fmt::Display for Rule {
             Rule::ChannelCycle => f.write_str("channel-cycle"),
             Rule::LintsInheritance => f.write_str("lints-inheritance"),
             Rule::DeadPub => f.write_str("dead-pub"),
+            Rule::UnsafeIsland => f.write_str("unsafe-island"),
         }
     }
 }
@@ -114,6 +121,9 @@ pub fn scan_file(rel_path: &str, lexed: &LexedFile) -> Vec<Finding> {
     }
     if config::spawn_scope_contains(rel_path) {
         thread_per_connection(rel_path, lexed, &mut findings);
+    }
+    if !config::UNSAFE_ISLANDS.contains(&rel_path) {
+        unsafe_island(rel_path, lexed, &mut findings);
     }
     findings
 }
@@ -470,6 +480,60 @@ fn thread_per_connection(rel_path: &str, lexed: &LexedFile, out: &mut Vec<Findin
     }
 }
 
+/// Attribute names that relax a lint.
+const LINT_RELAXERS: &[&str] = &["allow", "expect", "warn"];
+
+/// Unsafe island: an attribute (`#[..]` or `#![..]`, including inside
+/// `cfg_attr`) that names `unsafe_code` together with `allow`, `expect`
+/// or `warn`, in a file outside [`config::UNSAFE_ISLANDS`]. Test code is
+/// not exempt: `unsafe` in a test is still `unsafe`.
+fn unsafe_island(rel_path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
+    let toks = &lexed.tokens;
+    let mut i = 0usize;
+    while i < toks.len() {
+        if punct_at(lexed, i) != Some('#') {
+            i += 1;
+            continue;
+        }
+        let mut j = i + 1;
+        if punct_at(lexed, j) == Some('!') {
+            j += 1;
+        }
+        if punct_at(lexed, j) != Some('[') {
+            i += 1;
+            continue;
+        }
+        let (mut depth, mut relaxes, mut names_unsafe) = (0usize, false, false);
+        while j < toks.len() {
+            match &toks[j].tok {
+                Tok::Punct('[') => depth += 1,
+                Tok::Punct(']') => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                Tok::Ident(s) if LINT_RELAXERS.contains(&s.as_str()) => relaxes = true,
+                Tok::Ident(s) if s == "unsafe_code" => names_unsafe = true,
+                _ => {}
+            }
+            j += 1;
+        }
+        if relaxes && names_unsafe {
+            out.push(Finding {
+                file: rel_path.to_owned(),
+                line: toks[i].line,
+                rule: Rule::UnsafeIsland,
+                message: "attribute relaxes `unsafe_code` outside the audited unsafe islands; \
+                          keep FFI and raw-pointer code in one of config::UNSAFE_ISLANDS"
+                    .to_owned(),
+                allowlisted: false,
+            });
+        }
+        i = j + 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,6 +691,17 @@ mod tests {
                    #[cfg(test)]\nmod tests {\n  fn t() { std::thread::spawn(|| {}); }\n}\n";
         let f = scan("crates/siena/src/reactor/broker.rs", src);
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn unsafe_allow_is_confined_to_the_islands() {
+        let src = "#![allow(unsafe_code)]\nfn f() {}\n";
+        let f = scan("crates/siena/src/broker.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::UnsafeIsland);
+        assert!(scan("crates/siena/src/reactor/sys.rs", src).is_empty());
+        let strict = "#![deny(unsafe_code)]\n#[allow(dead_code)]\nfn f() {}\n";
+        assert!(scan("crates/siena/src/broker.rs", strict).is_empty());
     }
 
     #[test]

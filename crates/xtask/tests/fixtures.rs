@@ -215,6 +215,38 @@ fn thread_per_connection_passes_clean_snippet() {
 }
 
 #[test]
+fn unsafe_island_catches_seeded_violations() {
+    let findings = scan(
+        "crates/siena/src/reactor/fixture.rs",
+        "unsafe_island_violation.rs",
+    );
+    let islands = by_rule(&findings, Rule::UnsafeIsland);
+    // Inner allow, item allow, cfg_attr allow, expect, warn in a test.
+    assert_eq!(islands.len(), 5, "{islands:#?}");
+    assert!(islands.iter().all(|f| !f.allowlisted));
+}
+
+#[test]
+fn unsafe_island_passes_clean_snippet_and_the_islands() {
+    let findings = scan(
+        "crates/siena/src/reactor/fixture.rs",
+        "unsafe_island_clean.rs",
+    );
+    assert!(
+        by_rule(&findings, Rule::UnsafeIsland).is_empty(),
+        "{findings:#?}"
+    );
+    // The same relaxations are sanctioned inside an audited island.
+    for island in psguard_xtask::config::UNSAFE_ISLANDS {
+        let findings = scan(island, "unsafe_island_violation.rs");
+        assert!(
+            by_rule(&findings, Rule::UnsafeIsland).is_empty(),
+            "{island}: {findings:#?}"
+        );
+    }
+}
+
+#[test]
 fn ciphertext_at_rest_catches_seeded_violations() {
     // The ident ban now lives inside the taint pass as the log's scope
     // backstop; the seeded fixture must still trip it.
