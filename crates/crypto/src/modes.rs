@@ -92,14 +92,7 @@ pub fn cbc_encrypt(cipher: &Aes128, iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> 
     let mut buf = Vec::with_capacity(plaintext.len() + BLOCK_SIZE);
     buf.extend_from_slice(plaintext);
     pkcs7_pad(&mut buf);
-    let mut prev = *iv;
-    for block in buf.as_chunks_mut::<BLOCK_SIZE>().0 {
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        cipher.encrypt_block(block);
-        prev = *block;
-    }
+    cipher.cbc_encrypt_blocks(iv, buf.as_chunks_mut::<BLOCK_SIZE>().0);
     buf
 }
 
@@ -121,15 +114,7 @@ pub fn cbc_decrypt(
         });
     }
     let mut buf = ciphertext.to_vec();
-    let mut prev = *iv;
-    for block in buf.as_chunks_mut::<BLOCK_SIZE>().0 {
-        let cipher_block = *block;
-        cipher.decrypt_block(block);
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        prev = cipher_block;
-    }
+    cipher.cbc_decrypt_blocks(iv, buf.as_chunks_mut::<BLOCK_SIZE>().0);
     pkcs7_unpad(&mut buf)?;
     Ok(buf)
 }

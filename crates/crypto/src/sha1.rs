@@ -148,6 +148,27 @@ pub(crate) fn compress(state: &[u32; 5], mut block: [u32; 16]) -> [u32; 5] {
     ]
 }
 
+/// [`compress`] over every 64-byte block of `blocks`, in order: on the
+/// SHA instructions when the CPU has them, else portably. A trailing
+/// partial block is ignored.
+pub(crate) fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = crate::x86::ShaNi::detect() {
+        ni.compress_blocks(state, blocks);
+        return;
+    }
+    compress_blocks_portable(state, blocks);
+}
+
+/// [`compress_blocks`] without the SHA instructions.
+pub(crate) fn compress_blocks_portable(state: &mut [u32; 5], blocks: &[u8]) {
+    for block in blocks.as_chunks::<64>().0 {
+        let mut words = [0u32; 16];
+        load_be(&mut words, block);
+        *state = compress(state, words);
+    }
+}
+
 /// Expands `block` into its full schedule, for [`compress_lanes_shared`].
 pub(crate) fn expand(mut block: [u32; 16]) -> Schedule {
     let mut w = [0u32; 80];
@@ -364,12 +385,6 @@ impl Sha1 {
         self.state
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut words = [0u32; 16];
-        load_be(&mut words, block);
-        self.state = compress(&self.state, words);
-    }
-
     fn absorb(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buffer_len > 0 {
@@ -379,21 +394,17 @@ impl Sha1 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress_blocks(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             } else {
                 // Buffer still partial and input exhausted.
                 return;
             }
         }
-        let mut chunks = data.chunks_exact(64);
-        for chunk in &mut chunks {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(chunk);
-            self.compress(&block);
-        }
-        let rem = chunks.remainder();
+        // Whole blocks straight from the input, in one call; only the
+        // partial tail goes through the buffer.
+        let (blocks, rem) = data.split_at(data.len() - data.len() % 64);
+        compress_blocks(&mut self.state, blocks);
         self.buffer[..rem.len()].copy_from_slice(rem);
         self.buffer_len = rem.len();
     }
