@@ -6,12 +6,12 @@
 //! a buffer about to be freed) and fence the compiler so the wipe is not
 //! reordered past the deallocation.
 //!
-//! This is one of the workspace's three audited `unsafe` islands, with
-//! `bench/src/alloc_counter.rs` (a counting allocator) and
-//! `siena/src/reactor/sys.rs` (the reactor's epoll FFI). Every other
-//! crate forbids `unsafe` via `[workspace.lints]`, and the xtask
-//! `unsafe-island` rule admits `#[allow(unsafe_code)]` in these three
-//! files only.
+//! This is one of the workspace's four audited `unsafe` islands, with
+//! `x86.rs` (the SHA-NI/AES-NI kernels), `bench/src/alloc_counter.rs`
+//! (a counting allocator) and `siena/src/reactor/sys.rs` (the reactor's
+//! epoll FFI). Every other crate forbids `unsafe` via
+//! `[workspace.lints]`, and the xtask `unsafe-island` rule admits
+//! `#[allow(unsafe_code)]` in these four files only.
 #![allow(unsafe_code)]
 
 use core::sync::atomic::{compiler_fence, Ordering};

@@ -369,8 +369,8 @@ pub const REACTOR_ENTRY_POINTS: &[(&str, &str)] = &[
 
 /// Crates allowed to override `[lints] workspace = true`, with the
 /// exact override they must carry instead. `crypto` needs
-/// `unsafe_code = "deny"` (not `forbid`) for the one zeroize volatile
-/// write; `bench` for the counting `GlobalAlloc` of the allocation
+/// `unsafe_code = "deny"` (not `forbid`) for the zeroize volatile
+/// writes and the SHA/AES instruction kernels; `bench` for the counting `GlobalAlloc` of the allocation
 /// benches; `siena` for the reactor's epoll FFI. `deny` still rejects
 /// unsafe everywhere except `#[allow]`-marked items, and the
 /// `unsafe-island` rule admits those only in [`UNSAFE_ISLANDS`].
@@ -382,10 +382,13 @@ pub const LINTS_OVERRIDE_CRATES: &[(&str, &str)] = &[
 
 /// The audited `unsafe` islands: the only files where an attribute may
 /// relax `unsafe_code` (the `unsafe-island` rule). `zeroize.rs` holds
-/// the volatile key wipe, `alloc_counter.rs` the counting allocator of
-/// the allocation benches, and `sys.rs` the reactor's epoll/eventfd FFI.
+/// the volatile key wipe, `x86.rs` the SHA-NI/AES-NI kernels' unaligned
+/// loads and stores and their calls after CPUID detection,
+/// `alloc_counter.rs` the counting allocator of the allocation benches,
+/// and `sys.rs` the reactor's epoll/eventfd FFI.
 pub const UNSAFE_ISLANDS: &[&str] = &[
     "crates/crypto/src/zeroize.rs",
+    "crates/crypto/src/x86.rs",
     "crates/bench/src/alloc_counter.rs",
     "crates/siena/src/reactor/sys.rs",
 ];

@@ -700,6 +700,8 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, Rule::UnsafeIsland);
         assert!(scan("crates/siena/src/reactor/sys.rs", src).is_empty());
+        assert!(scan("crates/crypto/src/x86.rs", src).is_empty());
+        assert_eq!(scan("crates/crypto/src/aes.rs", src).len(), 1);
         let strict = "#![deny(unsafe_code)]\n#[allow(dead_code)]\nfn f() {}\n";
         assert!(scan("crates/siena/src/broker.rs", strict).is_empty());
     }
