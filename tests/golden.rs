@@ -6,7 +6,9 @@
 //! category and string-prefix attributes), three topics, epochs 0 and 1,
 //! and `publish_batch` at 1 and 4 workers. Payload lengths straddle the
 //! AES and SHA-1 block boundaries up to 4 KiB, so every partial-block and
-//! multi-block path of `E`, `KH` and `F` is in the bytes.
+//! multi-block path of `E`, `KH` and `F` is in the bytes. One frame of
+//! every wire `Message` variant, carrying a sealed event and a secure
+//! filter of the same deployment, is pinned beside them.
 //!
 //! The digest is FNV-1a (64-bit) plus the byte count: it is independent
 //! of the SHA-1 under test, and collision resistance is not needed to
@@ -203,3 +205,60 @@ const GOLDEN: [(u64, &str, &str, &str); 2] = [
         "ec5745f8847c3a47/19419",
     ),
 ];
+
+/// One frame of every `Message` variant, built from a sealed event and a
+/// secure filter of the golden deployment, hashed over `Wire::encode`.
+fn frames() -> String {
+    use psguard_routing::{SecureEvent, SecureFilter};
+    use psguard_siena::{Cursor, Message, ResumeOutcome};
+
+    let ps = deployment();
+    let mut publisher = ps.publisher("P");
+    ps.authorize_publisher(&mut publisher, "alpha", 0);
+    let event = publisher
+        .publish_batch(&events()[..2], 0, 1)
+        .expect("publishable")
+        .remove(1);
+    let mut sub = ps.subscriber("S");
+    let filter = Filter::for_topic("alpha").with(Constraint::new("age", Op::Ge(40)));
+    ps.authorize_subscriber(&mut sub, &filter, 0)
+        .expect("grantable");
+    let filter = sub.secure_filters().remove(0);
+    let cursor = Cursor { epoch: 3, seq: 42 };
+
+    let all: [Message<SecureFilter, SecureEvent>; 11] = [
+        Message::Hello { kind: 0 },
+        Message::Hello { kind: 1 },
+        Message::Heartbeat,
+        Message::Subscribe(filter.clone()),
+        Message::Unsubscribe(filter),
+        Message::Publish(event.clone()),
+        Message::SubAck { crc: 0xdead_beef },
+        Message::CatchUp { cursor },
+        Message::Stamped { cursor, event },
+        Message::ReplayDone {
+            outcome: ResumeOutcome::GapTruncatedByRetention.code(),
+            cursor,
+        },
+        Message::ReplayDone {
+            outcome: ResumeOutcome::FreshStart.code(),
+            cursor: Cursor::default(),
+        },
+    ];
+    let mut d = Digest::new();
+    let mut buf = Vec::new();
+    for m in &all {
+        buf.clear();
+        m.encode(&mut buf);
+        d.feed(&buf);
+    }
+    d.hex()
+}
+
+#[test]
+fn every_message_variant_matches_its_golden_hash() {
+    assert_eq!(frames(), GOLDEN_FRAMES, "frame bytes changed");
+}
+
+/// The encodings of [`frames`]' eleven messages.
+const GOLDEN_FRAMES: &str = "1b2004a7326fe28c/448";
