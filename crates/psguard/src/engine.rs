@@ -1,24 +1,19 @@
-//! Measured crypto costs for the secure overlay engine: the Siena
-//! performance engine instantiated with PSGuard's tokenized filters
+//! Crypto costs for the secure overlay engine: the Siena performance
+//! engine instantiated with PSGuard's tokenized filters
 //! (`psguard_siena::Engine<SecureFilter>`).
 //!
 //! Figures 9–11 compare baseline Siena against PSGuard under identical
 //! overlay conditions; the only difference is the per-message service
-//! time. [`CryptoCosts::measure`] times the real encrypt / token-match /
-//! derive+decrypt code on the host, and [`secure_cost_model`] folds those
-//! microseconds into the engine's [`CostModel`].
+//! time. The caller fills [`CryptoCosts`], and [`secure_cost_model`]
+//! folds its microseconds into the engine's [`CostModel`]. No host
+//! timing enters a figure: `repro` counts the key derivations a real
+//! publish and decrypt perform and prices them at the paper's per-hash
+//! and per-AES microseconds (`psguard-bench`'s `perf` module), so the
+//! figures are deterministic on any host.
 
-use std::time::Instant;
-
-use psguard_model::Event;
 use psguard_siena::CostModel;
 
-use crate::error::MeasureError;
-use crate::publisher::Publisher;
-use crate::service::PsGuard;
-use crate::subscriber::Subscriber;
-
-/// Measured cryptographic costs in microseconds.
+/// Per-message cryptographic costs in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CryptoCosts {
     /// Publisher-side: key derivation + payload encryption + tagging.
@@ -29,67 +24,8 @@ pub struct CryptoCosts {
     pub token_match_us: u64,
 }
 
-impl CryptoCosts {
-    /// Times the real code paths over `sample_events` (which must be
-    /// publishable and decryptable in the given deployment at epoch 0).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MeasureError`] when the samples are empty, fail to
-    /// publish or decrypt, or do not all match their own topic token —
-    /// measurement requires a working pipeline.
-    pub fn measure(
-        ps: &PsGuard,
-        publisher: &mut Publisher,
-        subscriber: &mut Subscriber,
-        sample_events: &[Event],
-    ) -> Result<Self, MeasureError> {
-        if sample_events.is_empty() {
-            return Err(MeasureError::NoSamples);
-        }
-        let reps = (200 / sample_events.len()).max(1);
-
-        let start = Instant::now();
-        let mut secures = Vec::new();
-        for _ in 0..reps {
-            for e in sample_events {
-                secures.push(publisher.publish(e, 0)?);
-            }
-        }
-        let publish_us = (start.elapsed().as_micros() as u64 / secures.len() as u64).max(1);
-
-        let token = ps.routing_token(sample_events[0].topic());
-        let start = Instant::now();
-        let mut matched = 0u64;
-        for s in &secures {
-            if s.tag.matches(&token) {
-                matched += 1;
-            }
-        }
-        let token_match_us = (start.elapsed().as_micros() as u64 / secures.len() as u64).max(1);
-        if matched != secures.len() as u64 {
-            return Err(MeasureError::SampleTopicMismatch {
-                matched,
-                total: secures.len() as u64,
-            });
-        }
-
-        let start = Instant::now();
-        for s in &secures {
-            subscriber.decrypt(s)?;
-        }
-        let decrypt_us = (start.elapsed().as_micros() as u64 / secures.len() as u64).max(1);
-
-        Ok(CryptoCosts {
-            publish_us,
-            decrypt_us,
-            token_match_us,
-        })
-    }
-}
-
 /// Builds the secure cost model: the plain Siena baseline costs plus the
-/// measured crypto overheads.
+/// crypto overheads.
 pub fn secure_cost_model(costs: &CryptoCosts) -> CostModel {
     let plain = CostModel::plain();
     CostModel {
@@ -103,9 +39,9 @@ pub fn secure_cost_model(costs: &CryptoCosts) -> CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PsGuardConfig;
+    use crate::{PsGuard, PsGuardConfig};
     use psguard_keys::Schema;
-    use psguard_model::{Constraint, Filter, IntRange, Op};
+    use psguard_model::{Constraint, Event, Filter, IntRange, Op};
     use psguard_routing::{SecureEvent, SecureFilter};
     use psguard_siena::{Engine, EngineConfig};
 
@@ -115,51 +51,6 @@ mod tests {
             .unwrap()
             .build();
         PsGuard::new(b"seed", schema, PsGuardConfig::default())
-    }
-
-    #[test]
-    fn measured_costs_are_positive() {
-        let ps = deployment();
-        let mut publisher = ps.publisher("P");
-        ps.authorize_publisher(&mut publisher, "w", 0);
-        let mut sub = ps.subscriber("S");
-        ps.authorize_subscriber(&mut sub, &Filter::for_topic("w"), 0)
-            .unwrap();
-        let events: Vec<Event> = (0..8)
-            .map(|i| {
-                Event::builder("w")
-                    .attr("value", (i * 16) as i64)
-                    .payload(vec![0u8; 256])
-                    .build()
-            })
-            .collect();
-        let costs =
-            CryptoCosts::measure(&ps, &mut publisher, &mut sub, &events).expect("working pipeline");
-        assert!(costs.publish_us >= 1);
-        assert!(costs.decrypt_us >= 1);
-        assert!(costs.token_match_us >= 1);
-        let model = secure_cost_model(&costs);
-        assert!(model.publisher_us > CostModel::plain().publisher_us);
-    }
-
-    #[test]
-    fn measurement_failures_are_typed() {
-        let ps = deployment();
-        let mut publisher = ps.publisher("P");
-        ps.authorize_publisher(&mut publisher, "w", 0);
-        let mut sub = ps.subscriber("S");
-        ps.authorize_subscriber(&mut sub, &Filter::for_topic("w"), 0)
-            .unwrap();
-        assert_eq!(
-            CryptoCosts::measure(&ps, &mut publisher, &mut sub, &[]),
-            Err(crate::MeasureError::NoSamples)
-        );
-        // A sample on an unauthorized topic cannot be published.
-        let stray = vec![Event::builder("other").payload(vec![1]).build()];
-        assert!(matches!(
-            CryptoCosts::measure(&ps, &mut publisher, &mut sub, &stray),
-            Err(crate::MeasureError::Publish(_))
-        ));
     }
 
     #[test]

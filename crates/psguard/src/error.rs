@@ -57,63 +57,6 @@ impl From<KdcError> for SubscribeError {
     }
 }
 
-/// Errors raised while measuring crypto costs on the host
-/// ([`crate::CryptoCosts::measure`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MeasureError {
-    /// No sample events were supplied.
-    NoSamples,
-    /// A sample event failed to publish — the deployment cannot encrypt
-    /// the workload it is meant to be timed on.
-    Publish(PublishError),
-    /// A sample envelope failed to decrypt under the given subscriber.
-    Decrypt(DecryptError),
-    /// Some sample envelopes did not match their own topic token —
-    /// the samples span several topics or the token is stale.
-    SampleTopicMismatch {
-        /// Envelopes that matched the first sample's topic token.
-        matched: u64,
-        /// Envelopes timed in total.
-        total: u64,
-    },
-}
-
-impl std::fmt::Display for MeasureError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MeasureError::NoSamples => write!(f, "need sample events to measure"),
-            MeasureError::Publish(e) => write!(f, "sample failed to publish: {e}"),
-            MeasureError::Decrypt(e) => write!(f, "sample failed to decrypt: {e}"),
-            MeasureError::SampleTopicMismatch { matched, total } => write!(
-                f,
-                "only {matched}/{total} sample envelopes match the first sample's topic"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MeasureError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MeasureError::Publish(e) => Some(e),
-            MeasureError::Decrypt(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<PublishError> for MeasureError {
-    fn from(e: PublishError) -> Self {
-        MeasureError::Publish(e)
-    }
-}
-
-impl From<DecryptError> for MeasureError {
-    fn from(e: DecryptError) -> Self {
-        MeasureError::Decrypt(e)
-    }
-}
-
 /// Errors raised while decrypting a received event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecryptError {

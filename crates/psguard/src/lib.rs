@@ -65,7 +65,7 @@ mod service;
 mod subscriber;
 
 pub use engine::{secure_cost_model, CryptoCosts};
-pub use error::{DecryptError, MeasureError, PublishError, SubscribeError};
+pub use error::{DecryptError, PublishError, SubscribeError};
 pub use publisher::{Publisher, PublisherCredential};
 pub use service::{PsGuard, PsGuardConfig};
 pub use subscriber::Subscriber;

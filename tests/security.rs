@@ -1,9 +1,10 @@
 //! Security-property integration tests: the confidentiality guarantees
 //! the paper claims, exercised end-to-end with failure injection.
 
-use psguard::{DecryptError, PsGuard, PsGuardConfig};
-use psguard_keys::Schema;
+use psguard::{DecryptError, PsGuard, PsGuardConfig, Subscriber};
+use psguard_keys::{ConstraintGrant, EpochId, Grant, OpCounter, Schema, TopicScope};
 use psguard_model::{Constraint, Event, Filter, IntRange, Op};
+use psguard_routing::SecureEvent;
 
 fn deployment() -> PsGuard {
     let schema = Schema::builder()
@@ -13,7 +14,7 @@ fn deployment() -> PsGuard {
     PsGuard::new(b"security-master", schema, PsGuardConfig::default())
 }
 
-fn published(ps: &PsGuard, age: i64, epoch: u64) -> psguard_routing::SecureEvent {
+fn published(ps: &PsGuard, age: i64, epoch: u64) -> SecureEvent {
     let mut publisher = ps.publisher("P");
     ps.authorize_publisher(&mut publisher, "w", epoch);
     publisher
@@ -206,4 +207,158 @@ fn distinct_master_seeds_are_cryptographically_disjoint() {
         DecryptError::NoMatchingSubscription
     );
     assert_ne!(ps1.routing_token("w"), ps2.routing_token("w"));
+}
+
+// Grant closure: the bound a *set* of grants obeys. `K(e)` is the
+// `KH`-fold of per-attribute parts (DESIGN.md §7), and the part for one
+// attribute value is the same whichever grant derives it, so parts from
+// different grants combine. A set of grants therefore decrypts an event
+// whenever, for each keyed attribute, some grant covers its value: a
+// product across attributes of per-attribute unions, not the union of
+// the filters. These tests pin both sides of that bound as shipped.
+
+fn two_attr_deployment() -> PsGuard {
+    let range = IntRange::new(0, 255).expect("valid");
+    let schema = Schema::builder()
+        .numeric("age", range, 1)
+        .expect("valid nakt")
+        .numeric("salary", range, 1)
+        .expect("valid nakt")
+        .build();
+    PsGuard::new(b"closure-master", schema, PsGuardConfig::default())
+}
+
+/// A: `age ≤ 10 ∧ salary ≤ 10`.
+fn low_filter() -> Filter {
+    Filter::for_topic("w")
+        .with(Constraint::new("age", Op::Le(10)))
+        .with(Constraint::new("salary", Op::Le(10)))
+}
+
+/// B: `age ≥ 200 ∧ salary ≥ 200`.
+fn high_filter() -> Filter {
+    Filter::for_topic("w")
+        .with(Constraint::new("age", Op::Ge(200)))
+        .with(Constraint::new("salary", Op::Ge(200)))
+}
+
+fn grant_for(ps: &PsGuard, filter: &Filter) -> Grant {
+    ps.kdc()
+        .grant(
+            ps.schema(),
+            filter,
+            EpochId(0),
+            &TopicScope::Shared,
+            &mut OpCounter::new(),
+        )
+        .expect("grantable")
+}
+
+fn constraint(grant: &Grant, attr: &str) -> ConstraintGrant {
+    grant
+        .constraints
+        .iter()
+        .find(|c| c.attr == attr)
+        .expect("constrained attribute")
+        .clone()
+}
+
+/// A grant assembled from `parts`, installed on a fresh subscriber.
+fn pooled(ps: &PsGuard, parts: Vec<ConstraintGrant>) -> Subscriber {
+    let grant = Grant {
+        topic: "w".into(),
+        epoch: EpochId(0),
+        topic_auth: None,
+        constraints: parts,
+    };
+    let mut sub = ps.subscriber("pool");
+    sub.install_grant(ps.routing_token("w"), Filter::for_topic("w"), grant);
+    sub
+}
+
+fn published_at(ps: &PsGuard, attrs: &[(&str, i64)]) -> SecureEvent {
+    let mut publisher = ps.publisher("P");
+    ps.authorize_publisher(&mut publisher, "w", 0);
+    let mut event = Event::builder("w").payload(b"classified".to_vec());
+    for &(name, value) in attrs {
+        event = event.attr(name, value);
+    }
+    publisher.publish(&event.build(), 0).expect("publishable")
+}
+
+#[test]
+fn pooled_grants_decrypt_the_per_attribute_product() {
+    let ps = two_attr_deployment();
+    let inside = published_at(&ps, &[("age", 5), ("salary", 250)]);
+    for filter in [low_filter(), high_filter()] {
+        let mut alone = ps.subscriber("alone");
+        ps.authorize_subscriber(&mut alone, &filter, 0)
+            .expect("grantable");
+        assert_eq!(
+            alone.decrypt(&inside).unwrap_err(),
+            DecryptError::NotAuthorized,
+            "{filter} alone"
+        );
+    }
+
+    // A's `age` part and B's `salary` part make a grant neither holds.
+    let (a, b) = (
+        grant_for(&ps, &low_filter()),
+        grant_for(&ps, &high_filter()),
+    );
+    let mut pool = pooled(&ps, vec![constraint(&a, "age"), constraint(&b, "salary")]);
+    let got = pool.decrypt(&inside).expect("inside the product");
+    assert_eq!(got.payload(), b"classified");
+
+    // No grant covers age 100: outside the product, nothing decrypts.
+    let outside = published_at(&ps, &[("age", 100), ("salary", 250)]);
+    assert_eq!(
+        pool.decrypt(&outside).unwrap_err(),
+        DecryptError::NotAuthorized
+    );
+}
+
+#[test]
+fn single_attribute_grants_pool_to_exactly_the_union() {
+    let ps = two_attr_deployment();
+    let low = Filter::for_topic("w").with(Constraint::new("age", Op::Le(10)));
+    let high = Filter::for_topic("w").with(Constraint::new("age", Op::Ge(200)));
+    let mut age = constraint(&grant_for(&ps, &low), "age");
+    age.alternatives
+        .extend(constraint(&grant_for(&ps, &high), "age").alternatives);
+    let mut pool = pooled(&ps, vec![age]);
+    for value in 0..=255i64 {
+        let event = published_at(&ps, &[("age", value)]);
+        let in_union = value <= 10 || value >= 200;
+        assert_eq!(
+            pool.decrypt(&event).is_ok(),
+            in_union,
+            "age={value}: pooling one keyed attribute must give the union"
+        );
+    }
+}
+
+#[test]
+fn one_holder_of_both_grants_is_bounded_by_keys_not_by_decrypt() {
+    let ps = two_attr_deployment();
+    let inside = published_at(&ps, &[("age", 5), ("salary", 250)]);
+    let mut holder = ps.subscriber("both");
+    ps.authorize_subscriber(&mut holder, &low_filter(), 0)
+        .expect("grantable");
+    ps.authorize_subscriber(&mut holder, &high_filter(), 0)
+        .expect("grantable");
+    // `decrypt` derives per grant, so the shipped API refuses...
+    assert_eq!(
+        holder.decrypt(&inside).unwrap_err(),
+        DecryptError::NotAuthorized
+    );
+    // ...but the KDC is deterministic: the holder's two grants are these
+    // keys, and they assemble the pooled grant that decrypts.
+    let (a, b) = (
+        grant_for(&ps, &low_filter()),
+        grant_for(&ps, &high_filter()),
+    );
+    assert_eq!(holder.key_count(), a.key_count() + b.key_count());
+    let mut pool = pooled(&ps, vec![constraint(&a, "age"), constraint(&b, "salary")]);
+    assert!(pool.decrypt(&inside).is_ok());
 }
