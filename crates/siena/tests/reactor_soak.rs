@@ -41,6 +41,7 @@ fn thousand_connections_fixed_threads_and_fanout() {
     let broker = spawn_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn");
     assert_eq!(broker.worker_threads(), 2, "explicit pool size respected");
     let broker_threads = broker.thread_count();
+    assert_eq!(broker_threads, 2, "the broker owns exactly its workers");
     let before = process_threads();
 
     // 8 client reactors host all subscriber connections: thread cost is
@@ -110,6 +111,11 @@ fn stalled_consumer_degrades_gracefully() {
         ..TcpConfig::default()
     };
     let broker = spawn_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn");
+    assert_eq!(
+        broker.thread_count(),
+        1,
+        "the broker owns exactly its worker"
+    );
 
     // The stalled consumer: subscribes via raw socket, then never reads.
     use psguard_siena::wire::Message;

@@ -358,7 +358,6 @@ pub const DEAD_PUB_USER_DIRS: &[&str] = &["examples", "benchmark/src"];
 /// the PR 6 bug class, where one blocking send on the client I/O thread
 /// stalled every connection.
 pub const REACTOR_ENTRY_POINTS: &[(&str, &str)] = &[
-    ("crates/siena/src/reactor/broker.rs", "run_dispatcher"),
     ("crates/siena/src/reactor/worker.rs", "run_broker_worker"),
     ("crates/siena/src/reactor/client.rs", "run_client_reactor"),
 ];
