@@ -44,9 +44,10 @@
 //!   its token when it stops being empty, resumable coalesced-write
 //!   cursor, incremental frame parser, and the sticky readiness bits an
 //!   edge-triggered poller needs.
-//! * `worker` — the broker worker loop (one thread, many connections).
-//! * `broker` — dispatcher + acceptor + pool assembly; public
-//!   [`TcpBroker`] handle.
+//! * `worker` — the broker worker loop (one thread, many connections);
+//!   worker 0 also accepts and dispatches.
+//! * `broker` — the dispatcher state worker 0 runs, and pool assembly;
+//!   public [`TcpBroker`] handle.
 //! * `client` — [`ClientReactor`] (one thread, many client
 //!   connections) and the one-connection [`TcpClient`].
 //!
