@@ -3,7 +3,7 @@
 //! Motivated by the PR 6 review fixes: one blocking `send` on the client
 //! I/O thread stalled every connection. Two lints run on code reachable
 //! from the reactor entry points ([`crate::config::REACTOR_ENTRY_POINTS`] —
-//! dispatcher, broker worker, client reactor):
+//! broker worker, whose worker 0 also dispatches, and client reactor):
 //!
 //! 1. **Blocking ops** (`reactor-blocking`): a blocking `.send(..)` on a
 //!    *bounded* channel, a bare `.recv()`, or a `thread::sleep` call in

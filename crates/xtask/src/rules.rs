@@ -451,8 +451,8 @@ fn hot_path_alloc(rel_path: &str, lexed: &LexedFile, out: &mut Vec<Finding>) {
 }
 
 /// Thread-per-connection: a `spawn(` call on a non-test line of the
-/// reactor transport. The fixed sanctioned spawn sites (worker pool,
-/// accept loop, dispatcher, client reactor) carry a `// SPAWN-OK:`
+/// reactor transport. The fixed sanctioned spawn sites (the broker's
+/// worker pool, the client reactor) carry a `// SPAWN-OK:`
 /// justification on or just above the call; those produce no finding.
 /// Anything else — typically a per-connection reader/writer creeping
 /// back in — is a hard violation.
